@@ -21,6 +21,7 @@ from .datasets import Dataset
 from .descriptors import Descriptor, canberra, canberra_matrix
 from .errors import BudgetTooSmallError, OracleSizeError
 from .gabe import (
+    MIN_GABE_BUDGET,
     GabeState,
     exact_gabe_descriptor,
     gabe_finalize,
@@ -28,6 +29,7 @@ from .gabe import (
 )
 from .graph import EdgeStream, build_graph, derive_seed
 from .maeve import (
+    MIN_MAEVE_BUDGET,
     MaeveState,
     exact_maeve_descriptor,
     maeve_finalize,
@@ -245,7 +247,9 @@ def error_vs_budget(
     """Mean Canberra distance between estimated and exact descriptors,
     one row (budget_fraction, mean_error) per requested budget.
 
-    Every graph must be within the exact oracle's size limit.
+    Every graph must be within the exact oracle's size limit, and every
+    resolved budget at or above the method's minimum; both are checked
+    before any exact or estimated descriptor is computed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -255,25 +259,38 @@ def error_vs_budget(
     if any(f <= 0 for f in budgets):
         raise ValueError("budget fractions must be positive")
 
+    for stream in ds.graphs:
+        if stream.n > oracle_limit:
+            raise OracleSizeError(
+                f"graph has {stream.n} vertices, exact enumeration is limited "
+                f"to {oracle_limit}")
+    # Resolve every budget before the oracle pass, so that a budget below
+    # the method's minimum fails at once rather than after it.
+    minimum = MIN_GABE_BUDGET if method == "gabe" else MIN_MAEVE_BUDGET
+    resolved = []
+    for fraction in budgets:
+        spec = BudgetSpec(fraction=fraction)
+        sizes = [spec.resolve(len(stream)) for stream in ds.graphs]
+        for gi, b in enumerate(sizes):
+            if b < minimum:
+                raise BudgetTooSmallError(
+                    f"graph {gi}: budget fraction {fraction} gives b = {b}; "
+                    f"need at least {minimum} for {method}")
+        resolved.append((fraction, sizes))
+
     exact_vectors = []
     for stream in ds.graphs:
         g = build_graph(stream)
-        if g.n > oracle_limit:
-            raise OracleSizeError(
-                f"graph has {g.n} vertices, exact enumeration is limited "
-                f"to {oracle_limit}")
         if method == "gabe":
             exact_vectors.append(exact_gabe_descriptor(g, limit=oracle_limit).phi)
         else:
             exact_vectors.append(exact_maeve_descriptor(g).values)
 
     rows: list[tuple[float, float]] = []
-    for fraction in budgets:
-        spec = BudgetSpec(fraction=fraction)
+    for fraction, sizes in resolved:
         total = 0.0
         runs = 0
-        for gi, stream in enumerate(ds.graphs):
-            b = spec.resolve(len(stream))
+        for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
             for trial in range(trials):
                 run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
                 if method == "gabe":

@@ -1,7 +1,8 @@
 """Brute-force ground truth used to validate every estimator.
 
 Induced counts come from one enumeration of all vertex subsets of size
-<= 4, classified by degree-sequence fingerprint; plain subgraph counts
+<= 4, each classified by the code of its edge bits through a table
+built from the degree-sequence fingerprint; plain subgraph counts
 follow by applying the overlap matrix.  Per-vertex quantities are
 computed independently of the streaming identities so they can stand as
 an oracle for those identities.
@@ -17,21 +18,19 @@ import numpy as np
 from .errors import OracleSizeError
 from .graph import Graph
 from .patterns import (
-    DEGREE_SEQUENCE,
     INDUCED,
     N_PATTERNS,
     ORDER_SLICES,
     SUBGRAPH,
     PatternCounts,
     PatternId,
-    overlap_matrix,
+    classify_degree_sequence,
+    induced_to_subgraph,
 )
 
 # Enumeration is over all C(n,4) vertex subsets; past this size the cost
 # and memory stop being desk-scale.
 ORACLE_LIMIT = 60
-
-_PAIR_COLS = {k: list(itertools.combinations(range(k), 2)) for k in (3, 4)}
 
 
 def _check_size(g: Graph, limit: int):
@@ -59,48 +58,62 @@ def _combo_array(n: int, k: int) -> np.ndarray:
     return flat.reshape(count, k)
 
 
-def _degseq_lut(k: int) -> np.ndarray:
-    """Sorted-degree-sequence code (base 4) -> pattern index, for order k."""
-    lut = np.full(4 ** k, -1, dtype=np.int64)
-    for pid in PatternId:
-        if pid.order != k:
-            continue
-        code = 0
-        for d in DEGREE_SEQUENCE[pid]:
-            code = code * 4 + d
-        lut[code] = int(pid) - 1
+def _edge_code_lut(k: int) -> np.ndarray:
+    """Edge-bit code -> pattern index (id - 1), for order k.
+
+    Bit i of a code is set when the i-th vertex pair of the subset, in
+    itertools.combinations(range(k), 2) order, is an edge.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    lut = np.empty(2 ** len(pairs), dtype=np.int64)
+    for code in range(len(lut)):
+        deg = [0] * k
+        for bit, (i, j) in enumerate(pairs):
+            if code >> bit & 1:
+                deg[i] += 1
+                deg[j] += 1
+        lut[code] = classify_degree_sequence(sorted(deg)) - 1
     return lut
 
 
-_LUT = {k: _degseq_lut(k) for k in (3, 4)}
+_LUT = {k: _edge_code_lut(k) for k in (3, 4)}
 
 
 def exact_induced_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
-    """Induced counts of all 17 patterns; order-k entries sum to C(n,k)."""
+    """Induced counts of all 17 patterns; order-k entries sum to C(n,k).
+
+    Each triple x < y < z gets the 3-bit code of its pairs (x,y), (x,z),
+    (y,z).  A quadruple a < x < y < z adds the bits of (a,x), (a,y),
+    (a,z) below its triple's code shifted up by 3.  The triples above a
+    are a suffix of the lexicographic triple list, so no C(n,4) array is
+    ever built.
+    """
     _check_size(g, limit)
     values = np.zeros(N_PATTERNS)
     values[PatternId.EDGE - 1] = g.m
     values[PatternId.EDGELESS_2 - 1] = comb(g.n, 2) - g.m
-    adj = _adjacency_matrix(g)
-    for k in (3, 4):
-        if g.n < k:
-            continue
-        combos = _combo_array(g.n, k)
-        degs = np.zeros((len(combos), k), dtype=np.int64)
-        for i, j in _PAIR_COLS[k]:
-            present = adj[combos[:, i], combos[:, j]]
-            degs[:, i] += present
-            degs[:, j] += present
-        degs.sort(axis=1)
-        codes = degs @ (4 ** np.arange(k - 1, -1, -1))
-        values += np.bincount(_LUT[k][codes], minlength=N_PATTERNS)
+    if g.n < 3:
+        return PatternCounts(values=values, kind=INDUCED)
+    adj = _adjacency_matrix(g).view(np.uint8)
+    x, y, z = np.ascontiguousarray(_combo_array(g.n, 3).T)
+    code3 = adj[x, y] | adj[x, z] << 1 | adj[y, z] << 2
+    high = code3 << 3
+    hist4 = np.zeros(64, dtype=np.int64)
+    for a in range(g.n - 3):
+        s = np.searchsorted(x, a, side="right")
+        row = adj[a]
+        code4 = row[x[s:]] | row[y[s:]] << 1 | row[z[s:]] << 2 | high[s:]
+        hist4 += np.bincount(code4, minlength=64)
+    hist3 = np.bincount(code3, minlength=8)
+    for k, hist in ((3, hist3), (4, hist4)):
+        values += np.bincount(_LUT[k], weights=hist, minlength=N_PATTERNS)
     return PatternCounts(values=values, kind=INDUCED)
 
 
 def exact_subgraph_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
     """Not-necessarily-induced counts, derived from the induced counts."""
     induced = exact_induced_counts(g, limit=limit)
-    return PatternCounts(values=overlap_matrix() @ induced.values, kind=SUBGRAPH)
+    return PatternCounts(values=induced_to_subgraph(induced.values), kind=SUBGRAPH)
 
 
 def exact_vertex_triangle_path_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -170,6 +170,21 @@ class PatternCounts:
         return self.values[ORDER_SLICES[k]]
 
 
+def _build_overlap_matrix() -> np.ndarray:
+    out = np.zeros((N_PATTERNS, N_PATTERNS), dtype=np.int64)
+    for pj, (order, edges) in _CATALOG.items():
+        for r in range(len(edges) + 1):
+            for subset in itertools.combinations(edges, r):
+                pi = _BY_DEGSEQ[_degree_sequence(order, subset)]
+                out[pi - 1, pj - 1] += 1
+    out.flags.writeable = False
+    return out
+
+
+# Built once; the conversions below read this read-only copy.
+_OVERLAP = _build_overlap_matrix()
+
+
 def overlap_matrix() -> np.ndarray:
     """17x17 integer matrix O with O[i-1, j-1] = number of spanning
     subgraphs of pattern j isomorphic to pattern i (same order only).
@@ -177,20 +192,14 @@ def overlap_matrix() -> np.ndarray:
     Built by enumerating edge subsets of each reference pattern.  Under
     the canonical ordering O is block-diagonal by order, upper
     triangular, and has a unit diagonal, so it is invertible over the
-    integers.
+    integers.  Returns a fresh copy the caller may modify.
     """
-    out = np.zeros((N_PATTERNS, N_PATTERNS), dtype=np.int64)
-    for pj, (order, edges) in _CATALOG.items():
-        for r in range(len(edges) + 1):
-            for subset in itertools.combinations(edges, r):
-                pi = _BY_DEGSEQ[_degree_sequence(order, subset)]
-                out[pi - 1, pj - 1] += 1
-    return out
+    return _OVERLAP.copy()
 
 
 def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
     """Solve O x = counts by back-substitution (O is unit upper triangular)."""
-    o = overlap_matrix()
+    o = _OVERLAP
     x = np.asarray(counts, dtype=float).copy()
     for i in range(N_PATTERNS - 1, -1, -1):
         x[i] -= o[i, i + 1:] @ x[i + 1:]
@@ -199,4 +208,4 @@ def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
 
 def induced_to_subgraph(counts: np.ndarray) -> np.ndarray:
     """Apply O: plain subgraph counts from induced counts."""
-    return overlap_matrix() @ np.asarray(counts, dtype=float)
+    return _OVERLAP @ np.asarray(counts, dtype=float)

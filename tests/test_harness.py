@@ -1,6 +1,8 @@
 """Batch computation, replica averaging, cross-validation, and the
 error-versus-budget experiment."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from streamdesc import (
     replicated_gabe,
     replicated_maeve,
 )
-from streamdesc.errors import OracleSizeError
+from streamdesc.errors import BudgetTooSmallError, OracleSizeError
 from streamdesc.graph import derive_seed
 from streamdesc.patterns import STREAM_ESTIMATED
 
@@ -268,6 +270,23 @@ def test_error_vs_budget_respects_oracle_limit():
     ds = Dataset(graphs=[random_stream(11, 0.4, seed=77)], labels=[0])
     with pytest.raises(OracleSizeError):
         error_vs_budget(ds, "maeve", [1.0], trials=1, oracle_limit=10)
+
+
+@pytest.mark.parametrize("method, fraction", [("gabe", 0.1), ("maeve", 0.01)])
+def test_error_vs_budget_rejects_small_budget_before_oracle(monkeypatch, method, fraction):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle ran before the budget check")
+
+    monkeypatch.setattr("streamdesc.harness.exact_gabe_descriptor", no_oracle)
+    monkeypatch.setattr("streamdesc.harness.exact_maeve_descriptor", no_oracle)
+    ds = evb_dataset()
+    b = BudgetSpec(fraction=fraction).resolve(len(ds.graphs[0]))
+    minimum = 5 if method == "gabe" else 2
+    assert b < minimum
+    message = (f"graph 0: budget fraction {fraction} gives b = {b}; "
+               f"need at least {minimum} for {method}")
+    with pytest.raises(BudgetTooSmallError, match=re.escape(message)):
+        error_vs_budget(ds, method, [1.0, fraction], trials=1)
 
 
 def test_error_vs_budget_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from streamdesc import (
+    ORACLE_LIMIT,
     ORDER_SLICES,
     EdgeStream,
     PatternId,
@@ -107,6 +108,25 @@ def test_counts_against_independent_enumerator_larger():
         sub_brute, ind_brute = brute_force_counts(g)
         assert np.array_equal(exact_subgraph_counts(g).values, sub_brute)
         assert np.array_equal(exact_induced_counts(g).values, ind_brute)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.7])
+def test_counts_against_networkx_at_oracle_limit(p):
+    nx = pytest.importorskip("networkx")
+    g = build_graph(random_stream(ORACLE_LIMIT, p, seed=int(900 + 100 * p)))
+    assert g.n == ORACLE_LIMIT
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    k4 = 0
+    for clique in nx.enumerate_all_cliques(h):  # yielded by growing size
+        if len(clique) > 4:
+            break
+        k4 += len(clique) == 4
+    sub = exact_subgraph_counts(g)
+    assert sub[PatternId.TRIANGLE] == sum(nx.triangles(h).values()) // 3
+    assert sub[PatternId.K4] == k4
+    assert exact_induced_counts(g).order_block(4).sum() == math.comb(ORACLE_LIMIT, 4)
 
 
 def test_subgraph_equals_overlap_times_induced(small_corpus):

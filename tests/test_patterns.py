@@ -165,6 +165,18 @@ def test_solve_round_trip():
         assert np.allclose(induced_to_subgraph(induced), h, atol=1e-9)
 
 
+def test_overlap_matrix_copy_does_not_leak_into_conversions():
+    h = np.arange(1, 18, dtype=float)
+    before = subgraph_to_induced(h)
+    back = induced_to_subgraph(before)
+    o = overlap_matrix()
+    o[:] = 0
+    o[0, 16] = 99
+    assert np.array_equal(subgraph_to_induced(h), before)
+    assert np.array_equal(induced_to_subgraph(before), back)
+    assert overlap_matrix()[0, 16] == 0
+
+
 def test_pattern_counts_validation():
     PatternCounts(values=np.zeros(17), kind=SUBGRAPH)
     with pytest.raises(ValueError):
