@@ -30,12 +30,10 @@ from .errors import (
     StreamDescError,
 )
 from .gabe import (
-    GabeDescriptor,
     GabeState,
     MIN_GABE_BUDGET,
     closed_form_counts,
     exact_gabe_descriptor,
-    gabe_descriptor,
     gabe_finalize,
     gabe_process_edge,
 )
@@ -50,22 +48,22 @@ from .graph import (
     read_edge_list,
 )
 from .harness import (
+    METHODS,
     BudgetSpec,
     ClassificationReport,
     compute_descriptors,
     cross_validate,
     error_vs_budget,
-    replicated_gabe,
-    replicated_maeve,
+    gabe_descriptor,
+    maeve_descriptor,
+    replicated,
 )
 from .maeve import (
     MIN_MAEVE_BUDGET,
-    MaeveDescriptor,
     MaeveState,
     VertexFeatures,
     exact_maeve_descriptor,
     features_from_counts,
-    maeve_descriptor,
     maeve_finalize,
     maeve_process_edge,
     moments,
@@ -96,7 +94,6 @@ from .reservoir import (
     ReservoirState,
     detection_probability,
     maybe_sample,
-    sampled_neighbors,
     variance_bound,
 )
 

@@ -10,12 +10,16 @@ import argparse
 import sys
 
 from .datasets import Dataset, load_benchmark_dataset
-from .descriptors import Descriptor, canberra, load_descriptors, write_descriptors
+from .descriptors import canberra, load_descriptors, write_descriptors
 from .errors import BudgetTooSmallError, DataFormatError, OracleSizeError
-from .gabe import exact_gabe_descriptor
 from .graph import build_graph, derive_seed, preprocess, read_edge_list
-from .harness import BudgetSpec, compute_descriptors, cross_validate, error_vs_budget
-from .maeve import exact_maeve_descriptor
+from .harness import (
+    METHODS,
+    BudgetSpec,
+    compute_descriptors,
+    cross_validate,
+    error_vs_budget,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "descriptor", help="estimate descriptors from edge streams")
     _add_input_options(p)
     _add_budget_options(p)
-    p.add_argument("--method", choices=("gabe", "maeve"), required=True)
+    p.add_argument("--method", choices=tuple(METHODS), required=True)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="independent replicas averaged per graph (default: 1)")
     p.add_argument("--seed", type=int, default=0)
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact descriptors from the oracle")
     _add_input_options(p)
-    p.add_argument("--method", choices=("gabe", "maeve"), required=True)
+    p.add_argument("--method", choices=tuple(METHODS), required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for dataset preprocessing shuffles")
     _add_output_options(p)
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="1-NN cross-validated accuracy on a labeled bundle")
     _add_input_options(p, dataset_only=True)
     _add_budget_options(p)
-    p.add_argument("--method", choices=("gabe", "maeve"), required=True)
+    p.add_argument("--method", choices=tuple(METHODS), required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=_positive_int, default=10)
@@ -118,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "error-vs-budget",
         help="mean distance to the exact descriptor per budget fraction")
     _add_input_options(e)
-    e.add_argument("--method", choices=("gabe", "maeve"), required=True)
+    e.add_argument("--method", choices=tuple(METHODS), required=True)
     e.add_argument("--budgets", default="0.1,0.3,0.5",
                    help="comma-separated budget fractions (default: 0.1,0.3,0.5)")
     e.add_argument("--trials", type=_positive_int, default=5)
@@ -176,16 +180,9 @@ def _cmd_exact(args) -> int:
     ds = _load_input(args)
     out = []
     for idx, stream in enumerate(ds.graphs):
-        g = build_graph(stream)
-        if args.method == "gabe":
-            d = exact_gabe_descriptor(g)
-            values = d.phi
-        else:
-            d = exact_maeve_descriptor(g)
-            values = d.values
-        out.append(Descriptor(
-            graph_id=idx, method=args.method, b=d.b, seed=d.seed, n=d.n,
-            m=d.m, values=values))
+        d = METHODS[args.method].exact(build_graph(stream))
+        d.graph_id = idx
+        out.append(d)
     _emit_descriptors(out, args)
     return EXIT_OK
 

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DataFormatError
 
 DIMENSIONS = {"gabe": 17, "maeve": 20}
+# Graphs with fewer vertices have no pattern to count: all-zero values.
+MIN_ORDER = {"gabe": 2, "maeve": 1}
 
 _META_FIELDS = ("graph_id", "method", "b", "seed", "n", "m")
 
@@ -37,6 +39,11 @@ class Descriptor:
             raise ValueError(
                 f"a {self.method} descriptor has {expected} values, "
                 f"got shape {self.values.shape}")
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the graph is too small for the method (all zeros)."""
+        return self.n < MIN_ORDER[self.method]
 
 
 def canberra(x, y) -> float:

@@ -11,14 +11,12 @@ matrix and normalizes each order block by C(n, k).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetTooSmallError
-from .graph import Edge, EdgeStream, Graph
+from .descriptors import Descriptor
+from .graph import Edge, Graph
 from .oracle import ORACLE_LIMIT, exact_induced_counts, phi_from_induced
 from .patterns import (
     INDUCED,
@@ -28,47 +26,27 @@ from .patterns import (
     STREAM_ESTIMATED,
     subgraph_to_induced,
 )
-from .reservoir import ReservoirState, detection_probability, maybe_sample
-
-_EMPTY: frozenset[int] = frozenset()
+from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
 
 
-@dataclass
-class GabeDescriptor:
-    """17 normalized frequencies: orders 2, 3, 4 concatenated."""
+class GabeState(StreamState):
+    """Stream state plus the six sampled pattern-count estimates."""
 
-    phi: np.ndarray
-    b: int
-    seed: int
-    n: int
-    m: int
-    degenerate: bool = False
-
-
-class GabeState:
-    """Streaming state: reservoir plus exact degree/m/label trackers."""
+    MIN_BUDGET = MIN_GABE_BUDGET
+    DETECTS = "6-edge patterns"
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
-        if budget < MIN_GABE_BUDGET:
-            raise BudgetTooSmallError(
-                f"budget {budget} cannot detect 6-edge patterns; "
-                f"need at least {MIN_GABE_BUDGET}")
-        self.reservoir = ReservoirState(budget, seed)
-        self.seed = seed
-        self.n_hint = n_hint
-        self.degrees: dict[int, int] = defaultdict(int)
-        self.m_seen = 0
-        self.max_label = -1
+        super().__init__(budget, seed, n_hint)
         self.est: dict[PatternId, float] = {pid: 0.0 for pid in STREAM_ESTIMATED}
 
-    @property
-    def n(self) -> int:
-        if self.n_hint is not None:
-            return self.n_hint
-        return self.max_label + 1
+    def merge(self, others: list[GabeState]) -> None:
+        """Average the replicas' raw estimates into this state's."""
+        states = [self, *others]
+        self.est = {pid: sum(s.est[pid] for s in states) / len(states)
+                    for pid in STREAM_ESTIMATED}
 
 
 def _edges_within(adj: dict, verts) -> int:
@@ -160,14 +138,11 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     return state
 
 
-def closed_form_counts(state: GabeState, est: dict | None = None) -> dict[PatternId, float]:
+def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
     """The 11 pattern counts that follow from n, m, and exact degrees.
 
-    Triangle-plus-isolated is the one entry built on an estimate; `est`
-    lets replica-averaged estimates flow in (defaults to state.est).
+    Triangle-plus-isolated is the one entry built on an estimate.
     """
-    if est is None:
-        est = state.est
     n = state.n
     m = state.m_seen
     degs = state.degrees.values()
@@ -183,48 +158,36 @@ def closed_form_counts(state: GabeState, est: dict | None = None) -> dict[Patter
         PatternId.EDGE_PLUS_2_ISOLATED: float(m * comb(max(n - 2, 0), 2)),
         PatternId.TWO_DISJOINT_EDGES: float(comb(m, 2) - wedges),
         PatternId.WEDGE_PLUS_ISOLATED: float(wedges * max(n - 3, 0)),
-        PatternId.TRIANGLE_PLUS_ISOLATED: est[PatternId.TRIANGLE] * max(n - 3, 0),
+        PatternId.TRIANGLE_PLUS_ISOLATED: state.est[PatternId.TRIANGLE] * max(n - 3, 0),
         PatternId.CLAW: float(claws),
     }
 
 
-def gabe_finalize(state: GabeState, est_override: dict | None = None) -> GabeDescriptor:
+def gabe_finalize(state: GabeState) -> Descriptor:
     """Assemble the descriptor once the stream is fully consumed.
 
-    est_override substitutes replica-averaged stream estimates.  Induced
-    estimates can come out negative under sampling noise; they are kept
-    raw rather than clamped, which preserves unbiasedness.
+    Induced estimates can come out negative under sampling noise; they
+    are kept raw rather than clamped, which preserves unbiasedness.
     """
     n = state.n
-    b = state.reservoir.budget
-    if n < 2:
-        return GabeDescriptor(
-            phi=np.zeros(N_PATTERNS), b=b, seed=state.seed, n=n,
-            m=state.m_seen, degenerate=True)
-    est = state.est if est_override is None else est_override
-    counts = np.zeros(N_PATTERNS)
-    for pid, val in closed_form_counts(state, est).items():
-        counts[pid - 1] = val
-    for pid, val in est.items():
-        counts[pid - 1] = val
-    induced = PatternCounts(values=subgraph_to_induced(counts), kind=INDUCED)
-    phi = phi_from_induced(induced, n)
-    return GabeDescriptor(phi=phi, b=b, seed=state.seed, n=n, m=state.m_seen)
+    phi = np.zeros(N_PATTERNS)
+    if n >= 2:
+        counts = np.zeros(N_PATTERNS)
+        for pid, val in closed_form_counts(state).items():
+            counts[pid - 1] = val
+        for pid, val in state.est.items():
+            counts[pid - 1] = val
+        induced = PatternCounts(values=subgraph_to_induced(counts), kind=INDUCED)
+        phi = phi_from_induced(induced, n)
+    return Descriptor(
+        graph_id=0, method="gabe", b=state.reservoir.budget, seed=state.seed,
+        n=n, m=state.m_seen, values=phi)
 
 
-def gabe_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> GabeDescriptor:
-    """Convenience one-shot: consume a stream and finalize."""
-    state = GabeState(budget, seed, n_hint=stream.n_hint)
-    for edge in stream:
-        gabe_process_edge(state, edge)
-    return gabe_finalize(state)
-
-
-def exact_gabe_descriptor(g: Graph, limit: int = ORACLE_LIMIT) -> GabeDescriptor:
+def exact_gabe_descriptor(g: Graph, limit: int = ORACLE_LIMIT) -> Descriptor:
     """Ground-truth descriptor straight from the induced-count oracle."""
-    if g.n < 2:
-        return GabeDescriptor(
-            phi=np.zeros(N_PATTERNS), b=g.m, seed=0, n=g.n, m=g.m, degenerate=True)
-    induced = exact_induced_counts(g, limit=limit)
-    return GabeDescriptor(
-        phi=phi_from_induced(induced, g.n), b=g.m, seed=0, n=g.n, m=g.m)
+    phi = np.zeros(N_PATTERNS)
+    if g.n >= 2:
+        phi = phi_from_induced(exact_induced_counts(g, limit=limit), g.n)
+    return Descriptor(
+        graph_id=0, method="gabe", b=g.m, seed=0, n=g.n, m=g.m, values=phi)

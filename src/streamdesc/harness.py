@@ -1,11 +1,11 @@
 """Batch descriptor computation, nearest-neighbour evaluation, and the
 approximation-error experiment.
 
-Replica mode runs W independent estimators over the same stream and
-averages their raw sampled-count accumulators before descriptor
-assembly; exact quantities (degrees, n, m) are shared.  Averaging the
-raw counts rather than finished descriptors matters because descriptor
-assembly is not linear in the counts.
+Replica mode feeds W independent estimators from one pass over the
+stream and averages their raw sampled-count accumulators before
+descriptor assembly; exact quantities (degrees, n, m) are shared.
+Averaging the raw counts rather than finished descriptors matters
+because descriptor assembly is not linear in the counts.
 """
 
 from __future__ import annotations
@@ -14,36 +14,52 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
+from typing import Callable
 
 import numpy as np
 
 from .datasets import Dataset
 from .descriptors import Descriptor, canberra, canberra_matrix
 from .errors import BudgetTooSmallError, OracleSizeError
-from .gabe import (
-    MIN_GABE_BUDGET,
-    GabeState,
-    exact_gabe_descriptor,
-    gabe_finalize,
-    gabe_process_edge,
-)
+from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edge
 from .graph import EdgeStream, build_graph, derive_seed
-from .maeve import (
-    MIN_MAEVE_BUDGET,
-    MaeveState,
-    exact_maeve_descriptor,
-    maeve_finalize,
-    maeve_process_edge,
-)
+from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edge
 from .oracle import ORACLE_LIMIT
-from .patterns import STREAM_ESTIMATED
+from .reservoir import StreamState
 
-METHODS = ("gabe", "maeve")
+
+@dataclass(frozen=True)
+class Method:
+    """One estimator's protocol; exact(graph, limit) is its oracle."""
+
+    state: type[StreamState]
+    step: Callable
+    finalize: Callable[..., Descriptor]
+    exact: Callable[..., Descriptor]
+
+
+METHODS = {
+    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor),
+    # the egonet oracle is polynomial and needs no vertex cap
+    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize,
+                    lambda g, limit=ORACLE_LIMIT: exact_maeve_descriptor(g)),
+}
+
+
+def _method(name: str) -> Method:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}, expected one of {tuple(METHODS)}")
+    return METHODS[name]
 
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Edge budget, either absolute or as a fraction of a stream's length."""
+    """Edge budget, either absolute or as a fraction of a stream's length.
+
+    A fraction above 1 resolves to ceil(fraction * m) > m; the reservoir
+    then keeps every edge, so the values equal those of b = m bit for
+    bit and only the recorded b differs.
+    """
 
     fraction: float | None = None
     edges: int | None = None
@@ -62,45 +78,30 @@ class BudgetSpec:
         return max(1, ceil(self.fraction * m))
 
 
-def _run_gabe(stream: EdgeStream, b: int, seed: int) -> GabeState:
-    state = GabeState(b, seed, n_hint=stream.n_hint)
+def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
+               seed: int) -> Descriptor:
+    """`replicas` independent estimators with seeds seed, seed + 1, ...
+    fed by one pass over the stream, their raw accumulators averaged
+    into the first before finalize."""
+    spec = _method(method)
+    step = spec.step
+    states = [spec.state(b, seed + i, n_hint=stream.n_hint) for i in range(replicas)]
     for edge in stream:
-        gabe_process_edge(state, edge)
-    return state
+        for state in states:
+            step(state, edge)
+    if replicas > 1:
+        states[0].merge(states[1:])
+    return spec.finalize(states[0])
 
 
-def _run_maeve(stream: EdgeStream, b: int, seed: int) -> MaeveState:
-    state = MaeveState(b, seed, n_hint=stream.n_hint)
-    for edge in stream:
-        maeve_process_edge(state, edge)
-    return state
+def gabe_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> Descriptor:
+    """Convenience one-shot: one gabe estimator over the stream."""
+    return replicated(stream, "gabe", budget, 1, seed)
 
 
-def replicated_gabe(stream: EdgeStream, b: int, workers: int, base_seed: int):
-    """W replicas over one stream, raw estimates averaged, one descriptor."""
-    states = [_run_gabe(stream, b, base_seed + i) for i in range(workers)]
-    if workers == 1:
-        return gabe_finalize(states[0])
-    avg = {
-        pid: sum(s.est[pid] for s in states) / workers for pid in STREAM_ESTIMATED
-    }
-    return gabe_finalize(states[0], est_override=avg)
-
-
-def replicated_maeve(stream: EdgeStream, b: int, workers: int, base_seed: int):
-    states = [_run_maeve(stream, b, base_seed + i) for i in range(workers)]
-    if workers == 1:
-        return maeve_finalize(states[0])
-    tri: dict[int, float] = {}
-    path: dict[int, float] = {}
-    for s in states:
-        for v, x in s.tri.items():
-            tri[v] = tri.get(v, 0.0) + x
-        for v, x in s.path.items():
-            path[v] = path.get(v, 0.0) + x
-    tri = {v: x / workers for v, x in tri.items()}
-    path = {v: x / workers for v, x in path.items()}
-    return maeve_finalize(states[0], tri_override=tri, path_override=path)
+def maeve_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> Descriptor:
+    """Convenience one-shot: one maeve estimator over the stream."""
+    return replicated(stream, "maeve", budget, 1, seed)
 
 
 def compute_descriptors(
@@ -118,28 +119,19 @@ def compute_descriptors(
     error string; the rest of the run continues.  Results depend only on
     (method, b_spec, workers, seed), not on thread scheduling.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    _method(method)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
     def one(item):
         idx, stream = item
         b = b_spec.resolve(len(stream))
-        base = derive_seed(seed, "graph", idx)
         try:
-            if method == "gabe":
-                d = replicated_gabe(stream, b, workers, base)
-                vec = d.phi
-            else:
-                d = replicated_maeve(stream, b, workers, base)
-                vec = d.values
+            d = replicated(stream, method, b, workers, derive_seed(seed, "graph", idx))
         except BudgetTooSmallError as exc:
             return None, f"graph {idx}: {exc}"
-        desc = Descriptor(
-            graph_id=idx, method=method, b=d.b, seed=base, n=d.n, m=d.m,
-            values=vec)
-        return desc, None
+        d.graph_id = idx
+        return d, None
 
     pool_size = min(max_threads, max(1, len(ds.graphs)))
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
@@ -251,8 +243,7 @@ def error_vs_budget(
     resolved budget at or above the method's minimum; both are checked
     before any exact or estimated descriptor is computed.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    estimator = _method(method)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     budgets = [float(f) for f in budgets]
@@ -266,7 +257,7 @@ def error_vs_budget(
                 f"to {oracle_limit}")
     # Resolve every budget before the oracle pass, so that a budget below
     # the method's minimum fails at once rather than after it.
-    minimum = MIN_GABE_BUDGET if method == "gabe" else MIN_MAEVE_BUDGET
+    minimum = estimator.state.MIN_BUDGET
     resolved = []
     for fraction in budgets:
         spec = BudgetSpec(fraction=fraction)
@@ -278,13 +269,8 @@ def error_vs_budget(
                     f"need at least {minimum} for {method}")
         resolved.append((fraction, sizes))
 
-    exact_vectors = []
-    for stream in ds.graphs:
-        g = build_graph(stream)
-        if method == "gabe":
-            exact_vectors.append(exact_gabe_descriptor(g, limit=oracle_limit).phi)
-        else:
-            exact_vectors.append(exact_maeve_descriptor(g).values)
+    exact_vectors = [estimator.exact(build_graph(stream), limit=oracle_limit).values
+                     for stream in ds.graphs]
 
     rows: list[tuple[float, float]] = []
     for fraction, sizes in resolved:
@@ -293,10 +279,7 @@ def error_vs_budget(
         for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
             for trial in range(trials):
                 run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
-                if method == "gabe":
-                    vec = replicated_gabe(stream, b, 1, run_seed).phi
-                else:
-                    vec = replicated_maeve(stream, b, 1, run_seed).values
+                vec = replicated(stream, method, b, 1, run_seed).values
                 total += canberra(vec, exact_vectors[gi])
                 runs += 1
         rows.append((fraction, total / runs))

@@ -15,12 +15,10 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import BudgetTooSmallError
-from .graph import Edge, EdgeStream, Graph
+from .descriptors import Descriptor
+from .graph import Edge, Graph
 from .oracle import exact_vertex_features
-from .reservoir import ReservoirState, detection_probability, maybe_sample
-
-_EMPTY: frozenset[int] = frozenset()
+from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
 
 # A triangle's two prior edges must fit in the sample.
 MIN_MAEVE_BUDGET = 2
@@ -54,40 +52,30 @@ class VertexFeatures:
         )
 
 
-@dataclass
-class MaeveDescriptor:
-    """Four moments of five per-vertex features, feature-major (20 values)."""
+class MaeveState(StreamState):
+    """Stream state plus per-vertex triangle and three-path estimates."""
 
-    values: np.ndarray
-    b: int
-    seed: int
-    n: int
-    m: int
-    degenerate: bool = False
-
-
-class MaeveState:
-    """Streaming state: reservoir plus per-vertex accumulators."""
+    MIN_BUDGET = MIN_MAEVE_BUDGET
+    DETECTS = "triangles"
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
-        if budget < MIN_MAEVE_BUDGET:
-            raise BudgetTooSmallError(
-                f"budget {budget} cannot detect triangles; "
-                f"need at least {MIN_MAEVE_BUDGET}")
-        self.reservoir = ReservoirState(budget, seed)
-        self.seed = seed
-        self.n_hint = n_hint
-        self.deg: dict[int, int] = defaultdict(int)
+        super().__init__(budget, seed, n_hint)
         self.tri: dict[int, float] = defaultdict(float)
         self.path: dict[int, float] = defaultdict(float)
-        self.m_seen = 0
-        self.max_label = -1
 
-    @property
-    def n(self) -> int:
-        if self.n_hint is not None:
-            return self.n_hint
-        return self.max_label + 1
+    def merge(self, others: list[MaeveState]) -> None:
+        """Average the replicas' per-vertex counts into this state's."""
+        states = [self, *others]
+        self.tri = _mean_counts([s.tri for s in states])
+        self.path = _mean_counts([s.path for s in states])
+
+
+def _mean_counts(counts: list[dict[int, float]]) -> dict[int, float]:
+    total: dict[int, float] = {}
+    for per_vertex in counts:
+        for v, x in per_vertex.items():
+            total[v] = total.get(v, 0.0) + x
+    return {v: x / len(counts) for v, x in total.items()}
 
 
 def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
@@ -103,8 +91,8 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
     t = res.t + 1
     b = res.budget
 
-    state.deg[u] += 1
-    state.deg[v] += 1
+    state.degrees[u] += 1
+    state.degrees[v] += 1
     state.m_seen += 1
     if v > state.max_label:
         state.max_label = v
@@ -165,7 +153,7 @@ def features_from_counts(degree: int, triangles: float, paths: float) -> VertexF
 def vertex_features(state: MaeveState, v: int) -> VertexFeatures:
     """Feature tuple of one vertex from the state's accumulators."""
     return features_from_counts(
-        state.deg.get(v, 0), state.tri.get(v, 0.0), state.path.get(v, 0.0))
+        state.degrees.get(v, 0), state.tri.get(v, 0.0), state.path.get(v, 0.0))
 
 
 def moments(values) -> tuple[float, float, float, float]:
@@ -193,51 +181,39 @@ def moments(values) -> tuple[float, float, float, float]:
     return (mean, std, skew, kurt)
 
 
-def maeve_finalize(
-    state: MaeveState,
-    tri_override: dict | None = None,
-    path_override: dict | None = None,
-) -> MaeveDescriptor:
+def _moment_vector(rows: np.ndarray) -> np.ndarray:
+    """The four moments of each of the five feature columns, feature-major."""
+    values = np.empty(20)
+    for j in range(5):
+        values[4 * j:4 * j + 4] = moments(rows[:, j])
+    return values
+
+
+def maeve_finalize(state: MaeveState) -> Descriptor:
     """Aggregate per-vertex features into the 20-value moment descriptor.
 
-    The override dicts substitute replica-averaged accumulators.  Every
-    addressable vertex in [0, n) contributes a row, including isolated
-    ones declared only through n_hint.
+    Every addressable vertex in [0, n) contributes a row, including
+    isolated ones declared only through n_hint.
     """
     n = state.n
-    b = state.reservoir.budget
-    if n == 0:
-        return MaeveDescriptor(
-            values=np.zeros(20), b=b, seed=state.seed, n=0,
-            m=state.m_seen, degenerate=True)
-    tri = state.tri if tri_override is None else tri_override
-    path = state.path if path_override is None else path_override
-    rows = np.empty((n, 5))
-    for v in range(n):
-        rows[v] = features_from_counts(
-            state.deg.get(v, 0), tri.get(v, 0.0), path.get(v, 0.0)).as_tuple()
-    values = np.empty(20)
-    for j in range(5):
-        values[4 * j:4 * j + 4] = moments(rows[:, j])
-    return MaeveDescriptor(
-        values=values, b=b, seed=state.seed, n=n, m=state.m_seen)
+    values = np.zeros(20)
+    if n > 0:
+        tri, path = state.tri, state.path
+        rows = np.empty((n, 5))
+        for v in range(n):
+            rows[v] = features_from_counts(
+                state.degrees.get(v, 0), tri.get(v, 0.0), path.get(v, 0.0)).as_tuple()
+        values = _moment_vector(rows)
+    return Descriptor(
+        graph_id=0, method="maeve", b=state.reservoir.budget, seed=state.seed,
+        n=n, m=state.m_seen, values=values)
 
 
-def maeve_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> MaeveDescriptor:
-    """Convenience one-shot: consume a stream and finalize."""
-    state = MaeveState(budget, seed, n_hint=stream.n_hint)
-    for edge in stream:
-        maeve_process_edge(state, edge)
-    return maeve_finalize(state)
-
-
-def exact_maeve_descriptor(g: Graph) -> MaeveDescriptor:
+def exact_maeve_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor from explicit egonet features."""
-    if g.n == 0:
-        return MaeveDescriptor(
-            values=np.zeros(20), b=g.m, seed=0, n=0, m=g.m, degenerate=True)
-    rows = np.array([exact_vertex_features(g, v) for v in range(g.n)])
-    values = np.empty(20)
-    for j in range(5):
-        values[4 * j:4 * j + 4] = moments(rows[:, j])
-    return MaeveDescriptor(values=values, b=g.m, seed=0, n=g.n, m=g.m)
+    values = np.zeros(20)
+    if g.n > 0:
+        values = _moment_vector(
+            np.array([exact_vertex_features(g, v) for v in range(g.n)]))
+    return Descriptor(
+        graph_id=0, method="maeve", b=g.m, seed=0, n=g.n, m=g.m, values=values)

@@ -1,4 +1,5 @@
-"""Budget-bounded reservoir over the edge stream, plus detection math.
+"""Budget-bounded reservoir over the edge stream, the stream state both
+estimators share, and detection math.
 
 The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
@@ -10,6 +11,7 @@ arrival.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from .errors import BudgetTooSmallError
 from .graph import Edge
@@ -39,13 +41,6 @@ class ReservoirState:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int):
-        """Stored neighbors of v as a set; do not mutate."""
-        return self.adj.get(v, _EMPTY)
-
-    def contains_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, _EMPTY)
-
     def _link(self, u: int, v: int):
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
@@ -59,13 +54,11 @@ class ReservoirState:
                     del self.adj[a]
 
 
-def maybe_sample(state: ReservoirState, edge: Edge) -> tuple[bool, Edge | None]:
-    """Reservoir step for the next stream edge.
-
-    Returns (stored, evicted): (True, None) when the edge was appended,
-    (True, old_edge) when it replaced a stored edge, (False, None) when
-    it was dropped.  Must be called exactly once per stream edge, after
-    any counting that inspects the pre-arrival sample.
+def maybe_sample(state: ReservoirState, edge: Edge) -> None:
+    """Reservoir step for the next stream edge: append it while the
+    sample has room, else let it replace a uniformly chosen stored edge
+    with probability b/t.  Must be called exactly once per stream edge,
+    after any counting that inspects the pre-arrival sample.
     """
     state.t += 1
     if state.t <= state.budget:
@@ -73,20 +66,43 @@ def maybe_sample(state: ReservoirState, edge: Edge) -> tuple[bool, Edge | None]:
         state._link(*edge)
         if len(state.edges) > state.peak_stored:
             state.peak_stored = len(state.edges)
-        return True, None
-    if state.rng.random() < state.budget / state.t:
+    elif state.rng.random() < state.budget / state.t:
         slot = state.rng.randrange(state.budget)
-        old = state.edges[slot]
-        state._unlink(*old)
+        state._unlink(*state.edges[slot])
         state.edges[slot] = edge
         state._link(*edge)
-        return True, old
-    return False, None
 
 
-def sampled_neighbors(state: ReservoirState, v: int) -> list[int]:
-    """Neighbors of v in the current sample, sorted; empty if v is absent."""
-    return sorted(state.adj.get(v, ()))
+class StreamState:
+    """The reservoir plus exact degree, edge-count and max-label trackers.
+
+    The estimator protocol: State(budget, seed, n_hint); a per-edge step
+    that updates these trackers inline, counts, then calls maybe_sample;
+    merge(others) to average replicas of one stream into this state; a
+    finalize function that returns a Descriptor.  Subclasses set
+    MIN_BUDGET and DETECTS (what a smaller budget cannot detect).
+    """
+
+    MIN_BUDGET: int
+    DETECTS: str
+
+    def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
+        if budget < self.MIN_BUDGET:
+            raise BudgetTooSmallError(
+                f"budget {budget} cannot detect {self.DETECTS}; "
+                f"need at least {self.MIN_BUDGET}")
+        self.reservoir = ReservoirState(budget, seed)
+        self.seed = seed
+        self.n_hint = n_hint
+        self.degrees: dict[int, int] = defaultdict(int)
+        self.m_seen = 0
+        self.max_label = -1
+
+    @property
+    def n(self) -> int:
+        if self.n_hint is not None:
+            return self.n_hint
+        return self.max_label + 1
 
 
 def detection_probability(t: int, b: int, m: int) -> float:

@@ -37,7 +37,7 @@ from streamdesc import (
     maeve_descriptor,
     maeve_process_edge,
     preprocess,
-    replicated_gabe,
+    replicated,
     synthetic_two_class_dataset,
     variance_bound,
 )
@@ -163,7 +163,7 @@ def test_criterion_02_full_budget_matches_oracle(corpus200):
         g = build_graph(stream)
         est = gabe_descriptor(stream, max(MIN_GABE_BUDGET, len(stream)), seed=1)
         worst_gabe = max(
-            worst_gabe, np.abs(est.phi - exact_gabe_descriptor(g).phi).max())
+            worst_gabe, np.abs(est.values - exact_gabe_descriptor(g).values).max())
         est = maeve_descriptor(
             stream, max(MIN_MAEVE_BUDGET, len(stream)), seed=1)
         worst_maeve = max(
@@ -236,7 +236,7 @@ def test_criterion_06_frequency_blocks_sum_to_one(corpus200, g30):
                 d = gabe_descriptor(stream, b, seed=seed)
                 assert not d.degenerate
                 for block in ORDER_SLICES.values():
-                    worst = max(worst, abs(d.phi[block].sum() - 1.0))
+                    worst = max(worst, abs(d.values[block].sum() - 1.0))
     ok = worst <= 1e-9
     _verdict(
         6, "frequency blocks sum to one", ok,
@@ -271,9 +271,9 @@ def test_criterion_08_replica_averaging_cuts_variance(g30):
     variances = {}
     for workers in (1, 8):
         estimates = [
-            replicated_gabe(
-                g30, b, workers, derive_seed(88, "wrep", workers, trial)
-            ).phi[PatternId.TRIANGLE - 1] * scale
+            replicated(
+                g30, "gabe", b, workers, derive_seed(88, "wrep", workers, trial)
+            ).values[PatternId.TRIANGLE - 1] * scale
             for trial in range(200)
         ]
         variances[workers] = np.var(estimates, ddof=1)

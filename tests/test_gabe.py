@@ -118,17 +118,17 @@ def test_closed_forms_match_oracle(small_corpus):
 
 def test_descriptor_k3():
     d = gabe_descriptor(EdgeStream(K3_EDGES), budget=5)
-    assert np.allclose(d.phi[0:2], [0, 1])
-    assert np.allclose(d.phi[2:6], [0, 0, 0, 1])
-    assert np.all(d.phi[6:] == 0)
+    assert np.allclose(d.values[0:2], [0, 1])
+    assert np.allclose(d.values[2:6], [0, 0, 0, 1])
+    assert np.all(d.values[6:] == 0)
     assert (d.n, d.m, d.b) == (3, 3, 5)
     assert not d.degenerate
 
 
 def test_descriptor_p3():
     d = gabe_descriptor(EdgeStream([(0, 1), (1, 2)]), budget=5)
-    assert np.allclose(d.phi[0:2], [1 / 3, 2 / 3])
-    assert np.allclose(d.phi[2:6], [0, 0, 1, 0])
+    assert np.allclose(d.values[0:2], [1 / 3, 2 / 3])
+    assert np.allclose(d.values[2:6], [0, 0, 1, 0])
 
 
 def test_descriptor_matches_oracle_in_exact_regime(small_corpus):
@@ -136,7 +136,7 @@ def test_descriptor_matches_oracle_in_exact_regime(small_corpus):
         g = build_graph(stream)
         d = gabe_descriptor(stream, budget=max(5, g.m), seed=3)
         exact = exact_gabe_descriptor(g)
-        assert np.max(np.abs(d.phi - exact.phi)) < 1e-12
+        assert np.max(np.abs(d.values - exact.values)) < 1e-12
 
 
 def test_permutation_invariance_exact_regime():
@@ -149,7 +149,7 @@ def test_permutation_invariance_exact_regime():
         n_hint=9)
     a = gabe_descriptor(stream, budget=g.m)
     b = gabe_descriptor(relabeled, budget=g.m)
-    assert np.allclose(a.phi, b.phi, atol=1e-12)
+    assert np.allclose(a.values, b.values, atol=1e-12)
 
 
 def test_block_sums_at_every_budget(small_corpus):
@@ -159,18 +159,17 @@ def test_block_sums_at_every_budget(small_corpus):
         for budget in {5, 7, max(5, m // 2), max(5, m + 3)}:
             d = gabe_descriptor(stream, budget=budget, seed=99)
             for k in (2, 3, 4):
-                assert d.phi[ORDER_SLICES[k]].sum() == pytest.approx(1, abs=1e-9)
+                assert d.values[ORDER_SLICES[k]].sum() == pytest.approx(1, abs=1e-9)
 
 
 def test_negative_induced_estimates_kept_raw():
     # inflated triangle noise must push some induced estimate negative
     state = run_state(K4_EDGES, budget=6)
-    wild = dict(state.est)
-    wild[PatternId.TRIANGLE] = 40.0
-    d = gabe_finalize(state, est_override=wild)
-    assert d.phi.min() < 0
+    state.est[PatternId.TRIANGLE] = 40.0
+    d = gabe_finalize(state)
+    assert d.values.min() < 0
     for k in (3, 4):
-        assert d.phi[ORDER_SLICES[k]].sum() == pytest.approx(1, abs=1e-9)
+        assert d.values[ORDER_SLICES[k]].sum() == pytest.approx(1, abs=1e-9)
 
 
 def test_triangle_estimate_unbiased_small():
@@ -191,7 +190,7 @@ def test_triangle_estimate_unbiased_small():
 def test_degenerate_descriptor():
     d = gabe_finalize(run_state([], budget=5))
     assert d.degenerate
-    assert np.all(d.phi == 0)
+    assert np.all(d.values == 0)
     d1 = gabe_finalize(run_state([], budget=5, n_hint=1))
     assert d1.degenerate
 
@@ -199,8 +198,8 @@ def test_degenerate_descriptor():
 def test_two_vertex_graph_not_degenerate():
     d = gabe_descriptor(EdgeStream([(0, 1)]), budget=5)
     assert not d.degenerate
-    assert np.allclose(d.phi[0:2], [0, 1])
-    assert np.all(d.phi[2:] == 0)
+    assert np.allclose(d.values[0:2], [0, 1])
+    assert np.all(d.values[2:] == 0)
 
 
 def test_process_edge_returns_state():

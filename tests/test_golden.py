@@ -26,8 +26,7 @@ from streamdesc import (
     exact_maeve_descriptor,
     gabe_descriptor,
     maeve_descriptor,
-    replicated_gabe,
-    replicated_maeve,
+    replicated,
 )
 from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 from streamdesc.graph import preprocess
@@ -84,17 +83,17 @@ def compute_goldens() -> dict:
         g = build_graph(stream)
         if g.n <= ORACLE_LIMIT:
             out["oracle"][name] = _hex(exact_induced_counts(g).values)
-            out["exact_gabe"][name] = _hex(exact_gabe_descriptor(g).phi)
+            out["exact_gabe"][name] = _hex(exact_gabe_descriptor(g).values)
         out["exact_maeve"][name] = _hex(exact_maeve_descriptor(g).values)
     for name, b, seed, replicas in _RUNS:
         stream = streams[name]
         key = f"{name}/m={len(stream)}/b={b}/seed={seed}/replicas={replicas}"
         if replicas == 1:
-            gabe = gabe_descriptor(stream, b, seed).phi
+            gabe = gabe_descriptor(stream, b, seed).values
             maeve = maeve_descriptor(stream, b, seed).values
         else:
-            gabe = replicated_gabe(stream, b, replicas, seed).phi
-            maeve = replicated_maeve(stream, b, replicas, seed).values
+            gabe = replicated(stream, "gabe", b, replicas, seed).values
+            maeve = replicated(stream, "maeve", b, replicas, seed).values
         out["gabe"][key] = _hex(gabe)
         out["maeve"][key] = _hex(maeve)
     return out

@@ -1,12 +1,15 @@
 """Batch computation, replica averaging, cross-validation, and the
 error-versus-budget experiment."""
 
+import dataclasses
 import re
+from math import ceil
 
 import numpy as np
 import pytest
 
 from streamdesc import (
+    METHODS,
     BudgetSpec,
     Dataset,
     Descriptor,
@@ -21,8 +24,7 @@ from streamdesc import (
     maeve_descriptor,
     maeve_finalize,
     maeve_process_edge,
-    replicated_gabe,
-    replicated_maeve,
+    replicated,
 )
 from streamdesc.errors import BudgetTooSmallError, OracleSizeError
 from streamdesc.graph import derive_seed
@@ -52,18 +54,55 @@ def test_budget_spec_resolution():
     assert BudgetSpec(fraction=0.001).resolve(10) == 1  # floor of 1
 
 
+@pytest.mark.parametrize("fraction", [1.5, 3.0])
+def test_budget_fraction_above_one_matches_full_budget(fraction):
+    stream = random_stream(30, 0.3, seed=60)
+    m = len(stream)
+    b = BudgetSpec(fraction=fraction).resolve(m)
+    assert b == ceil(fraction * m) > m
+    for method in METHODS:
+        over = replicated(stream, method, b, 1, 5)
+        full = replicated(stream, method, m, 1, 5)
+        assert over.b == b and full.b == m
+        assert [x.hex() for x in over.values] == [x.hex() for x in full.values]
+
+
 # --------------------------------------------------------------- replicas
 
 
 def test_single_replica_matches_plain_run():
     stream = random_stream(12, 0.4, seed=50)
     for b in (8, len(stream)):
-        a = replicated_gabe(stream, b, 1, 123)
+        a = replicated(stream, "gabe", b, 1, 123)
         c = gabe_descriptor(stream, b, seed=123)
-        assert np.array_equal(a.phi, c.phi)
-        a = replicated_maeve(stream, b, 1, 123)
+        assert np.array_equal(a.values, c.values)
+        a = replicated(stream, "maeve", b, 1, 123)
         c = maeve_descriptor(stream, b, seed=123)
         assert np.array_equal(a.values, c.values)
+
+
+class OneShot:
+    """Stream wrapper that counts passes and forbids a second one."""
+
+    def __init__(self, stream):
+        self._edges = list(stream)
+        self.n_hint = stream.n_hint
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        if self.passes > 1:
+            raise AssertionError("stream iterated more than once")
+        return iter(self._edges)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_replicas_share_one_pass(method):
+    stream = random_stream(14, 0.35, seed=53)
+    one = OneShot(stream)
+    got = replicated(one, method, 9, 3, 400)
+    assert one.passes == 1
+    assert np.array_equal(got.values, replicated(stream, method, 9, 3, 400).values)
 
 
 def test_gabe_replicas_average_raw_estimates():
@@ -75,11 +114,11 @@ def test_gabe_replicas_average_raw_estimates():
         for edge in stream:
             gabe_process_edge(s, edge)
         states.append(s)
-    avg = {pid: (states[0].est[pid] + states[1].est[pid]) / 2
-           for pid in STREAM_ESTIMATED}
-    expected = gabe_finalize(states[0], est_override=avg)
-    got = replicated_gabe(stream, b, 2, base)
-    assert np.array_equal(got.phi, expected.phi)
+    states[0].est = {pid: (states[0].est[pid] + states[1].est[pid]) / 2
+                     for pid in STREAM_ESTIMATED}
+    expected = gabe_finalize(states[0])
+    got = replicated(stream, "gabe", b, 2, base)
+    assert np.array_equal(got.values, expected.values)
 
 
 def test_maeve_replicas_average_vertex_counts():
@@ -98,8 +137,9 @@ def test_maeve_replicas_average_vertex_counts():
             tri[v] = tri.get(v, 0.0) + x / 2
         for v, x in s.path.items():
             path[v] = path.get(v, 0.0) + x / 2
-    expected = maeve_finalize(states[0], tri_override=tri, path_override=path)
-    got = replicated_maeve(stream, b, 2, base)
+    states[0].tri, states[0].path = tri, path
+    expected = maeve_finalize(states[0])
+    got = replicated(stream, "maeve", b, 2, base)
     assert np.array_equal(got.values, expected.values)
 
 
@@ -272,13 +312,20 @@ def test_error_vs_budget_respects_oracle_limit():
         error_vs_budget(ds, "maeve", [1.0], trials=1, oracle_limit=10)
 
 
+def test_error_vs_budget_passes_oracle_limit_to_the_oracle():
+    ds = Dataset(graphs=[random_stream(66, 0.08, seed=78)], labels=[0])
+    assert 60 < ds.graphs[0].n <= 70
+    rows = error_vs_budget(ds, "gabe", [1.0], trials=1, oracle_limit=70)
+    assert rows[0][1] < 1e-12
+
+
 @pytest.mark.parametrize("method, fraction", [("gabe", 0.1), ("maeve", 0.01)])
 def test_error_vs_budget_rejects_small_budget_before_oracle(monkeypatch, method, fraction):
     def no_oracle(*args, **kwargs):
         raise AssertionError("oracle ran before the budget check")
 
-    monkeypatch.setattr("streamdesc.harness.exact_gabe_descriptor", no_oracle)
-    monkeypatch.setattr("streamdesc.harness.exact_maeve_descriptor", no_oracle)
+    for name, spec in list(METHODS.items()):
+        monkeypatch.setitem(METHODS, name, dataclasses.replace(spec, exact=no_oracle))
     ds = evb_dataset()
     b = BudgetSpec(fraction=fraction).resolve(len(ds.graphs[0]))
     minimum = 5 if method == "gabe" else 2

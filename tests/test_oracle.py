@@ -129,6 +129,22 @@ def test_counts_against_networkx_at_oracle_limit(p):
     assert exact_induced_counts(g).order_block(4).sum() == math.comb(ORACLE_LIMIT, 4)
 
 
+@pytest.mark.parametrize("p", [0.03, 0.1, 0.3, 0.6])
+def test_vertex_features_against_networkx(p):
+    nx = pytest.importorskip("networkx")
+    g = build_graph(random_stream(60, p, seed=int(1300 + 100 * p)))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    clustering = nx.clustering(h)
+    avg_nbr_deg = nx.average_neighbor_degree(h)
+    for v in range(g.n):
+        degree, clust, avg, _, _ = exact_vertex_features(g, v)
+        assert degree == h.degree[v]
+        assert clust == clustering[v], v
+        assert avg == avg_nbr_deg[v], v
+
+
 def test_subgraph_equals_overlap_times_induced(small_corpus):
     o = overlap_matrix()
     for stream in small_corpus[:30]:

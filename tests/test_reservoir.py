@@ -10,7 +10,6 @@ from streamdesc import (
     ReservoirState,
     detection_probability,
     maybe_sample,
-    sampled_neighbors,
     variance_bound,
 )
 from streamdesc.errors import BudgetTooSmallError
@@ -28,9 +27,10 @@ def path_edges(t):
 
 def test_first_b_edges_always_kept():
     state = ReservoirState(budget=10, seed=4)
-    for e in path_edges(10):
-        stored, evicted = maybe_sample(state, e)
-        assert stored and evicted is None
+    for t, e in enumerate(path_edges(10), start=1):
+        maybe_sample(state, e)
+        # appended, nothing evicted
+        assert state.edges[-1] == e and len(state) == t
     assert sorted(state.edges) == path_edges(10)
     assert state.t == 10
 
@@ -65,16 +65,17 @@ def test_adjacency_index_consistency():
         fresh.setdefault(u, set()).add(v)
         fresh.setdefault(v, set()).add(u)
     assert {v: set(ns) for v, ns in state.adj.items()} == fresh
-    for v, ns in fresh.items():
-        assert sampled_neighbors(state, v) == sorted(ns)
-    assert all(state.contains_edge(u, v) for u, v in state.edges)
-    assert not state.contains_edge(500, 501)
+    # unlinking drops a vertex once its last stored edge is gone
+    assert all(state.adj.values())
+    assert all(v in state.adj[u] and u in state.adj[v] for u, v in state.edges)
+    assert 500 not in state.adj
 
 
 def test_sampled_neighbors_examples():
     state = drive(ReservoirState(budget=5, seed=0), [(0, 1), (1, 2)])
-    assert sampled_neighbors(state, 1) == [0, 2]
-    assert sampled_neighbors(state, 99) == []
+    assert state.adj[1] == {0, 2}
+    assert state.adj[0] == {1}
+    assert 99 not in state.adj
 
 
 def test_reservoir_uniformity_monte_carlo():
@@ -100,8 +101,8 @@ def test_acceptance_probability_at_arrival():
     accepted = 0
     for r in range(runs):
         state = drive(ReservoirState(budget=b, seed=50_000 + r), edges[:-1])
-        stored, _ = maybe_sample(state, edges[-1])
-        accepted += stored
+        maybe_sample(state, edges[-1])
+        accepted += edges[-1] in state.edges
     p = b / t
     sigma = math.sqrt(p * (1 - p) / runs)
     assert abs(accepted / runs - p) < 3 * sigma
