@@ -84,6 +84,8 @@ def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
     fed by one pass over the stream, their raw accumulators averaged
     into the first before finalize."""
     spec = _method(method)
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     step = spec.step
     states = [spec.state(b, seed + i, n_hint=stream.n_hint) for i in range(replicas)]
     for edge in stream:

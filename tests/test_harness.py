@@ -204,6 +204,10 @@ def test_compute_descriptors_validation():
         compute_descriptors(ds, "spectral", BudgetSpec(edges=8))
     with pytest.raises(ValueError, match="workers"):
         compute_descriptors(ds, "gabe", BudgetSpec(edges=8), workers=0)
+    with pytest.raises(ValueError, match="replicas"):
+        replicated(ds.graphs[0], "gabe", 8, 0, 0)
+    with pytest.raises(ValueError, match="unknown method"):
+        replicated(ds.graphs[0], "spectral", 8, 1, 0)
 
 
 # --------------------------------------------------------- classification
