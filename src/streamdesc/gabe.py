@@ -26,7 +26,13 @@ from .patterns import (
     STREAM_ESTIMATED,
     subgraph_to_induced,
 )
-from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
+from .reservoir import (
+    _EMPTY,
+    StreamState,
+    TriangleReservoir,
+    detection_probability,
+    maybe_sample,
+)
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
@@ -37,6 +43,7 @@ class GabeState(StreamState):
 
     MIN_BUDGET = MIN_GABE_BUDGET
     DETECTS = "6-edge patterns"
+    RESERVOIR = TriangleReservoir
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
         super().__init__(budget, seed, n_hint)
@@ -49,21 +56,14 @@ class GabeState(StreamState):
                     for pid in STREAM_ESTIMATED}
 
 
-def _edges_within(adj: dict, verts) -> int:
-    """Sampled edges with both endpoints in verts."""
-    total = 0
-    for x in verts:
-        nbrs = adj.get(x)
-        if nbrs:
-            total += len(nbrs & verts)
-    return total // 2
-
-
 def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     """Count every tracked pattern copy the arriving edge completes
     against the current sample, then offer the edge to the reservoir.
 
-    Expects a preprocessed stream (no self-loops or duplicates).
+    One pass over N(u) and one over N(v) (sampled neighborhoods) gather
+    every sum the six counts need; the sampled triangles on u and on v
+    come from the reservoir's triangle index.  Expects a preprocessed
+    stream (no self-loops or duplicates).
     """
     u, v = edge
     res = state.reservoir
@@ -81,58 +81,66 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     adj = res.adj
     na = adj.get(u, _EMPTY)
     nb = adj.get(v, _EMPTY)
-    common = na & nb
-    a, bb, c = len(na), len(nb), len(common)
+    a, bb = len(na), len(nb)
     est = state.est
+
+    # One pass over x in N(u): sa = sum |N(x)|, c4 = sum |N(x) & N(v)|,
+    # and over the common neighbors w among them: c = their number,
+    # sw = sum |N(w)|, rim = sum |N(w) & N(u)| + |N(w) & N(v)|,
+    # k4 = sum |N(w) & N(u) & N(v)|.  With N(u) or N(v) empty only sa
+    # can be nonzero.  One pass over y in N(v): sb = sum |N(y)|.
+    c = c4 = sw = rim = k4 = 0
+    if na and nb:
+        sa = 0
+        for x in na:
+            nx = adj[x]
+            sa += len(nx)
+            xb = len(nx & nb)
+            c4 += xb
+            if x in nb:
+                c += 1
+                sw += len(nx)
+                nxa = nx & na
+                rim += len(nxa) + xb
+                k4 += len(nxa & nb)
+    else:
+        sa = sum(map(len, map(adj.__getitem__, na)))
+    sb = sum(map(len, map(adj.__getitem__, nb)))
 
     # triangle u-v-w: w adjacent to both endpoints
     if c:
         est[PatternId.TRIANGLE] += c / detection_probability(t, b, 2)
 
-    # path on 4 vertices: edge in the middle (x-u-v-y), or at an end,
-    # continuing two hops out of one endpoint
-    p4 = a * bb - c
-    for x in na:
-        p4 += len(adj[x]) - 1 - (x in nb)
-    for y in nb:
-        p4 += len(adj[y]) - 1 - (y in na)
+    # path on 4 vertices: edge in the middle (x-u-v-y, a*bb - c ways),
+    # or at an end, continuing two hops out of one endpoint
+    # (|N(x)| - 1 - [x in N(v)] ways for each x in N(u), and mirrored)
+    p4 = a * bb - 3 * c - a - bb + sa + sb
     if p4:
         est[PatternId.PATH_4] += p4 / detection_probability(t, b, 2)
 
     # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
-    c4 = 0
-    for x in na:
-        c4 += len(adj[x] & nb)
     if c4:
         est[PatternId.CYCLE_4] += c4 / detection_probability(t, b, 3)
 
     # paw: either the edge lies in the triangle (pendant off any of its
-    # three vertices) or it is the pendant of a sampled triangle
-    paw = 0
-    if c:
-        for w in common:
-            paw += (a - 1) + (bb - 1) + (len(adj[w]) - 2)
-    if a >= 2:
-        paw += _edges_within(adj, na)
-    if bb >= 2:
-        paw += _edges_within(adj, nb)
+    # three vertices) or it is the pendant of a sampled triangle on u
+    # or on v (the index's count: sampled edges within N(u), N(v))
+    tri = res.tri
+    paw = c * (a + bb - 4) + sw + tri.get(u, 0) + tri.get(v, 0)
     if paw:
         est[PatternId.PAW] += paw / detection_probability(t, b, 3)
 
-    if c:
-        # diamond: the edge is the shared side of two triangles
-        # (pick 2 common neighbors) or a rim edge (one triangle plus a
-        # second one hanging off either of its sides)
-        dia = c * (c - 1) // 2
-        for w in common:
-            nw = adj[w]
-            dia += len(nw & na) + len(nw & nb)
-        if dia:
-            est[PatternId.DIAMOND] += dia / detection_probability(t, b, 4)
-        if c >= 2:
-            k4 = _edges_within(adj, common)
-            if k4:
-                est[PatternId.K4] += k4 / detection_probability(t, b, 5)
+    # diamond: the edge is the shared side of two triangles (pick 2
+    # common neighbors) or a rim edge (one triangle plus a second one
+    # hanging off either of its sides)
+    dia = c * (c - 1) // 2 + rim
+    if dia:
+        est[PatternId.DIAMOND] += dia / detection_probability(t, b, 4)
+
+    # K4: a sampled edge between two common neighbors, seen from both
+    k4 //= 2
+    if k4:
+        est[PatternId.K4] += k4 / detection_probability(t, b, 5)
 
     maybe_sample(res, edge)
     return state

@@ -30,19 +30,23 @@ from .reservoir import StreamState
 
 @dataclass(frozen=True)
 class Method:
-    """One estimator's protocol; exact(graph, limit) is its oracle."""
+    """One estimator's protocol; exact(graph, limit) is its oracle, and
+    capped says whether that oracle refuses graphs over `limit` vertices."""
 
     state: type[StreamState]
     step: Callable
     finalize: Callable[..., Descriptor]
     exact: Callable[..., Descriptor]
+    capped: bool
 
 
 METHODS = {
-    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor),
+    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor,
+                   capped=True),
     # the egonet oracle is polynomial and needs no vertex cap
     "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize,
-                    lambda g, limit=ORACLE_LIMIT: exact_maeve_descriptor(g)),
+                    lambda g, limit=ORACLE_LIMIT: exact_maeve_descriptor(g),
+                    capped=False),
 }
 
 
@@ -241,9 +245,10 @@ def error_vs_budget(
     """Mean Canberra distance between estimated and exact descriptors,
     one row (budget_fraction, mean_error) per requested budget.
 
-    Every graph must be within the exact oracle's size limit, and every
-    resolved budget at or above the method's minimum; both are checked
-    before any exact or estimated descriptor is computed.
+    For a method whose oracle is capped, every graph must be within
+    `oracle_limit` vertices; every resolved budget must be at or above
+    the method's minimum.  Both are checked before any exact or
+    estimated descriptor is computed.
     """
     estimator = _method(method)
     if trials < 1:
@@ -252,11 +257,12 @@ def error_vs_budget(
     if any(f <= 0 for f in budgets):
         raise ValueError("budget fractions must be positive")
 
-    for stream in ds.graphs:
-        if stream.n > oracle_limit:
-            raise OracleSizeError(
-                f"graph has {stream.n} vertices, exact enumeration is limited "
-                f"to {oracle_limit}")
+    if estimator.capped:
+        for stream in ds.graphs:
+            if stream.n > oracle_limit:
+                raise OracleSizeError(
+                    f"graph has {stream.n} vertices, exact enumeration is limited "
+                    f"to {oracle_limit}")
     # Resolve every budget before the oracle pass, so that a budget below
     # the method's minimum fails at once rather than after it.
     minimum = estimator.state.MIN_BUDGET

@@ -5,7 +5,8 @@ The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
 b/t inclusion probability.  A per-vertex adjacency index over the stored
 edges supports the neighborhood probes the estimators run on every
-arrival.
+arrival; gabe's reservoir also keeps the number of sampled triangles on
+each vertex.
 """
 
 from __future__ import annotations
@@ -54,6 +55,43 @@ class ReservoirState:
                     del self.adj[a]
 
 
+class TriangleReservoir(ReservoirState):
+    """Reservoir that also keeps, per vertex, the number of sampled
+    triangles on it (vertices on none may be absent or hold 0).
+
+    A sampled edge u-v closes one triangle with each common sampled
+    neighbor w, so linking or unlinking it moves u's and v's counts by
+    |N(u) & N(v)| and each such w's count by 1.
+    """
+
+    __slots__ = ("tri",)
+
+    def __init__(self, budget: int, seed: int | None = 0):
+        super().__init__(budget, seed)
+        self.tri: dict[int, int] = {}
+
+    def _add_triangles(self, u: int, v: int, sign: int):
+        nu = self.adj.get(u)
+        nv = self.adj.get(v)
+        if nu and nv:
+            common = nu & nv
+            if common:
+                tri = self.tri
+                k = sign * len(common)
+                tri[u] = tri.get(u, 0) + k
+                tri[v] = tri.get(v, 0) + k
+                for w in common:
+                    tri[w] = tri.get(w, 0) + sign
+
+    def _link(self, u: int, v: int):
+        self._add_triangles(u, v, 1)
+        super()._link(u, v)
+
+    def _unlink(self, u: int, v: int):
+        super()._unlink(u, v)
+        self._add_triangles(u, v, -1)
+
+
 def maybe_sample(state: ReservoirState, edge: Edge) -> None:
     """Reservoir step for the next stream edge: append it while the
     sample has room, else let it replace a uniformly chosen stored edge
@@ -80,18 +118,21 @@ class StreamState:
     that updates these trackers inline, counts, then calls maybe_sample;
     merge(others) to average replicas of one stream into this state; a
     finalize function that returns a Descriptor.  Subclasses set
-    MIN_BUDGET and DETECTS (what a smaller budget cannot detect).
+    MIN_BUDGET and DETECTS (what a smaller budget cannot detect), and
+    may set RESERVOIR to a ReservoirState subclass that keeps an extra
+    index over the sample.
     """
 
     MIN_BUDGET: int
     DETECTS: str
+    RESERVOIR: type[ReservoirState] = ReservoirState
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
         if budget < self.MIN_BUDGET:
             raise BudgetTooSmallError(
                 f"budget {budget} cannot detect {self.DETECTS}; "
                 f"need at least {self.MIN_BUDGET}")
-        self.reservoir = ReservoirState(budget, seed)
+        self.reservoir = self.RESERVOIR(budget, seed)
         self.seed = seed
         self.n_hint = n_hint
         self.degrees: dict[int, int] = defaultdict(int)

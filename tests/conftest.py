@@ -9,12 +9,19 @@ kinds by direct enumeration.  Slow, but an honest second opinion.
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from streamdesc import EdgeStream, Graph, preprocess
 from streamdesc.datasets import gnp_edges
+
+# Stream-driven property tests replay the same examples on every run and
+# never fail on a slow host's timing; per-test max_examples still apply.
+settings.register_profile("streamdesc", derandomize=True, deadline=None)
+settings.load_profile("streamdesc")
 
 # id -> (order, reference edge tuple); ids follow the canonical ordering
 HAND_CATALOG = {
@@ -100,3 +107,47 @@ def small_corpus():
         random_stream(4 + i % 7, (0.2, 0.5, 0.8)[i % 3], seed=1000 + i)
         for i in range(60)
     ]
+
+
+# The six connected patterns the stream estimator counts, by catalog id:
+# triangle, path-4, cycle-4, paw, diamond, K4.
+CONNECTED_IDS = (6, 13, 14, 15, 16, 17)
+
+
+def completed_copies(sample, edge):
+    """Per connected pattern id, the copies in sample + edge that contain
+    edge, every other edge of the copy taken from sample.
+
+    Enumerates the vertex sets holding both endpoints and, on each, every
+    edge subset that includes edge; classifies by the hand catalog.
+    """
+    u, v = edge
+    present = {frozenset(e) for e in sample}  # edge itself is not in it
+    others = sorted({x for e in sample for x in e} - {u, v})
+    counts = Counter()
+    for extra in itertools.chain(
+            itertools.combinations(others, 1), itertools.combinations(others, 2)):
+        combo = (u, v, *extra)
+        rest = [
+            (i, j) for i, j in itertools.combinations(range(len(combo)), 2)
+            if frozenset((combo[i], combo[j])) in present
+        ]
+        for r in range(len(rest) + 1):
+            for subset in itertools.combinations(rest, r):
+                pid = EDGESET_TO_ID[len(combo)][frozenset(((0, 1), *subset))]
+                if pid in CONNECTED_IDS:
+                    counts[pid] += 1
+    return counts
+
+
+def triangles_per_vertex(edges):
+    """Vertex -> number of triangles on it, by enumerating vertex triples."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    tri = Counter()
+    for x, y, z in itertools.combinations(sorted(adj), 3):
+        if y in adj[x] and z in adj[x] and z in adj[y]:
+            tri.update((x, y, z))
+    return tri

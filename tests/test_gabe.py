@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamdesc import (
     ORDER_SLICES,
@@ -21,8 +23,9 @@ from streamdesc import (
     gabe_process_edge,
 )
 from streamdesc.errors import BudgetTooSmallError
+from streamdesc.reservoir import detection_probability
 
-from conftest import random_stream
+from conftest import completed_copies, random_stream, triangles_per_vertex
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 K4_EDGES = list(itertools.combinations(range(4), 2))
@@ -205,3 +208,57 @@ def test_two_vertex_graph_not_degenerate():
 def test_process_edge_returns_state():
     state = GabeState(5)
     assert gabe_process_edge(state, (0, 1)) is state
+
+
+@st.composite
+def evicting_streams(draw):
+    """(edges, budget, seed): a shuffled simple stream with 5 <= b < m."""
+    n = draw(st.integers(4, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=6, unique=True))
+    budget = draw(st.integers(5, len(edges) - 1))
+    return edges, budget, draw(st.integers(0, 2 ** 16))
+
+
+@given(evicting_streams())
+@settings(max_examples=150)
+def test_triangle_index_tracks_sample(case):
+    edges, budget, seed = case
+    state = GabeState(budget, seed=seed)
+    for e in edges:
+        gabe_process_edge(state, e)
+        res = state.reservoir
+        index = {x: k for x, k in res.tri.items() if k}
+        assert index == dict(triangles_per_vertex(res.edges))
+
+
+# edges of each counted pattern minus the arriving one
+PRIOR_EDGES = {PatternId.TRIANGLE: 2, PatternId.PATH_4: 2, PatternId.CYCLE_4: 3,
+               PatternId.PAW: 3, PatternId.DIAMOND: 4, PatternId.K4: 5}
+
+
+# the last two streams also complete K4s against the sample
+@pytest.mark.parametrize("n, p, seed, budget", [
+    (8, 0.7, 41, 5), (9, 0.6, 42, 8), (10, 0.5, 43, 12), (12, 0.4, 45, 9),
+    (10, 0.8, 44, 20), (8, 0.9, 47, 7),
+])
+def test_per_arrival_counts_under_evictions(n, p, seed, budget):
+    stream = random_stream(n, p, seed=seed)
+    assert budget < len(stream)
+    state = GabeState(budget, seed=seed)
+    evictions = 0
+    seen = set()
+    for edge in stream:
+        t = state.reservoir.t + 1
+        sample = list(state.reservoir.edges)
+        before = dict(state.est)
+        expected = completed_copies(sample, edge)
+        seen.update(expected)
+        gabe_process_edge(state, edge)
+        stored = state.reservoir.edges
+        evictions += len(stored) == len(sample) and edge in stored
+        for pid, k in PRIOR_EDGES.items():
+            weight = detection_probability(t, budget, k)
+            assert round((state.est[pid] - before[pid]) * weight) == expected[pid], (t, pid)
+    assert evictions
+    assert len(seen) >= 4

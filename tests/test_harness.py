@@ -313,7 +313,16 @@ def test_error_vs_budget_rows_and_determinism():
 def test_error_vs_budget_respects_oracle_limit():
     ds = Dataset(graphs=[random_stream(11, 0.4, seed=77)], labels=[0])
     with pytest.raises(OracleSizeError):
-        error_vs_budget(ds, "maeve", [1.0], trials=1, oracle_limit=10)
+        error_vs_budget(ds, "gabe", [1.0], trials=1, oracle_limit=10)
+
+
+def test_error_vs_budget_does_not_cap_maeve():
+    # the egonet oracle is polynomial, so the vertex cap is gabe's only
+    ds = Dataset(graphs=[random_stream(11, 0.4, seed=77)], labels=[0])
+    assert ds.graphs[0].n == 11
+    rows = error_vs_budget(ds, "maeve", [0.5, 1.0], trials=1, oracle_limit=10)
+    assert [f for f, _ in rows] == [0.5, 1.0]
+    assert rows[1][1] < 1e-12
 
 
 def test_error_vs_budget_passes_oracle_limit_to_the_oracle():
