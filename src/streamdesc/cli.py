@@ -49,7 +49,7 @@ def _add_input_options(parser, dataset_only: bool = False):
         return
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
-        "--input", help="edge-list file, one 'u v' pair per line, '#' comments")
+        "--input", help="edge-list file, one 'u v' or 'u,v' pair per line, '#' comments")
     group.add_argument(
         "--dataset", help="benchmark bundle directory (PREFIX_A.txt and friends)")
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataFormatError
-from .graph import EdgeStream, derive_seed, preprocess
+from .graph import EdgeStream, derive_seed, int_rows, preprocess
 
 
 @dataclass
@@ -25,29 +25,14 @@ class Dataset:
         return len(self.graphs)
 
 
-def _read_int_column(path) -> list[int]:
-    out: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                out.append(int(text))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected an integer, got {text!r}") from None
-    return out
-
-
 def load_benchmark_dataset(directory, seed: int = 0) -> Dataset:
     """Load a multi-graph classification bundle from a directory.
 
-    Expects PREFIX_A.txt (1-indexed comma-separated edge endpoints),
+    Expects PREFIX_A.txt (1-indexed edge endpoints),
     PREFIX_graph_indicator.txt (vertex -> graph id), and
-    PREFIX_graph_labels.txt (graph -> class).  Each graph comes out as a
-    preprocessed 0-based stream with n_hint preserving its isolated
-    vertices.
+    PREFIX_graph_labels.txt (graph -> class), all read by int_rows.
+    Each graph comes out as a preprocessed 0-based stream with n_hint
+    preserving its isolated vertices.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -66,8 +51,8 @@ def load_benchmark_dataset(directory, seed: int = 0) -> Dataset:
         if not p.is_file():
             raise DataFormatError(f"{directory}: missing {p.name}")
 
-    indicator = _read_int_column(indicator_path)
-    labels = _read_int_column(labels_path)
+    indicator = [gid for _, (gid,) in int_rows(indicator_path, 1)]
+    labels = [label for _, (label,) in int_rows(labels_path, 1)]
     if not indicator:
         raise DataFormatError(f"{indicator_path}: no vertices listed")
     n_graphs = len(labels)
@@ -85,28 +70,15 @@ def load_benchmark_dataset(directory, seed: int = 0) -> Dataset:
 
     per_graph: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs + 1)]
     n_total = len(indicator)
-    with open(a_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"{a_path}:{lineno}: expected 'u, v', got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{a_path}:{lineno}: non-integer endpoint in {text!r}") from None
-            if not (1 <= u <= n_total and 1 <= v <= n_total):
-                raise DataFormatError(
-                    f"{a_path}:{lineno}: vertex id out of range in {text!r}")
-            gu, gv = indicator[u - 1], indicator[v - 1]
-            if gu != gv:
-                raise DataFormatError(
-                    f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}")
-            per_graph[gu].append((local[u], local[v]))
+    for lineno, (u, v) in int_rows(a_path, 2):
+        if not (1 <= u <= n_total and 1 <= v <= n_total):
+            raise DataFormatError(
+                f"{a_path}:{lineno}: vertex id out of range in ({u}, {v})")
+        gu, gv = indicator[u - 1], indicator[v - 1]
+        if gu != gv:
+            raise DataFormatError(
+                f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}")
+        per_graph[gu].append((local[u], local[v]))
 
     graphs = []
     for g in range(1, n_graphs + 1):

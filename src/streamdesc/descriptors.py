@@ -118,72 +118,58 @@ def save_descriptors(descriptors, path, format: str = "csv") -> None:
 
 
 def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
-    """Load a descriptor file; malformed rows report their line number."""
-    if format == "csv":
-        return _load_csv(path)
-    if format == "jsonl":
-        return _load_jsonl(path)
-    raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
+    """Load a descriptor file; malformed rows report their line number.
 
-
-def _build(path, lineno, graph_id, method, b, seed, n, m, values) -> Descriptor:
-    try:
-        return Descriptor(
-            graph_id=int(graph_id), method=str(method), b=int(b),
-            seed=int(seed), n=int(n), m=int(m),
-            values=np.array([float(x) for x in values]))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-
-
-def _load_csv(path) -> list[Descriptor]:
+    The two formats differ only in how a line becomes its fields; each
+    row is then built, checked and tagged with "path:lineno" here.
+    """
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
     out: list[Descriptor] = []
-    methods: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header") from None
-        if tuple(header[:6]) != _META_FIELDS:
-            raise DataFormatError(
-                f"{path}:1: bad header, expected it to start with "
-                f"{','.join(_META_FIELDS)}")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            d = _build(path, lineno, *row[:6], row[6:])
-            methods.add(d.method)
-            if len(methods) > 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: mixed method tags in one file")
-            out.append(d)
-    return out
-
-
-def _load_jsonl(path) -> list[Descriptor]:
-    out: list[Descriptor] = []
-    methods: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
+        if format == "csv":
+            rows, to_fields = _csv_rows(path, fh)
+        else:
+            rows = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
+            to_fields = _json_object
+        for lineno, row in rows:
             try:
-                record = json.loads(text)
-                d = _build(
-                    path, lineno, record["graph_id"], record["method"],
-                    record["b"], record["seed"], record["n"], record["m"],
-                    record["values"])
-            except (json.JSONDecodeError, KeyError) as exc:
+                f = to_fields(row)
+                d = Descriptor(
+                    graph_id=int(f["graph_id"]), method=str(f["method"]), b=int(f["b"]),
+                    seed=int(f["seed"]), n=int(f["n"]), m=int(f["m"]),
+                    values=np.array([float(x) for x in f["values"]]))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            methods.add(d.method)
-            if len(methods) > 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: mixed method tags in one file")
+            if out and d.method != out[0].method:
+                raise DataFormatError(f"{path}:{lineno}: mixed method tags in one file")
             out.append(d)
     return out
+
+
+def _csv_rows(path, fh):
+    """Check the header; return the (lineno, row) pairs of the data rows
+    and the function that turns a row into its fields."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, expected a header")
+    if tuple(header[:6]) != _META_FIELDS:
+        raise DataFormatError(
+            f"{path}:1: bad header, expected it to start with "
+            f"{','.join(_META_FIELDS)}")
+    width = len(header)
+
+    def to_fields(row):
+        if len(row) != width:
+            raise ValueError(f"expected {width} fields, got {len(row)}")
+        return dict(zip(_META_FIELDS, row), values=row[6:])
+
+    return ((reader.line_num, row) for row in reader if row), to_fields
+
+
+def _json_object(line):
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    return record

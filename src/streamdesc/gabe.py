@@ -17,7 +17,7 @@ import numpy as np
 
 from .descriptors import Descriptor
 from .graph import Edge, Graph
-from .oracle import ORACLE_LIMIT, exact_induced_counts, phi_from_induced
+from .oracle import exact_induced_counts, phi_from_induced
 from .patterns import (
     INDUCED,
     N_PATTERNS,
@@ -192,10 +192,10 @@ def gabe_finalize(state: GabeState) -> Descriptor:
         n=n, m=state.m_seen, values=phi)
 
 
-def exact_gabe_descriptor(g: Graph, limit: int = ORACLE_LIMIT) -> Descriptor:
+def exact_gabe_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor straight from the induced-count oracle."""
     phi = np.zeros(N_PATTERNS)
     if g.n >= 2:
-        phi = phi_from_induced(exact_induced_counts(g, limit=limit), g.n)
+        phi = phi_from_induced(exact_induced_counts(g), g.n)
     return Descriptor(
         graph_id=0, method="gabe", b=g.m, seed=0, n=g.n, m=g.m, values=phi)

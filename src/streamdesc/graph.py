@@ -64,14 +64,14 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
             raise ValueError(f"vertex labels must be non-negative, got ({a}, {b})")
         if a == b:
             continue
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        for x in (a, b):
-            if x not in relabel:
-                relabel[x] = len(relabel)
-        edges.append(normalize_edge(relabel[a], relabel[b]))
+        # A duplicate's endpoints already have their labels, so labelling
+        # before the duplicate check keeps the first-appearance order.
+        ra = relabel.setdefault(a, len(relabel))
+        rb = relabel.setdefault(b, len(relabel))
+        edge = (ra, rb) if ra < rb else (rb, ra)
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
     random.Random(seed).shuffle(edges)
     return EdgeStream(edges)
 
@@ -125,27 +125,42 @@ def build_graph(stream: EdgeStream) -> Graph:
     return Graph(n=n, adj=adj, m=m)
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse a text edge list: one "u v" pair per line, '#' starts a comment."""
-    pairs: list[tuple[int, int]] = []
+def int_rows(path, width: int):
+    """Yield (lineno, row) for each data line of a text file of integers.
+
+    Fields are separated by commas and/or whitespace.  Blank lines and
+    lines whose first field starts with '#' are skipped.  row is a tuple
+    of `width` ints; any other field count, or a field int() rejects,
+    raises DataFormatError starting with "path:lineno".
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
+            parts = line.replace(",", " ").split()
+            # Blank and comment lines fail one of the two checks below, so
+            # a data line pays for neither skip test.
+            if len(parts) != width:
+                if not parts or parts[0].startswith("#"):
+                    continue
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 'u v', got {text!r}")
+                    f"{path}:{lineno}: expected {width} fields, got {line.strip()!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                row = tuple(map(int, parts))
             except ValueError:
+                if parts[0].startswith("#"):
+                    continue
                 raise DataFormatError(
-                    f"{path}:{lineno}: non-integer vertex label in {text!r}") from None
-            if u < 0 or v < 0:
-                raise DataFormatError(
-                    f"{path}:{lineno}: negative vertex label in {text!r}")
-            pairs.append((u, v))
+                    f"{path}:{lineno}: non-integer field in {line.strip()!r}") from None
+            yield lineno, row
+
+
+def read_edge_list(path) -> list[tuple[int, int]]:
+    """Parse a text edge list: one "u v" or "u, v" pair per line, '#'
+    starts a comment line (see int_rows)."""
+    pairs: list[tuple[int, int]] = []
+    for lineno, row in int_rows(path, 2):
+        if row[0] < 0 or row[1] < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative vertex label in {row}")
+        pairs.append(row)
     return pairs
 
 

@@ -13,25 +13,25 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 from typing import Callable
 
 import numpy as np
 
 from .datasets import Dataset
 from .descriptors import Descriptor, canberra, canberra_matrix
-from .errors import BudgetTooSmallError, OracleSizeError
+from .errors import BudgetTooSmallError
 from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edge
 from .graph import EdgeStream, build_graph, derive_seed
 from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edge
-from .oracle import ORACLE_LIMIT
+from .oracle import check_size
 from .reservoir import StreamState
 
 
 @dataclass(frozen=True)
 class Method:
-    """One estimator's protocol; exact(graph, limit) is its oracle, and
-    capped says whether that oracle refuses graphs over `limit` vertices."""
+    """One estimator's protocol; exact(graph) is its oracle, and capped
+    says whether that oracle refuses graphs over ORACLE_LIMIT vertices."""
 
     state: type[StreamState]
     step: Callable
@@ -44,8 +44,7 @@ METHODS = {
     "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor,
                    capped=True),
     # the egonet oracle is polynomial and needs no vertex cap
-    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize,
-                    lambda g, limit=ORACLE_LIMIT: exact_maeve_descriptor(g),
+    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize, exact_maeve_descriptor,
                     capped=False),
 }
 
@@ -71,15 +70,19 @@ class BudgetSpec:
     def __post_init__(self):
         if (self.fraction is None) == (self.edges is None):
             raise ValueError("give exactly one of fraction or edges")
-        if self.fraction is not None and self.fraction <= 0:
-            raise ValueError(f"fraction must be positive, got {self.fraction}")
+        # nan fails every comparison, so it is refused here too
+        if self.fraction is not None and not 0 < self.fraction < inf:
+            raise ValueError(f"fraction must be finite and positive, got {self.fraction}")
         if self.edges is not None and self.edges < 1:
             raise ValueError(f"edges must be at least 1, got {self.edges}")
 
     def resolve(self, m: int) -> int:
         if self.edges is not None:
             return self.edges
-        return max(1, ceil(self.fraction * m))
+        b = self.fraction * m
+        if b == inf:
+            raise ValueError(f"budget fraction {self.fraction} of {m} edges is too large")
+        return max(1, ceil(b))
 
 
 def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
@@ -153,20 +156,6 @@ class ClassificationReport:
     config: dict
 
 
-def _contiguous_folds(order: list[int], folds: int) -> list[list[int]]:
-    ":return: `folds` contiguous parts, the first len(order) % folds one longer."
-    n = len(order)
-    base = n // folds
-    extra = n % folds
-    parts = []
-    at = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        parts.append(order[at:at + size])
-        at += size
-    return parts
-
-
 def cross_validate(
     descriptors: list[Descriptor],
     labels,
@@ -198,28 +187,21 @@ def cross_validate(
 
     vectors = np.array([d.values for d in descriptors])
     dist = canberra_matrix(vectors, vectors)
-    ids = np.array([d.graph_id for d in descriptors])
+    # Train columns in graph_id order: argmin's first-minimum rule then
+    # gives a distance tie to the lowest graph_id.
+    by_id = np.argsort([d.graph_id for d in descriptors], kind="stable")
     y = np.array(labels)
 
     accuracies: list[float] = []
     for r in range(repeats):
         order = list(range(n))
         random.Random(derive_seed(seed, "cv", r)).shuffle(order)
-        for part in _contiguous_folds(order, folds):
-            test = np.array(part)
+        for test in np.array_split(order, folds):
             in_test = np.zeros(n, dtype=bool)
             in_test[test] = True
-            train = np.flatnonzero(~in_test)
-            sub = dist[np.ix_(test, train)]
-            correct = 0
-            for row, t in zip(sub, test):
-                best = row.min()
-                candidates = train[row == best]
-                if len(candidates) > 1:
-                    pick = candidates[np.argmin(ids[candidates])]
-                else:
-                    pick = candidates[0]
-                correct += int(y[pick] == y[t])
+            train = by_id[~in_test[by_id]]
+            pick = train[dist[np.ix_(test, train)].argmin(axis=1)]
+            correct = int(np.count_nonzero(y[pick] == y[test]))
             accuracies.append(correct / len(test))
     return ClassificationReport(
         fold_accuracies=accuracies,
@@ -240,29 +222,24 @@ def error_vs_budget(
     budgets,
     trials: int,
     seed: int = 0,
-    oracle_limit: int = ORACLE_LIMIT,
 ) -> list[tuple[float, float]]:
     """Mean Canberra distance between estimated and exact descriptors,
     one row (budget_fraction, mean_error) per requested budget.
 
     For a method whose oracle is capped, every graph must be within
-    `oracle_limit` vertices; every resolved budget must be at or above
-    the method's minimum.  Both are checked before any exact or
-    estimated descriptor is computed.
+    ORACLE_LIMIT vertices; every budget fraction must be finite and
+    positive, and every resolved budget at or above the method's
+    minimum.  All are checked before any exact or estimated descriptor
+    is computed.
     """
     estimator = _method(method)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     budgets = [float(f) for f in budgets]
-    if any(f <= 0 for f in budgets):
-        raise ValueError("budget fractions must be positive")
 
     if estimator.capped:
         for stream in ds.graphs:
-            if stream.n > oracle_limit:
-                raise OracleSizeError(
-                    f"graph has {stream.n} vertices, exact enumeration is limited "
-                    f"to {oracle_limit}")
+            check_size(stream.n)
     # Resolve every budget before the oracle pass, so that a budget below
     # the method's minimum fails at once rather than after it.
     minimum = estimator.state.MIN_BUDGET
@@ -277,7 +254,7 @@ def error_vs_budget(
                     f"need at least {minimum} for {method}")
         resolved.append((fraction, sizes))
 
-    exact_vectors = [estimator.exact(build_graph(stream), limit=oracle_limit).values
+    exact_vectors = [estimator.exact(build_graph(stream)).values
                      for stream in ds.graphs]
 
     rows: list[tuple[float, float]] = []

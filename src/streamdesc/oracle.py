@@ -33,10 +33,11 @@ from .patterns import (
 ORACLE_LIMIT = 60
 
 
-def _check_size(g: Graph, limit: int):
-    if g.n > limit:
+def check_size(n: int) -> None:
+    """Refuse an n-vertex graph above ORACLE_LIMIT, before any enumeration."""
+    if n > ORACLE_LIMIT:
         raise OracleSizeError(
-            f"graph has {g.n} vertices, exact enumeration is limited to {limit}")
+            f"graph has {n} vertices, exact enumeration is limited to {ORACLE_LIMIT}")
 
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
@@ -79,7 +80,7 @@ def _edge_code_lut(k: int) -> np.ndarray:
 _LUT = {k: _edge_code_lut(k) for k in (3, 4)}
 
 
-def exact_induced_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
+def exact_induced_counts(g: Graph) -> PatternCounts:
     """Induced counts of all 17 patterns; order-k entries sum to C(n,k).
 
     Each triple x < y < z gets the 3-bit code of its pairs (x,y), (x,z),
@@ -88,7 +89,7 @@ def exact_induced_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
     are a suffix of the lexicographic triple list, so no C(n,4) array is
     ever built.
     """
-    _check_size(g, limit)
+    check_size(g.n)
     values = np.zeros(N_PATTERNS)
     values[PatternId.EDGE - 1] = g.m
     values[PatternId.EDGELESS_2 - 1] = comb(g.n, 2) - g.m
@@ -110,9 +111,9 @@ def exact_induced_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
     return PatternCounts(values=values, kind=INDUCED)
 
 
-def exact_subgraph_counts(g: Graph, limit: int = ORACLE_LIMIT) -> PatternCounts:
+def exact_subgraph_counts(g: Graph) -> PatternCounts:
     """Not-necessarily-induced counts, derived from the induced counts."""
-    induced = exact_induced_counts(g, limit=limit)
+    induced = exact_induced_counts(g)
     return PatternCounts(values=induced_to_subgraph(induced.values), kind=SUBGRAPH)
 
 

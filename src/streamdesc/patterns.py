@@ -53,11 +53,6 @@ class PatternId(IntEnum):
     def connected(self) -> bool:
         return _CONNECTED[self]
 
-    @property
-    def reference_edges(self) -> tuple[tuple[int, int], ...]:
-        """One fixed realization on vertices 0..order-1."""
-        return _CATALOG[self][1]
-
 
 # Reference realization of every pattern: (order, edges).
 _CATALOG: dict[PatternId, tuple[int, tuple[tuple[int, int], ...]]] = {

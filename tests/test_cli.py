@@ -89,6 +89,38 @@ def test_descriptor_budget_flags_are_exclusive(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_descriptor_reads_comma_separated_edges(tmp_path, capsys):
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u + v) % 3]
+    plain = edge_file(tmp_path, "plain.txt", pairs)
+    commas = tmp_path / "commas.txt"
+    commas.write_text("".join(
+        f"{u},{v}\n" if i % 2 else f"{u}, {v}\n" for i, (u, v) in enumerate(pairs)))
+    outputs = []
+    for path in (plain, str(commas)):
+        code = main([
+            "descriptor", "--input", path, "--method", "gabe",
+            "--budget", "1.0", "--seed", "3"])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+def test_non_finite_budget_exits_one(tmp_path, capsys, value):
+    # 1e308 is finite, but 1e308 * m is not
+    path = k4_file(tmp_path)
+    commands = [
+        ["descriptor", "--input", path, "--method", "gabe", "--budget", value],
+        ["experiment", "error-vs-budget", "--input", path, "--method", "maeve",
+         "--budgets", f"0.5,{value}"],
+    ]
+    for argv in commands:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 def test_descriptor_missing_file(tmp_path, capsys):
     code = main([
         "descriptor", "--input", str(tmp_path / "nope.txt"),
@@ -163,6 +195,19 @@ def test_distance_rejects_mixed_methods(tmp_path, capsys):
     code = main(["distance", a, b])
     assert code == 2
     assert "different methods" in capsys.readouterr().err
+
+
+def test_distance_rejects_non_object_jsonl(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    save_descriptors(
+        [Descriptor(graph_id=0, method="gabe", b=5, seed=0, n=4, m=3,
+                    values=np.ones(17))], good, format="jsonl")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[1, 2]\n")
+    assert main(["distance", str(good), str(bad), "--format", "jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.jsonl:1" in err
+    assert "Traceback" not in err
 
 
 def test_distance_missing_file(tmp_path, capsys):

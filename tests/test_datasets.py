@@ -23,6 +23,7 @@ def write_bundle(root, prefix="DS", a=None, indicator=None, labels=None):
 
 
 def two_triangle_bundle(root):
+    root.mkdir(exist_ok=True)
     # graph 1 on global vertices 1..3, graph 2 on 4..6; both orientations
     # of one edge appear, as real bundles list every edge twice
     write_bundle(
@@ -44,6 +45,24 @@ def test_load_two_triangle_bundle(tmp_path):
         assert stream.n_hint == 3
         g = build_graph(stream)
         assert g.degrees() == [2, 2, 2]  # local 0-based triangle
+
+
+def test_loader_files_share_the_edge_list_rules(tmp_path):
+    # commas and/or whitespace in every file; blank and '#' lines skipped
+    two_triangle_bundle(tmp_path / "commas")
+    spaced = tmp_path / "spaced"
+    spaced.mkdir()
+    write_bundle(
+        spaced,
+        a="# A\n1 2\n2,1\n\n2\t3\n1 , 3\n4,5\n  5 6\n4, 6\n",
+        indicator="# graph of each vertex\n1\n1\n 1 \n\n2\n2\n2\n",
+        labels="# class of each graph\n0\n\n1\n",
+    )
+    a = load_benchmark_dataset(tmp_path / "commas", seed=3)
+    b = load_benchmark_dataset(spaced, seed=3)
+    assert b.labels == a.labels == [0, 1]
+    assert [list(s) for s in b.graphs] == [list(s) for s in a.graphs]
+    assert [s.n_hint for s in b.graphs] == [3, 3]
 
 
 def test_loader_preserves_isolated_vertices(tmp_path):
@@ -112,7 +131,7 @@ def test_loader_malformed_rows(tmp_path):
     with pytest.raises(DataFormatError, match="non-integer"):
         load_benchmark_dataset(tmp_path)
     write_bundle(tmp_path, a="1, 2\n", indicator="1\nfoo\n")
-    with pytest.raises(DataFormatError, match="expected an integer"):
+    with pytest.raises(DataFormatError, match=r"DS_graph_indicator\.txt:2"):
         load_benchmark_dataset(tmp_path)
 
 

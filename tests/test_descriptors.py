@@ -1,5 +1,7 @@
 """Canberra distance and descriptor persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,33 @@ def test_jsonl_missing_key_reports_line(tmp_path):
     path.write_text('{"graph_id": 0, "method": "gabe"}\n')
     with pytest.raises(DataFormatError, match=r"out\.jsonl:1"):
         load_descriptors(path, format="jsonl")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"gabe"', "5", "null"])
+def test_jsonl_non_object_reports_line(tmp_path, line):
+    path = tmp_path / "out.jsonl"
+    save_descriptors([make_descriptor(0)], path, format="jsonl")
+    path.write_text(path.read_text() + "\n" + line + "\n")
+    with pytest.raises(DataFormatError, match=r"out\.jsonl:3: expected a JSON object"):
+        load_descriptors(path, format="jsonl")
+
+
+def test_csv_and_jsonl_rows_report_the_same_errors(tmp_path):
+    # one row loop builds both formats, so a bad field reads alike in each
+    values = [0.5] * 17
+    header = "graph_id,method,b,seed,n,m," + ",".join(f"v{i}" for i in range(17))
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(header + "\n0,gabe,x,0,5,8," + ",".join(map(str, values)) + "\n")
+    jsonl_path = tmp_path / "bad.jsonl"
+    jsonl_path.write_text(json.dumps({
+        "graph_id": 0, "method": "gabe", "b": "x", "seed": 0, "n": 5, "m": 8,
+        "values": values}) + "\n")
+    messages = []
+    for path, format, lineno in ((csv_path, "csv", 2), (jsonl_path, "jsonl", 1)):
+        with pytest.raises(DataFormatError, match=rf"bad\.{format}:{lineno}: ") as info:
+            load_descriptors(path, format=format)
+        messages.append(str(info.value).split(": ", 1)[1])
+    assert messages[0] == messages[1]
 
 
 def test_unknown_format_rejected(tmp_path):

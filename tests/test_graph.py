@@ -1,6 +1,11 @@
 """Stream preprocessing, graph construction, file input, seed derivation."""
 
+import random
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from streamdesc import (
     EdgeStream,
@@ -11,6 +16,7 @@ from streamdesc import (
     read_edge_list,
 )
 from streamdesc.errors import DataFormatError
+from streamdesc.graph import int_rows
 
 
 def test_normalize_edge_orders_endpoints():
@@ -41,6 +47,30 @@ def test_preprocess_relabels_by_first_appearance():
     # labels are minted only for surviving edges, in encounter order
     stream = preprocess([(10, 20), (20, 30)], seed=0)
     assert sorted(stream) == [(0, 1), (1, 2)]
+
+
+def reference_preprocess_edges(raw_edges):
+    """Dedupe on the raw labels, then label the kept edges in order."""
+    seen, relabel, edges = set(), {}, []
+    for a, b in raw_edges:
+        key = (min(a, b), max(a, b))
+        if a == b or key in seen:
+            continue
+        seen.add(key)
+        for x in (a, b):
+            relabel.setdefault(x, len(relabel))
+        edges.append(normalize_edge(relabel[a], relabel[b]))
+    return edges
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       st.integers(0, 3))
+@settings(max_examples=200)
+def test_preprocess_matches_reference(raw, seed):
+    # labelling before the duplicate check must not change any label
+    expected = reference_preprocess_edges(raw)
+    random.Random(seed).shuffle(expected)
+    assert preprocess(raw, seed=seed).edges == expected
 
 
 def test_preprocess_is_deterministic():
@@ -110,6 +140,64 @@ def test_read_edge_list_reports_line_numbers(tmp_path):
     path.write_text("0 1 2\n")
     with pytest.raises(DataFormatError, match=r"bad\.txt:1"):
         read_edge_list(path)
+    path.write_text("0 1\n2, -3\n")
+    with pytest.raises(DataFormatError, match=r"bad\.txt:2: negative"):
+        read_edge_list(path)
+
+
+SEPARATORS = (" ", "\t", ", ", ",")
+SKIPPED_LINES = ("", "\n", "   \n", "# a comment\n", "#\n", "  # indented, 1 2\n")
+
+
+def _not_an_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+int_tokens = st.integers(-10 ** 12, 10 ** 12).map(str)
+bad_tokens = st.text(alphabet="0123456789abx.+-_", min_size=1, max_size=5).filter(_not_an_int)
+
+
+@given(st.lists(st.tuples(
+    st.integers(0, 10 ** 12), st.integers(0, 10 ** 12),
+    st.sampled_from(SEPARATORS), st.sampled_from(SKIPPED_LINES)), max_size=25))
+@settings(max_examples=150)
+def test_read_edge_list_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("edges") / "edges.txt"
+    path.write_text("".join(f"{skipped}{u}{sep}{v}\n" for u, v, sep, skipped in rows))
+    assert read_edge_list(path) == [(u, v) for u, v, _, _ in rows]
+
+
+@given(
+    width=st.integers(1, 3),
+    before=st.lists(st.sampled_from(SKIPPED_LINES + (None,)), max_size=6),
+    tokens=st.lists(int_tokens | bad_tokens, min_size=1, max_size=4),
+    seps=st.lists(st.sampled_from(SEPARATORS), min_size=3, max_size=3),
+)
+@settings(max_examples=200)
+def test_malformed_line_reports_its_line(tmp_path_factory, width, before, tokens, seps):
+    # None in `before` stands for a well-formed row
+    assume(len(tokens) != width or any(_not_an_int(t) for t in tokens))
+    good = " ".join(["7", "8", "9"][:width]) + "\n"
+    head = "".join(good if line is None else line for line in before)
+    bad = tokens[0] + "".join(sep + t for sep, t in zip(seps, tokens[1:]))
+    path = tmp_path_factory.mktemp("rows") / "rows.txt"
+    path.write_text(head + bad + "\n" + good)
+    where = re.escape(f"{path}:{head.count(chr(10)) + 1}: ")
+    with pytest.raises(DataFormatError, match=f"^{where}"):
+        list(int_rows(path, width))
+    if width == 2:
+        with pytest.raises(DataFormatError, match=f"^{where}"):
+            read_edge_list(path)
+
+
+def test_int_rows_yields_line_numbers(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("# header\n1, 2\n\n3\t4\n  5 ,6  \n")
+    assert list(int_rows(path, 2)) == [(2, (1, 2)), (4, (3, 4)), (5, (5, 6))]
 
 
 def test_derive_seed_stable_and_distinct():

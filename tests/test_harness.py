@@ -2,6 +2,7 @@
 error-versus-budget experiment."""
 
 import dataclasses
+import random
 import re
 from math import ceil
 
@@ -10,10 +11,12 @@ import pytest
 
 from streamdesc import (
     METHODS,
+    ORACLE_LIMIT,
     BudgetSpec,
     Dataset,
     Descriptor,
     GabeState,
+    canberra,
     MaeveState,
     compute_descriptors,
     cross_validate,
@@ -43,6 +46,9 @@ def test_budget_spec_requires_exactly_one_mode():
         BudgetSpec(fraction=0.5, edges=10)
     with pytest.raises(ValueError):
         BudgetSpec(fraction=0.0)
+    for fraction in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            BudgetSpec(fraction=fraction)
     with pytest.raises(ValueError):
         BudgetSpec(edges=0)
 
@@ -52,6 +58,9 @@ def test_budget_spec_resolution():
     assert BudgetSpec(fraction=0.25).resolve(10) == 3  # ceil(2.5)
     assert BudgetSpec(fraction=1.0).resolve(48) == 48
     assert BudgetSpec(fraction=0.001).resolve(10) == 1  # floor of 1
+    assert BudgetSpec(fraction=1e308).resolve(1) == int(1e308)
+    with pytest.raises(ValueError, match="too large"):
+        BudgetSpec(fraction=1e308).resolve(2)  # overflows to inf
 
 
 @pytest.mark.parametrize("fraction", [1.5, 3.0])
@@ -266,6 +275,54 @@ def test_cross_validate_leave_one_out():
     assert report.mean_accuracy == 1.0
 
 
+def test_cross_validate_tie_goes_to_lowest_graph_id():
+    # four equal vectors: every neighbour ties at distance 0, and the
+    # lowest graph_id (0, the only label-1 item) wins every fold but its
+    # own, where graph_id 1 (label 0) wins
+    ids = [3, 0, 2, 1]
+    descs = [hand_descriptor(i, np.ones(17)) for i in ids]
+    labels = [int(i == 0) for i in ids]
+    report = cross_validate(descs, labels, folds=4, repeats=2, seed=5)
+    assert report.fold_accuracies == [0.0] * 8
+
+
+def reference_fold_accuracies(descs, labels, folds, repeats, seed):
+    """The documented split and tie rule, one test item at a time."""
+    n = len(descs)
+    accuracies = []
+    for r in range(repeats):
+        order = list(range(n))
+        random.Random(derive_seed(seed, "cv", r)).shuffle(order)
+        base, extra = divmod(n, folds)
+        at = 0
+        for i in range(folds):
+            size = base + (i < extra)
+            test = order[at:at + size]
+            at += size
+            correct = 0
+            for t in test:
+                dists = [(canberra(descs[t].values, descs[j].values), descs[j].graph_id, j)
+                         for j in range(n) if j not in test]
+                correct += labels[min(dists)[2]] == labels[t]
+            accuracies.append(correct / len(test))
+    return accuracies
+
+
+def test_cross_validate_matches_reference_with_duplicates():
+    # 30 duplicated vectors with flipped labels and shuffled graph_ids:
+    # most test items meet an exact tie between the two classes
+    rng = np.random.default_rng(12)
+    base = [rng.random(17) for _ in range(40)]
+    vectors = base + base[:30]
+    labels = [i % 2 for i in range(40)] + [1 - i % 2 for i in range(30)]
+    ids = rng.permutation(70)
+    descs = [hand_descriptor(int(i), v) for i, v in zip(ids, vectors)]
+    for folds, repeats in ((7, 2), (10, 1), (70, 1)):
+        report = cross_validate(descs, labels, folds=folds, repeats=repeats, seed=4)
+        assert report.fold_accuracies == reference_fold_accuracies(
+            descs, labels, folds, repeats, seed=4)
+
+
 def test_cross_validate_validation():
     descs, labels = separable_descriptors(per_class=3)
     with pytest.raises(ValueError, match="folds"):
@@ -311,25 +368,18 @@ def test_error_vs_budget_rows_and_determinism():
 
 
 def test_error_vs_budget_respects_oracle_limit():
-    ds = Dataset(graphs=[random_stream(11, 0.4, seed=77)], labels=[0])
+    ds = Dataset(graphs=[random_stream(ORACLE_LIMIT + 1, 0.05, seed=77)], labels=[0])
     with pytest.raises(OracleSizeError):
-        error_vs_budget(ds, "gabe", [1.0], trials=1, oracle_limit=10)
+        error_vs_budget(ds, "gabe", [1.0], trials=1)
 
 
 def test_error_vs_budget_does_not_cap_maeve():
     # the egonet oracle is polynomial, so the vertex cap is gabe's only
-    ds = Dataset(graphs=[random_stream(11, 0.4, seed=77)], labels=[0])
-    assert ds.graphs[0].n == 11
-    rows = error_vs_budget(ds, "maeve", [0.5, 1.0], trials=1, oracle_limit=10)
+    ds = Dataset(graphs=[random_stream(ORACLE_LIMIT + 1, 0.05, seed=77)], labels=[0])
+    assert ds.graphs[0].n == ORACLE_LIMIT + 1
+    rows = error_vs_budget(ds, "maeve", [0.5, 1.0], trials=1)
     assert [f for f, _ in rows] == [0.5, 1.0]
     assert rows[1][1] < 1e-12
-
-
-def test_error_vs_budget_passes_oracle_limit_to_the_oracle():
-    ds = Dataset(graphs=[random_stream(66, 0.08, seed=78)], labels=[0])
-    assert 60 < ds.graphs[0].n <= 70
-    rows = error_vs_budget(ds, "gabe", [1.0], trials=1, oracle_limit=70)
-    assert rows[0][1] < 1e-12
 
 
 @pytest.mark.parametrize("method, fraction", [("gabe", 0.1), ("maeve", 0.01)])
@@ -357,3 +407,6 @@ def test_error_vs_budget_validation():
         error_vs_budget(ds, "gabe", [0.5], trials=0)
     with pytest.raises(ValueError, match="positive"):
         error_vs_budget(ds, "gabe", [0.5, -0.1], trials=1)
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match="finite"):
+            error_vs_budget(ds, "maeve", [0.5, bad], trials=1)

@@ -13,6 +13,7 @@ from streamdesc import (
     EdgeStream,
     PatternId,
     build_graph,
+    exact_gabe_descriptor,
     exact_induced_counts,
     exact_subgraph_counts,
     exact_vertex_features,
@@ -178,14 +179,15 @@ def test_counts_invariant_under_relabeling():
 
 
 def test_oracle_size_limit():
-    big = graph_of([(i, i + 1) for i in range(61)])  # 62 vertices
-    with pytest.raises(OracleSizeError):
+    # the cap is checked before any enumeration, so this stays cheap
+    big = graph_of([(i, i + 1) for i in range(ORACLE_LIMIT)])
+    assert big.n == ORACLE_LIMIT + 1
+    with pytest.raises(OracleSizeError, match=f"limited to {ORACLE_LIMIT}"):
         exact_subgraph_counts(big)
     with pytest.raises(OracleSizeError):
         exact_induced_counts(big)
-    small = graph_of([(0, 1), (1, 2)])
     with pytest.raises(OracleSizeError):
-        exact_induced_counts(small, limit=2)
+        exact_gabe_descriptor(big)
 
 
 def test_vertex_triangle_path_counts_k3():
