@@ -43,7 +43,6 @@ from .graph import (
     Graph,
     build_graph,
     derive_seed,
-    normalize_edge,
     preprocess,
     read_edge_list,
 )
@@ -67,7 +66,6 @@ from .maeve import (
     maeve_finalize,
     maeve_process_edge,
     moments,
-    vertex_features,
 )
 from .oracle import (
     ORACLE_LIMIT,
@@ -78,13 +76,11 @@ from .oracle import (
     phi_from_induced,
 )
 from .patterns import (
-    INDUCED,
     N_PATTERNS,
     ORDER_SLICES,
     PatternCounts,
     PatternId,
     STREAM_ESTIMATED,
-    SUBGRAPH,
     classify_degree_sequence,
     induced_to_subgraph,
     overlap_matrix,

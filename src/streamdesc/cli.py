@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .datasets import Dataset, load_benchmark_dataset
-from .descriptors import canberra, load_descriptors, write_descriptors
+from .descriptors import canberra, load_descriptors, save_descriptors, write_descriptors
 from .errors import BudgetTooSmallError, DataFormatError, OracleSizeError
 from .graph import build_graph, derive_seed, preprocess, read_edge_list
 from .harness import (
@@ -149,8 +149,7 @@ def _budget_spec(args) -> BudgetSpec:
 
 def _emit_descriptors(descriptors, args):
     if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            write_descriptors(descriptors, fh, args.format)
+        save_descriptors(descriptors, args.output, args.format)
     else:
         write_descriptors(descriptors, sys.stdout, args.format)
 

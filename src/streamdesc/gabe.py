@@ -18,14 +18,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import exact_induced_counts, phi_from_induced
-from .patterns import (
-    INDUCED,
-    N_PATTERNS,
-    PatternCounts,
-    PatternId,
-    STREAM_ESTIMATED,
-    subgraph_to_induced,
-)
+from .patterns import N_PATTERNS, PatternId, STREAM_ESTIMATED, subgraph_to_induced
 from .reservoir import (
     _EMPTY,
     StreamState,
@@ -73,10 +66,6 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     state.degrees[u] += 1
     state.degrees[v] += 1
     state.m_seen += 1
-    if v > state.max_label:
-        state.max_label = v
-    if u > state.max_label:
-        state.max_label = u
 
     adj = res.adj
     na = adj.get(u, _EMPTY)
@@ -185,8 +174,7 @@ def gabe_finalize(state: GabeState) -> Descriptor:
             counts[pid - 1] = val
         for pid, val in state.est.items():
             counts[pid - 1] = val
-        induced = PatternCounts(values=subgraph_to_induced(counts), kind=INDUCED)
-        phi = phi_from_induced(induced, n)
+        phi = phi_from_induced(subgraph_to_induced(counts), n)
     return Descriptor(
         graph_id=0, method="gabe", b=state.reservoir.budget, seed=state.seed,
         n=n, m=state.m_seen, values=phi)
@@ -196,6 +184,6 @@ def exact_gabe_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor straight from the induced-count oracle."""
     phi = np.zeros(N_PATTERNS)
     if g.n >= 2:
-        phi = phi_from_induced(exact_induced_counts(g), g.n)
+        phi = phi_from_induced(exact_induced_counts(g).values, g.n)
     return Descriptor(
         graph_id=0, method="gabe", b=g.m, seed=0, n=g.n, m=g.m, values=phi)

@@ -11,13 +11,24 @@ from .errors import DataFormatError
 Edge = tuple[int, int]
 
 
-def normalize_edge(u: int, v: int) -> Edge:
-    """Return the endpoints as (min, max); self-loops are rejected."""
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if u < 0 or v < 0:
-        raise ValueError(f"vertex labels must be non-negative, got ({u}, {v})")
-    return (u, v) if u < v else (v, u)
+def vertex_count(low: int, high: int, n_hint: int | None) -> int:
+    """Vertex count of a graph whose labels lie in [low, high] (high is
+    -1 when there are none): n_hint when given, else high + 1.
+
+    A negative label, or one at or above n_hint, raises ValueError.
+    """
+    if low < 0:
+        raise ValueError(f"vertex labels must be non-negative, got {low}")
+    if n_hint is None:
+        return high + 1
+    if n_hint <= high:
+        raise ValueError(f"n_hint={n_hint} is below max vertex label {high}")
+    return n_hint
+
+
+def _label_range(edges) -> tuple[int, int]:
+    """(lowest, highest) endpoint label of an edge list; (0, -1) if empty."""
+    return min(map(min, edges), default=0), max(map(max, edges), default=-1)
 
 
 @dataclass
@@ -39,12 +50,12 @@ class EdgeStream:
 
     @property
     def n(self) -> int:
-        """Vertex count: n_hint when given, else max label + 1 (0 if empty)."""
+        """Vertex count: n_hint when given, without a scan (build_graph
+        and the estimators check the labels against it), else by
+        vertex_count over every endpoint (0 if empty)."""
         if self.n_hint is not None:
             return self.n_hint
-        if not self.edges:
-            return 0
-        return max(v for _, v in self.edges) + 1
+        return vertex_count(*_label_range(self.edges), None)
 
 
 def preprocess(raw_edges, seed: int) -> EdgeStream:
@@ -87,38 +98,22 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degrees(self) -> list[int]:
-        return [len(s) for s in self.adj]
-
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
 
 def build_graph(stream: EdgeStream) -> Graph:
     """Materialize a stream as an exact adjacency structure.
 
-    Duplicate edges are rejected; run preprocess first on raw data.
+    Self-loops, duplicate edges and labels outside [0, n) are rejected;
+    run preprocess first on raw data.
     """
-    max_label = max((v for _, v in stream.edges), default=-1)
-    if stream.n_hint is not None and stream.n_hint < max_label + 1:
-        raise ValueError(
-            f"n_hint={stream.n_hint} is below max vertex label {max_label}")
-    n = stream.n
+    n = vertex_count(*_label_range(stream.edges), stream.n_hint)
     adj: list[set[int]] = [set() for _ in range(n)]
     m = 0
     for u, v in stream:
-        u, v = normalize_edge(u, v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
         if v in adj[u]:
-            raise ValueError(f"duplicate edge ({u}, {v}); preprocess the stream first")
+            raise ValueError(
+                f"duplicate edge ({min(u, v)}, {max(u, v)}); preprocess the stream first")
         adj[u].add(v)
         adj[v].add(u)
         m += 1

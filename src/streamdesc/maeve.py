@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -94,10 +94,6 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
     state.degrees[u] += 1
     state.degrees[v] += 1
     state.m_seen += 1
-    if v > state.max_label:
-        state.max_label = v
-    if u > state.max_label:
-        state.max_label = u
 
     adj = res.adj
     na = adj.get(u, _EMPTY)
@@ -126,34 +122,31 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
     return state
 
 
-def features_from_counts(degree: int, triangles: float, paths: float) -> VertexFeatures:
+def features_from_counts(degree, triangles, paths) -> VertexFeatures:
     """The five features as functions of (degree, triangle count,
-    endpoint three-path count).
+    endpoint three-path count), for one vertex (scalars) or many
+    (equal-length arrays, one entry per vertex).
 
     Conventions for the undefined corners: clustering is 0 when
-    degree < 2, average neighbor degree is 0 when degree = 0.
+    degree < 2, average neighbor degree is 0 when degree = 0.  A vertex
+    of degree 0 is on no triangle or path, so all its features are 0.
     """
-    d = int(degree)
-    if d <= 0:
-        return VertexFeatures(0.0, 0.0, 0.0, 0.0, 0.0)
-    clustering = triangles / comb(d, 2) if d >= 2 else 0.0
+    d = np.asarray(degree, dtype=float)
+    tri = np.asarray(triangles, dtype=float)
+    paths = np.asarray(paths, dtype=float)
+    clustering = np.divide(tri, d * (d - 1) / 2, out=np.zeros_like(d), where=d >= 2)
     # (d + paths) / d rather than 1 + paths/d: on exact inputs the
     # numerator equals the integer sum of neighbor degrees, so the
     # division result matches the egonet oracle bit for bit.
-    avg_neighbor_degree = (d + paths) / d
+    avg_neighbor_degree = np.divide(d + paths, d, out=np.zeros_like(d), where=d > 0)
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
     return VertexFeatures(
-        degree=float(d),
-        clustering=clustering,
-        avg_neighbor_degree=avg_neighbor_degree,
-        egonet_edges=d + triangles,
-        egonet_boundary=paths - 2.0 * triangles,
+        degree=d[()],
+        clustering=clustering[()],
+        avg_neighbor_degree=avg_neighbor_degree[()],
+        egonet_edges=(d + tri)[()],
+        egonet_boundary=(paths - 2.0 * tri)[()],
     )
-
-
-def vertex_features(state: MaeveState, v: int) -> VertexFeatures:
-    """Feature tuple of one vertex from the state's accumulators."""
-    return features_from_counts(
-        state.degrees.get(v, 0), state.tri.get(v, 0.0), state.path.get(v, 0.0))
 
 
 def moments(values) -> tuple[float, float, float, float]:
@@ -198,12 +191,14 @@ def maeve_finalize(state: MaeveState) -> Descriptor:
     n = state.n
     values = np.zeros(20)
     if n > 0:
-        tri, path = state.tri, state.path
-        rows = np.empty((n, 5))
-        for v in range(n):
-            rows[v] = features_from_counts(
-                state.degrees.get(v, 0), tri.get(v, 0.0), path.get(v, 0.0)).as_tuple()
-        values = _moment_vector(rows)
+        columns = []
+        for counts in (state.degrees, state.tri, state.path):
+            column = np.zeros(n)
+            k = len(counts)
+            column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
+            columns.append(column)
+        values = _moment_vector(np.column_stack(
+            features_from_counts(*columns).as_tuple()))
     return Descriptor(
         graph_id=0, method="maeve", b=state.reservoir.budget, seed=state.seed,
         n=n, m=state.m_seen, values=values)

@@ -18,10 +18,8 @@ import numpy as np
 from .errors import OracleSizeError
 from .graph import Graph
 from .patterns import (
-    INDUCED,
     N_PATTERNS,
     ORDER_SLICES,
-    SUBGRAPH,
     PatternCounts,
     PatternId,
     classify_degree_sequence,
@@ -94,7 +92,7 @@ def exact_induced_counts(g: Graph) -> PatternCounts:
     values[PatternId.EDGE - 1] = g.m
     values[PatternId.EDGELESS_2 - 1] = comb(g.n, 2) - g.m
     if g.n < 3:
-        return PatternCounts(values=values, kind=INDUCED)
+        return PatternCounts(values=values)
     adj = _adjacency_matrix(g).view(np.uint8)
     x, y, z = np.ascontiguousarray(_combo_array(g.n, 3).T)
     code3 = adj[x, y] | adj[x, z] << 1 | adj[y, z] << 2
@@ -108,13 +106,13 @@ def exact_induced_counts(g: Graph) -> PatternCounts:
     hist3 = np.bincount(code3, minlength=8)
     for k, hist in ((3, hist3), (4, hist4)):
         values += np.bincount(_LUT[k], weights=hist, minlength=N_PATTERNS)
-    return PatternCounts(values=values, kind=INDUCED)
+    return PatternCounts(values=values)
 
 
 def exact_subgraph_counts(g: Graph) -> PatternCounts:
     """Not-necessarily-induced counts, derived from the induced counts."""
     induced = exact_induced_counts(g)
-    return PatternCounts(values=induced_to_subgraph(induced.values), kind=SUBGRAPH)
+    return PatternCounts(values=induced_to_subgraph(induced.values))
 
 
 def exact_vertex_triangle_path_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +159,9 @@ def exact_vertex_features(g: Graph, v: int) -> tuple[float, float, float, float,
     return (float(d), clustering, avg_nbr_deg, float(inside), float(leaving))
 
 
-def phi_from_induced(induced: PatternCounts, n: int) -> np.ndarray:
-    """Normalized frequency vector: order-k block divided by C(n,k).
+def phi_from_induced(induced: np.ndarray, n: int) -> np.ndarray:
+    """Normalized frequency vector from the 17 induced counts: order-k
+    block divided by C(n,k).
 
     Blocks with C(n,k) = 0 are defined as all zeros.
     """
@@ -170,5 +169,5 @@ def phi_from_induced(induced: PatternCounts, n: int) -> np.ndarray:
     for k, block in ORDER_SLICES.items():
         denom = comb(n, k)
         if denom:
-            phi[block] = induced.values[block] / denom
+            phi[block] = induced[block] / denom
     return phi

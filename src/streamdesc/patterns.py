@@ -4,8 +4,8 @@ Ids are fixed by sorting patterns by order, then by edge count, with two
 declared tie-breaks inside order 4: two-disjoint-edges before
 wedge-plus-isolated, and cycle-4 before paw.  Triangle-plus-isolated,
 claw, and path-4 share three edges and keep that listed order.  All
-metadata (degree sequences, connectivity, the overlap matrix) is derived
-from the reference edge lists below rather than typed out by hand.
+metadata (degree sequences, the overlap matrix) is derived from the
+reference edge lists below rather than typed out by hand.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-SUBGRAPH = "subgraph"
-INDUCED = "induced"
 
 N_PATTERNS = 17
 
@@ -48,10 +45,6 @@ class PatternId(IntEnum):
     @property
     def edge_count(self) -> int:
         return len(_CATALOG[self][1])
-
-    @property
-    def connected(self) -> bool:
-        return _CONNECTED[self]
 
 
 # Reference realization of every pattern: (order, edges).
@@ -98,24 +91,6 @@ def _degree_sequence(order: int, edges) -> tuple[int, ...]:
     return tuple(sorted(deg))
 
 
-def _is_connected(order: int, edges) -> bool:
-    if order == 1:
-        return True
-    adj = {v: set() for v in range(order)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == order
-
-
 DEGREE_SEQUENCE: dict[PatternId, tuple[int, ...]] = {
     pid: _degree_sequence(order, edges) for pid, (order, edges) in _CATALOG.items()
 }
@@ -124,10 +99,6 @@ DEGREE_SEQUENCE: dict[PatternId, tuple[int, ...]] = {
 # so they serve as the isomorphism fingerprint throughout the package.
 _BY_DEGSEQ: dict[tuple[int, ...], PatternId] = {
     seq: pid for pid, seq in DEGREE_SEQUENCE.items()
-}
-
-_CONNECTED: dict[PatternId, bool] = {
-    pid: _is_connected(order, edges) for pid, (order, edges) in _CATALOG.items()
 }
 
 
@@ -141,7 +112,7 @@ def classify_degree_sequence(seq) -> PatternId:
 
 @dataclass
 class PatternCounts:
-    """A 17-entry count vector, either plain subgraph or induced counts.
+    """A 17-entry count vector of plain subgraph or induced counts.
 
     values[i] holds the count for pattern id i+1.  Exact counts are
     non-negative integers stored as floats; estimated counts are
@@ -149,14 +120,11 @@ class PatternCounts:
     """
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (N_PATTERNS,):
             raise ValueError(f"expected {N_PATTERNS} values, got {self.values.shape}")
-        if self.kind not in (SUBGRAPH, INDUCED):
-            raise ValueError(f"kind must be {SUBGRAPH!r} or {INDUCED!r}")
 
     def __getitem__(self, pid: PatternId) -> float:
         return float(self.values[int(pid) - 1])

@@ -15,7 +15,7 @@ import random
 from collections import defaultdict
 
 from .errors import BudgetTooSmallError
-from .graph import Edge
+from .graph import Edge, vertex_count
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -112,7 +112,7 @@ def maybe_sample(state: ReservoirState, edge: Edge) -> None:
 
 
 class StreamState:
-    """The reservoir plus exact degree, edge-count and max-label trackers.
+    """The reservoir plus exact degree and edge-count trackers.
 
     The estimator protocol: State(budget, seed, n_hint); a per-edge step
     that updates these trackers inline, counts, then calls maybe_sample;
@@ -137,13 +137,13 @@ class StreamState:
         self.n_hint = n_hint
         self.degrees: dict[int, int] = defaultdict(int)
         self.m_seen = 0
-        self.max_label = -1
 
     @property
     def n(self) -> int:
-        if self.n_hint is not None:
-            return self.n_hint
-        return self.max_label + 1
+        """Vertex count by vertex_count over the labels seen, so a label
+        outside [0, n) fails here, at finalize, not per edge."""
+        return vertex_count(min(self.degrees, default=0),
+                            max(self.degrees, default=-1), self.n_hint)
 
 
 def detection_probability(t: int, b: int, m: int) -> float:

@@ -83,7 +83,7 @@ def brute_force_counts(g: Graph):
             edges = [
                 (pos[u], pos[v])
                 for u, v in itertools.combinations(combo, 2)
-                if g.has_edge(u, v)
+                if v in g.adj[u]
             ]
             ind[table[frozenset(edges)] - 1] += 1
             for r in range(len(edges) + 1):

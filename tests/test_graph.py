@@ -11,24 +11,11 @@ from streamdesc import (
     EdgeStream,
     build_graph,
     derive_seed,
-    normalize_edge,
     preprocess,
     read_edge_list,
 )
 from streamdesc.errors import DataFormatError
-from streamdesc.graph import int_rows
-
-
-def test_normalize_edge_orders_endpoints():
-    assert normalize_edge(3, 1) == (1, 3)
-    assert normalize_edge(0, 7) == (0, 7)
-
-
-def test_normalize_edge_rejects_bad_input():
-    with pytest.raises(ValueError):
-        normalize_edge(2, 2)
-    with pytest.raises(ValueError):
-        normalize_edge(-1, 3)
+from streamdesc.graph import int_rows, vertex_count
 
 
 def test_preprocess_drops_self_loops_and_duplicates():
@@ -59,7 +46,8 @@ def reference_preprocess_edges(raw_edges):
         seen.add(key)
         for x in (a, b):
             relabel.setdefault(x, len(relabel))
-        edges.append(normalize_edge(relabel[a], relabel[b]))
+        ra, rb = relabel[a], relabel[b]
+        edges.append((min(ra, rb), max(ra, rb)))
     return edges
 
 
@@ -92,28 +80,29 @@ def test_edge_stream_n():
     assert EdgeStream([(0, 1), (1, 2)]).n == 3
     assert EdgeStream([(0, 1)], n_hint=10).n == 10
     assert EdgeStream([]).n == 0
+    assert EdgeStream([(5, 1)]).n == 6  # every endpoint counts
+    with pytest.raises(ValueError, match="non-negative"):
+        EdgeStream([(-1, 1)]).n
 
 
 def test_build_graph_basic():
     g = build_graph(EdgeStream([(0, 1), (1, 2)]))
     assert (g.n, g.m) == (3, 2)
-    assert g.degrees() == [1, 2, 1]
-    assert g.neighbors(1) == [0, 2]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert g.adj == [{1}, {0, 2}, {1}]
+    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
 
 
 def test_build_graph_empty_with_hint():
     g = build_graph(EdgeStream([], n_hint=4))
     assert (g.n, g.m) == (4, 0)
-    assert g.degrees() == [0, 0, 0, 0]
+    assert g.adj == [set(), set(), set(), set()]
 
 
 def test_build_graph_k4_degrees():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     g = build_graph(EdgeStream(edges))
-    assert g.degrees() == [3, 3, 3, 3]
-    assert sorted(g.edges()) == sorted(edges)
+    assert g.adj == [set(range(4)) - {v} for v in range(4)]
+    assert g.m == 6
 
 
 def test_build_graph_rejects_duplicates():
@@ -124,6 +113,31 @@ def test_build_graph_rejects_duplicates():
 def test_build_graph_rejects_small_hint():
     with pytest.raises(ValueError):
         build_graph(EdgeStream([(0, 5)], n_hint=3))
+
+
+def test_build_graph_accepts_either_orientation():
+    g = build_graph(EdgeStream([(3, 1), (0, 7)]))
+    assert (g.n, g.m) == (8, 2)
+    assert g.adj[1] == {3} and g.adj[7] == {0}
+
+
+def test_build_graph_rejects_self_loops_and_negative_labels():
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        build_graph(EdgeStream([(0, 1), (2, 2)]))
+    for edge in ((-1, 3), (3, -1)):
+        for n_hint in (None, 4):
+            with pytest.raises(ValueError, match="non-negative"):
+                build_graph(EdgeStream([edge], n_hint=n_hint))
+
+
+def test_vertex_count_rule():
+    assert vertex_count(0, -1, None) == 0
+    assert vertex_count(0, 4, None) == 5
+    assert vertex_count(0, 4, 9) == 9
+    with pytest.raises(ValueError, match="n_hint=4 is below max vertex label 4"):
+        vertex_count(0, 4, 4)
+    with pytest.raises(ValueError, match="non-negative, got -2"):
+        vertex_count(-2, 4, 9)
 
 
 def test_read_edge_list(tmp_path):

@@ -2,12 +2,15 @@
 error-versus-budget experiment."""
 
 import dataclasses
+import itertools
 import random
 import re
 from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamdesc import (
     METHODS,
@@ -15,12 +18,16 @@ from streamdesc import (
     BudgetSpec,
     Dataset,
     Descriptor,
+    EdgeStream,
     GabeState,
     canberra,
     MaeveState,
+    build_graph,
     compute_descriptors,
     cross_validate,
     error_vs_budget,
+    exact_gabe_descriptor,
+    exact_maeve_descriptor,
     gabe_descriptor,
     gabe_finalize,
     gabe_process_edge,
@@ -150,6 +157,55 @@ def test_maeve_replicas_average_vertex_counts():
     expected = maeve_finalize(states[0])
     got = replicated(stream, "maeve", b, 2, base)
     assert np.array_equal(got.values, expected.values)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_estimators_refuse_labels_outside_range(method):
+    # the estimators apply build_graph's vertex-count rule, at finalize
+    b = METHODS[method].state.MIN_BUDGET
+    too_high = EdgeStream([(0, 1), (1, 5), (0, 5)], n_hint=3)
+    message = "n_hint=3 is below max vertex label 5"
+    with pytest.raises(ValueError, match=message):
+        build_graph(too_high)
+    for replicas in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            replicated(too_high, method, b, replicas, 0)
+    for n_hint in (None, 3):
+        negative = EdgeStream([(0, 1), (-1, 1)], n_hint=n_hint)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            build_graph(negative)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            replicated(negative, method, b, 1, 0)
+
+
+@st.composite
+def small_streams(draw):
+    """A simple graph on n <= 7 labelled vertices in a drawn order, with
+    up to 3 more vertices known only through n_hint."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([e for e, k in zip(pairs, keep) if k]))
+    return EdgeStream(edges, n_hint=n + draw(st.integers(0, 3)))
+
+
+@given(stream=small_streams(), method=st.sampled_from(sorted(METHODS)),
+       extra=st.integers(0, 22), replicas=st.integers(1, 3), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=200)
+def test_replicated_on_small_streams(stream, method, extra, replicas, seed):
+    # empty streams, n < 4 and isolated vertices known only through n_hint
+    b = METHODS[method].state.MIN_BUDGET + extra
+    d = replicated(stream, method, b, replicas, seed)
+    assert (d.n, d.m, d.b) == (stream.n_hint, len(stream), b)
+    assert np.all(np.isfinite(d.values))
+    if b >= len(stream):
+        g = build_graph(stream)
+        if method == "maeve":
+            exact = exact_maeve_descriptor(g)
+            assert [x.hex() for x in d.values] == [x.hex() for x in exact.values]
+        else:
+            exact = exact_gabe_descriptor(g)
+            assert np.allclose(d.values, exact.values, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------- batch computation

@@ -20,7 +20,6 @@ from streamdesc import (
     maeve_finalize,
     maeve_process_edge,
     moments,
-    vertex_features,
 )
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.maeve import FEATURE_NAMES, MOMENT_NAMES, features_from_counts
@@ -95,12 +94,44 @@ def test_features_from_counts_examples():
     assert features_from_counts(3, 0, 0).as_tuple() == (3, 0, 1, 3, 0)
 
 
+def reference_features(d, t, p):
+    """The per-vertex formula with Python scalars and an exact C(d, 2)."""
+    if d == 0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    clustering = t / math.comb(d, 2) if d >= 2 else 0.0
+    return (float(d), clustering, (d + p) / d, d + t, p - 2.0 * t)
+
+
+estimated = st.integers(0, 10 ** 6) | st.floats(0, 1e6, allow_nan=False)
+
+
+@st.composite
+def vertex_counts(draw):
+    d = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 10 ** 4))
+    if d == 0:  # a vertex with no edge is on no triangle or path
+        return 0, 0, 0
+    return d, draw(estimated), draw(estimated)
+
+
+@given(st.lists(vertex_counts(), min_size=1, max_size=20))
+@settings(max_examples=200)
+def test_features_from_counts_arrays_match_scalars(rows):
+    columns = features_from_counts(*map(np.array, zip(*rows))).as_tuple()
+    for i, (d, t, p) in enumerate(rows):
+        scalar = features_from_counts(d, t, p).as_tuple()
+        want = [float(x).hex() for x in reference_features(d, t, p)]
+        assert [float(x).hex() for x in scalar] == want
+        assert [float(col[i]).hex() for col in columns] == want
+
+
 def test_vertex_features_matches_oracle():
     stream = EdgeStream([(0, 1), (0, 2), (0, 3)])
     state = run_state(stream, budget=3)
     g = build_graph(stream)
     for v in range(4):
-        assert vertex_features(state, v).as_tuple() == exact_vertex_features(g, v)
+        features = features_from_counts(
+            state.degrees.get(v, 0), state.tri.get(v, 0.0), state.path.get(v, 0.0))
+        assert features.as_tuple() == exact_vertex_features(g, v)
 
 
 def test_moments_examples():

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from streamdesc import (
-    INDUCED,
     N_PATTERNS,
     ORDER_SLICES,
     STREAM_ESTIMATED,
-    SUBGRAPH,
     PatternCounts,
     PatternId,
     classify_degree_sequence,
@@ -44,21 +42,11 @@ def test_orders_and_edge_counts():
     assert PatternId.K4.edge_count == 6
 
 
-def test_connectivity_flags():
-    connected = {p for p in PatternId if p.connected}
-    assert connected == {
-        PatternId.EDGE, PatternId.WEDGE, PatternId.TRIANGLE, PatternId.CLAW,
-        PatternId.PATH_4, PatternId.CYCLE_4, PatternId.PAW,
-        PatternId.DIAMOND, PatternId.K4,
-    }
-
-
 def test_stream_estimated_set():
     assert set(STREAM_ESTIMATED) == {
         PatternId.TRIANGLE, PatternId.PATH_4, PatternId.CYCLE_4,
         PatternId.PAW, PatternId.DIAMOND, PatternId.K4,
     }
-    assert all(p.connected for p in STREAM_ESTIMATED)
 
 
 def test_order_slices_partition():
@@ -178,16 +166,16 @@ def test_overlap_matrix_copy_does_not_leak_into_conversions():
 
 
 def test_pattern_counts_validation():
-    PatternCounts(values=np.zeros(17), kind=SUBGRAPH)
+    PatternCounts(values=np.zeros(17))
     with pytest.raises(ValueError):
-        PatternCounts(values=np.zeros(16), kind=SUBGRAPH)
+        PatternCounts(values=np.zeros(16))
     with pytest.raises(ValueError):
-        PatternCounts(values=np.zeros(17), kind="bogus")
+        PatternCounts(values=np.zeros((17, 1)))
 
 
 def test_pattern_counts_access():
     values = np.arange(17, dtype=float)
-    counts = PatternCounts(values=values, kind=INDUCED)
+    counts = PatternCounts(values=values)
     assert counts[PatternId.EDGELESS_2] == 0.0
     assert counts[PatternId.K4] == 16.0
     assert np.array_equal(counts.order_block(3), values[2:6])
