@@ -3,7 +3,7 @@
 Two descriptors are computed against a budget-bounded reservoir sample:
 a 17-dimensional normalized frequency vector over all patterns of order
 2 to 4, and a 20-dimensional vector of moments over five per-vertex
-structural features.  An exact brute-force oracle, Canberra-distance
+structural features.  Exact oracles, Canberra-distance
 comparison, descriptor persistence, and an evaluation harness round out
 the package.
 """
@@ -69,6 +69,7 @@ from .maeve import (
 )
 from .oracle import (
     ORACLE_LIMIT,
+    edge_centric_induced_counts,
     exact_induced_counts,
     exact_subgraph_counts,
     exact_vertex_features,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for usage problems, 2 for data problems
-(unreadable or malformed inputs, graphs beyond the exact oracle).
+(unreadable or malformed inputs).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 from .datasets import Dataset, load_benchmark_dataset
 from .descriptors import canberra, load_descriptors, save_descriptors, write_descriptors
-from .errors import BudgetTooSmallError, DataFormatError, OracleSizeError
+from .errors import BudgetTooSmallError, DataFormatError
 from .graph import build_graph, derive_seed, preprocess, read_edge_list
 from .harness import (
     METHODS,
@@ -246,8 +246,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataFormatError, OracleSizeError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (BudgetTooSmallError, ValueError) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .descriptors import Descriptor
 from .graph import Edge, Graph
-from .oracle import exact_induced_counts, phi_from_induced
+from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import N_PATTERNS, PatternId, STREAM_ESTIMATED, subgraph_to_induced
 from .reservoir import (
     _EMPTY,
@@ -181,9 +181,10 @@ def gabe_finalize(state: GabeState) -> Descriptor:
 
 
 def exact_gabe_descriptor(g: Graph) -> Descriptor:
-    """Ground-truth descriptor straight from the induced-count oracle."""
+    """Ground-truth descriptor from the edge-centric induced counts, for
+    a graph of any size."""
     phi = np.zeros(N_PATTERNS)
     if g.n >= 2:
-        phi = phi_from_induced(exact_induced_counts(g).values, g.n)
+        phi = phi_from_induced(edge_centric_induced_counts(g).values, g.n)
     return Descriptor(
         graph_id=0, method="gabe", b=g.m, seed=0, n=g.n, m=g.m, values=phi)

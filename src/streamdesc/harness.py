@@ -24,28 +24,22 @@ from .errors import BudgetTooSmallError
 from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edge
 from .graph import EdgeStream, build_graph, derive_seed
 from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edge
-from .oracle import check_size
 from .reservoir import StreamState
 
 
 @dataclass(frozen=True)
 class Method:
-    """One estimator's protocol; exact(graph) is its oracle, and capped
-    says whether that oracle refuses graphs over ORACLE_LIMIT vertices."""
+    """One estimator's protocol; exact(graph) is its oracle."""
 
     state: type[StreamState]
     step: Callable
     finalize: Callable[..., Descriptor]
     exact: Callable[..., Descriptor]
-    capped: bool
 
 
 METHODS = {
-    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor,
-                   capped=True),
-    # the egonet oracle is polynomial and needs no vertex cap
-    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize, exact_maeve_descriptor,
-                    capped=False),
+    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor),
+    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize, exact_maeve_descriptor),
 }
 
 
@@ -226,20 +220,15 @@ def error_vs_budget(
     """Mean Canberra distance between estimated and exact descriptors,
     one row (budget_fraction, mean_error) per requested budget.
 
-    For a method whose oracle is capped, every graph must be within
-    ORACLE_LIMIT vertices; every budget fraction must be finite and
-    positive, and every resolved budget at or above the method's
-    minimum.  All are checked before any exact or estimated descriptor
-    is computed.
+    Every budget fraction must be finite and positive, and every
+    resolved budget at or above the method's minimum.  Both are checked
+    before any exact or estimated descriptor is computed.
     """
     estimator = _method(method)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     budgets = [float(f) for f in budgets]
 
-    if estimator.capped:
-        for stream in ds.graphs:
-            check_size(stream.n)
     # Resolve every budget before the oracle pass, so that a budget below
     # the method's minimum fails at once rather than after it.
     minimum = estimator.state.MIN_BUDGET

@@ -1,17 +1,24 @@
-"""Brute-force ground truth used to validate every estimator.
+"""Exact ground truth used to validate every estimator.
 
-Induced counts come from one enumeration of all vertex subsets of size
-<= 4, each classified by the code of its edge bits through a table
-built from the degree-sequence fingerprint; plain subgraph counts
-follow by applying the overlap matrix.  Per-vertex quantities are
-computed independently of the streaming identities so they can stand as
-an oracle for those identities.
+Two counters give the 17 induced counts.  The enumerator visits every
+vertex subset of size <= 4 and classifies it by the code of its edge
+bits through a table built from the degree-sequence fingerprint; it is
+capped at ORACLE_LIMIT vertices and serves as the reference.  The
+edge-centric counter gets the same numbers from per-edge common
+neighbourhoods and a degree-ordered wedge pass, with no cap; the gabe
+oracle uses it.  Plain subgraph counts follow from the enumerator by
+applying the overlap matrix.  Per-vertex quantities are computed
+independently of the streaming identities so they can stand as an
+oracle for those identities.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .patterns import (
     PatternId,
     classify_degree_sequence,
     induced_to_subgraph,
+    overlap_matrix,
 )
 
 # Enumeration is over all C(n,4) vertex subsets; past this size the cost
@@ -107,6 +115,109 @@ def exact_induced_counts(g: Graph) -> PatternCounts:
     for k, hist in ((3, hist3), (4, hist4)):
         values += np.bincount(_LUT[k], weights=hist, minlength=N_PATTERNS)
     return PatternCounts(values=values)
+
+
+# Python-int rows of the overlap matrix, so the edge-centric inversion
+# never rounds.
+_OVERLAP_ROWS = overlap_matrix().tolist()
+
+
+def _cycle4_count(adj: list[set[int]], deg: list[int]) -> int:
+    """Number of 4-cycles, by one degree-ordered wedge pass.
+
+    Vertices are ranked by (degree, label).  A 4-cycle u-v-w-x whose
+    highest-ranked vertex is u is the pair of wedges u-v-w and u-x-w.
+    So for each u, with c the number of wedges from u to w whose middle
+    and end w both rank below u, summing C(c, 2) over w counts every
+    cycle once.  The pass costs the sum over edges of the lower-ranked
+    end's degree (Chiba and Nishizeki); no n x n array is built.
+    """
+    order = sorted(range(len(adj)), key=deg.__getitem__)
+    rank = [0] * len(adj)
+    for r, v in enumerate(order):
+        rank[v] = r
+    ranked = [sorted([rank[x] for x in adj[v]]) for v in order]
+    pairs = 0
+    for u, row in enumerate(ranked):
+        ends: list[int] = []
+        for v in row[:bisect_left(row, u)]:
+            below = ranked[v]
+            ends += below[:bisect_left(below, u)]
+        if len(ends) > 1:
+            pairs += sum(c * (c - 1) for c in Counter(ends).values())
+    return pairs // 2
+
+
+def edge_centric_induced_counts(g: Graph) -> PatternCounts:
+    """Induced counts of all 17 patterns for a graph of any size; equal
+    to exact_induced_counts bit for bit where that one runs.
+
+    Per edge uv the common neighbourhood C = N(u) & N(v), t = |C|,
+    gives the connected subgraph counts (d is the degree, T the
+    triangles):
+
+    - triangle  sum t / 3;
+    - path-4    sum (d_u - 1)(d_v - 1) - 3T;
+    - paw       sum over vertices of t_v (d_v - 2), which is
+                sum t (d_u + d_v - 4) / 2 since t_v is half the t of
+                the edges on v;
+    - diamond   sum C(t, 2);
+    - K4        the edges inside the part of C labelled above u and v,
+                so each K4 is counted once, at its lowest-labelled edge;
+    - cycle-4   from _cycle4_count.
+
+    The other eleven are closed forms in n, m, wedges and claws.  The
+    induced counts follow by back-substitution through the overlap
+    matrix on Python ints, converted to float once at the end.  Time is
+    the sum of the per-edge intersections plus the wedge pass; memory is
+    O(n + m) beyond the graph.
+    """
+    n, m, adj = g.n, g.m, g.adj
+    deg = [len(nbrs) for nbrs in adj]
+    tri3 = path = paw2 = diamond = k4x2 = 0
+    for u, nu in enumerate(adj):
+        du = deg[u] - 1
+        for v in nu:
+            if v < u:
+                continue
+            dv = deg[v] - 1
+            path += du * dv
+            common = nu & adj[v]
+            t = len(common)
+            if t:
+                tri3 += t
+                paw2 += t * (du + dv - 2)
+                if t > 1:
+                    diamond += t * (t - 1) // 2
+                    above = {x for x in common if x > v}
+                    if len(above) > 1:
+                        k4x2 += sum([len(adj[x] & above) for x in above])
+    triangles = tri3 // 3
+    wedges = sum([d * (d - 1) // 2 for d in deg])
+    claws = sum([comb(d, 3) for d in deg])
+    sub = [
+        comb(n, 2),                           # EDGELESS_2
+        m,                                    # EDGE
+        comb(n, 3),                           # EDGELESS_3
+        m * max(n - 2, 0),                    # EDGE_PLUS_ISOLATED
+        wedges,                               # WEDGE
+        triangles,                            # TRIANGLE
+        comb(n, 4),                           # EDGELESS_4
+        m * comb(max(n - 2, 0), 2),           # EDGE_PLUS_2_ISOLATED
+        comb(m, 2) - wedges,                  # TWO_DISJOINT_EDGES
+        wedges * max(n - 3, 0),               # WEDGE_PLUS_ISOLATED
+        triangles * max(n - 3, 0),            # TRIANGLE_PLUS_ISOLATED
+        claws,                                # CLAW
+        path - 3 * triangles,                 # PATH_4
+        _cycle4_count(adj, deg),              # CYCLE_4
+        paw2 // 2,                            # PAW
+        diamond,                              # DIAMOND
+        k4x2 // 2,                            # K4
+    ]
+    # O is unit upper triangular: solve O x = sub from the last row up.
+    for i in range(N_PATTERNS - 1, -1, -1):
+        sub[i] -= sum(map(mul, _OVERLAP_ROWS[i][i + 1:], sub[i + 1:]))
+    return PatternCounts(values=[float(x) for x in sub])
 
 
 def exact_subgraph_counts(g: Graph) -> PatternCounts:

@@ -1,9 +1,13 @@
 """End-to-end command-line checks driven through main(argv)."""
 
+import random
+from math import comb
+
 import numpy as np
 import pytest
 
 from streamdesc import Descriptor, load_descriptors, save_descriptors
+from streamdesc.datasets import gnp_edges
 from streamdesc.cli import main
 
 
@@ -154,11 +158,32 @@ def test_exact_descriptor_stdout(tmp_path, capsys):
     assert row[6] == "2.0"  # mean degree of a triangle
 
 
-def test_exact_rejects_oversized_graph(tmp_path, capsys):
+def test_exact_gabe_past_the_enumeration_cap(tmp_path, capsys):
     star = edge_file(tmp_path, "star.txt", [(0, i) for i in range(1, 62)])
     code = main(["exact", "--input", star, "--method", "gabe"])
-    assert code == 2
-    assert "62 vertices" in capsys.readouterr().err
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    row = lines[1].split(",")
+    assert row[4:6] == ["62", "61"]
+    # every 4-subset holding the hub is a claw
+    assert float(row[6 + 11]) == comb(61, 3) / comb(62, 4)
+
+
+def test_error_vs_budget_gabe_past_the_enumeration_cap(tmp_path, capsys):
+    n = 61
+    edges = gnp_edges(n, 0.1, random.Random(5))
+    root = tmp_path / "bundle"
+    root.mkdir()
+    (root / "BIG_A.txt").write_text("".join(f"{u + 1}, {v + 1}\n" for u, v in edges))
+    (root / "BIG_graph_indicator.txt").write_text("1\n" * n)
+    (root / "BIG_graph_labels.txt").write_text("0\n")
+    code = main([
+        "experiment", "error-vs-budget", "--dataset", str(root), "--method", "gabe",
+        "--budgets", "0.5,1.0", "--trials", "2"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[2] == "1.0,0.0"  # full budget is exact, bit for bit
 
 
 # ----------------------------------------------------------------- distance

@@ -125,6 +125,14 @@ def test_matches_golden_bit_for_bit(section, goldens, computed):
         assert computed[section][key] == want, f"{section} {key}"
 
 
+def test_exact_gabe_past_the_enumeration_cap_matches_full_budget_golden(goldens):
+    # n = 400 is beyond the enumerator; the estimator at b >= m is exact
+    g = build_graph(_streams()["pa_n400"])
+    assert g.n > ORACLE_LIMIT
+    want = goldens["gabe"]["pa_n400/m=1191/b=1197/seed=7/replicas=1"]
+    assert _hex(exact_gabe_descriptor(g).values) == want
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(
         json.dumps(compute_goldens(), indent=1, sort_keys=True) + "\n",

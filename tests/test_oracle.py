@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamdesc import (
     ORACLE_LIMIT,
@@ -13,11 +15,12 @@ from streamdesc import (
     EdgeStream,
     PatternId,
     build_graph,
-    exact_gabe_descriptor,
+    edge_centric_induced_counts,
     exact_induced_counts,
     exact_subgraph_counts,
     exact_vertex_features,
     exact_vertex_triangle_path_counts,
+    induced_to_subgraph,
     overlap_matrix,
     phi_from_induced,
     subgraph_to_induced,
@@ -188,8 +191,66 @@ def test_oracle_size_limit():
         exact_subgraph_counts(big)
     with pytest.raises(OracleSizeError):
         exact_induced_counts(big)
-    with pytest.raises(OracleSizeError):
-        exact_gabe_descriptor(big)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@given(n=st.integers(0, ORACLE_LIMIT),
+       p=st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.0]),
+       isolated=st.integers(0, 3), seed=st.integers(0, 2**16))
+@settings(max_examples=120)
+def test_edge_centric_counts_equal_enumerator(n, p, isolated, seed):
+    # the last `isolated` vertices appear in no edge, only in n_hint
+    k = max(n - isolated, 0)
+    g = graph_of(random_stream(k, p, seed).edges, n_hint=n)
+    assert g.n == n
+    assert _hex(edge_centric_induced_counts(g).values) == _hex(exact_induced_counts(g).values)
+
+
+def test_edge_centric_counts_by_hand():
+    k33 = graph_of((u, v) for u in range(3) for v in range(3, 6))
+    assert edge_centric_induced_counts(k33)[PatternId.CYCLE_4] == 9
+    k5 = graph_of(itertools.combinations(range(5), 2))
+    counts = edge_centric_induced_counts(k5)
+    assert counts[PatternId.K4] == 5
+    assert counts.order_block(4).sum() == 5
+    assert counts[PatternId.TRIANGLE] == 10
+
+
+def test_edge_centric_counts_of_a_huge_edgeless_graph():
+    # C(n, 4) is above 2**63 here: the counts must be Python ints until
+    # the one conversion to float
+    n = 200_000
+    assert math.comb(n, 4) > 2**63
+    counts = edge_centric_induced_counts(graph_of([], n_hint=n))
+    assert counts[PatternId.EDGELESS_4] == float(math.comb(n, 4))
+    assert counts[PatternId.EDGELESS_3] == float(math.comb(n, 3))
+    assert set(np.flatnonzero(counts.values) + 1) == {
+        PatternId.EDGELESS_2, PatternId.EDGELESS_3, PatternId.EDGELESS_4}
+
+
+def test_edge_centric_counts_against_networkx_past_the_cap():
+    nx = pytest.importorskip("networkx")
+    n = 2 * ORACLE_LIMIT
+    stream = random_stream(n, 0.08, seed=1200)
+    g = build_graph(stream)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(stream)
+    k4 = 0
+    for clique in nx.enumerate_all_cliques(h):  # yielded by growing size
+        if len(clique) > 4:
+            break
+        k4 += len(clique) == 4
+    cycles4 = sum(len(c) == 4 for c in nx.simple_cycles(h, length_bound=4))
+    induced = edge_centric_induced_counts(g)
+    sub = induced_to_subgraph(induced.values)
+    assert sub[PatternId.TRIANGLE - 1] == sum(nx.triangles(h).values()) // 3
+    assert sub[PatternId.CYCLE_4 - 1] == cycles4 > 0
+    assert sub[PatternId.K4 - 1] == k4 > 0
+    assert induced.order_block(4).sum() == math.comb(n, 4)
 
 
 def test_vertex_triangle_path_counts_k3():
