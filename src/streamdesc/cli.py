@@ -41,6 +41,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget_list(text: str) -> list[float]:
+    try:
+        budgets = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+    if not budgets:
+        raise argparse.ArgumentTypeError("is empty")
+    return budgets
+
+
 def _add_input_options(parser, dataset_only: bool = False):
     if dataset_only:
         parser.add_argument(
@@ -123,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean distance to the exact descriptor per budget fraction")
     _add_input_options(e)
     e.add_argument("--method", choices=tuple(METHODS), required=True)
-    e.add_argument("--budgets", default="0.1,0.3,0.5",
+    e.add_argument("--budgets", type=_budget_list, default="0.1,0.3,0.5",
                    help="comma-separated budget fractions (default: 0.1,0.3,0.5)")
     e.add_argument("--trials", type=_positive_int, default=5)
     e.add_argument("--seed", type=int, default=0)
@@ -164,14 +175,19 @@ def _emit_rows(header, rows, output):
         sys.stdout.write(text)
 
 
-def _cmd_descriptor(args) -> int:
-    ds = _load_input(args)
+def _estimate(ds: Dataset, args) -> list[tuple]:
+    """(descriptor, label) for each graph compute_descriptors did not
+    skip; each skipped graph's reason goes to stderr as a warning."""
     descriptors, errors = compute_descriptors(
         ds, args.method, _budget_spec(args), workers=args.workers, seed=args.seed)
     for err in errors:
         if err:
             print(f"warning: {err}", file=sys.stderr)
-    _emit_descriptors([d for d in descriptors if d is not None], args)
+    return [(d, label) for d, label in zip(descriptors, ds.labels) if d is not None]
+
+
+def _cmd_descriptor(args) -> int:
+    _emit_descriptors([d for d, _ in _estimate(_load_input(args), args)], args)
     return EXIT_OK
 
 
@@ -204,12 +220,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_classify(args) -> int:
     ds = load_benchmark_dataset(args.dataset, seed=args.seed)
-    descriptors, errors = compute_descriptors(
-        ds, args.method, _budget_spec(args), workers=args.workers, seed=args.seed)
-    for err in errors:
-        if err:
-            print(f"warning: {err}", file=sys.stderr)
-    kept = [(d, label) for d, label in zip(descriptors, ds.labels) if d is not None]
+    kept = _estimate(ds, args)
     report = cross_validate(
         [d for d, _ in kept], [label for _, label in kept],
         folds=args.folds, repeats=args.repeats, seed=args.seed)
@@ -223,17 +234,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_error_vs_budget(args) -> int:
-    try:
-        budgets = [float(part) for part in args.budgets.split(",") if part.strip()]
-    except ValueError:
-        print(f"error: --budgets must be comma-separated numbers, "
-              f"got {args.budgets!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not budgets:
-        print("error: --budgets is empty", file=sys.stderr)
-        return EXIT_USAGE
     ds = _load_input(args)
-    rows = error_vs_budget(ds, args.method, budgets, args.trials, seed=args.seed)
+    rows = error_vs_budget(ds, args.method, args.budgets, args.trials, seed=args.seed)
     _emit_rows("budget,mean_error", [(f, repr(e)) for f, e in rows], args.output)
     return EXIT_OK
 

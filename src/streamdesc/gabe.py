@@ -19,28 +19,52 @@ from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import N_PATTERNS, PatternId, STREAM_ESTIMATED, subgraph_to_induced
-from .reservoir import (
-    _EMPTY,
-    StreamState,
-    TriangleReservoir,
-    detection_probability,
-    maybe_sample,
-)
+from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
 
 
 class GabeState(StreamState):
-    """Stream state plus the six sampled pattern-count estimates."""
+    """Stream state plus the six sampled pattern-count estimates and,
+    per vertex, the number of sampled triangles on it (vertices on none
+    may be absent or hold 0).
+
+    A sampled edge u-v closes one triangle with each common sampled
+    neighbor w, so linking or unlinking it moves u's and v's counts by
+    |N(u) & N(v)| and each such w's count by 1.
+    """
+
+    __slots__ = ("est", "tri")
 
     MIN_BUDGET = MIN_GABE_BUDGET
     DETECTS = "6-edge patterns"
-    RESERVOIR = TriangleReservoir
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
         super().__init__(budget, seed, n_hint)
         self.est: dict[PatternId, float] = {pid: 0.0 for pid in STREAM_ESTIMATED}
+        self.tri: dict[int, int] = {}
+
+    def _add_triangles(self, u: int, v: int, sign: int):
+        nu = self.adj.get(u)
+        nv = self.adj.get(v)
+        if nu and nv:
+            common = nu & nv
+            if common:
+                tri = self.tri
+                k = sign * len(common)
+                tri[u] = tri.get(u, 0) + k
+                tri[v] = tri.get(v, 0) + k
+                for w in common:
+                    tri[w] = tri.get(w, 0) + sign
+
+    def _link(self, u: int, v: int):
+        self._add_triangles(u, v, 1)
+        super()._link(u, v)
+
+    def _unlink(self, u: int, v: int):
+        super()._unlink(u, v)
+        self._add_triangles(u, v, -1)
 
     def merge(self, others: list[GabeState]) -> None:
         """Average the replicas' raw estimates into this state's."""
@@ -55,19 +79,17 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
 
     One pass over N(u) and one over N(v) (sampled neighborhoods) gather
     every sum the six counts need; the sampled triangles on u and on v
-    come from the reservoir's triangle index.  Expects a preprocessed
+    come from the state's triangle index.  Expects a preprocessed
     stream (no self-loops or duplicates).
     """
     u, v = edge
-    res = state.reservoir
-    t = res.t + 1
-    b = res.budget
+    t = state.t + 1
+    b = state.budget
 
     state.degrees[u] += 1
     state.degrees[v] += 1
-    state.m_seen += 1
 
-    adj = res.adj
+    adj = state.adj
     na = adj.get(u, _EMPTY)
     nb = adj.get(v, _EMPTY)
     a, bb = len(na), len(nb)
@@ -114,7 +136,7 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     # paw: either the edge lies in the triangle (pendant off any of its
     # three vertices) or it is the pendant of a sampled triangle on u
     # or on v (the index's count: sampled edges within N(u), N(v))
-    tri = res.tri
+    tri = state.tri
     paw = c * (a + bb - 4) + sw + tri.get(u, 0) + tri.get(v, 0)
     if paw:
         est[PatternId.PAW] += paw / detection_probability(t, b, 3)
@@ -131,7 +153,7 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     if k4:
         est[PatternId.K4] += k4 / detection_probability(t, b, 5)
 
-    maybe_sample(res, edge)
+    maybe_sample(state, edge)
     return state
 
 
@@ -141,7 +163,7 @@ def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
     Triangle-plus-isolated is the one entry built on an estimate.
     """
     n = state.n
-    m = state.m_seen
+    m = state.t
     degs = state.degrees.values()
     wedges = sum(comb(d, 2) for d in degs)
     claws = sum(comb(d, 3) for d in degs)
@@ -176,8 +198,8 @@ def gabe_finalize(state: GabeState) -> Descriptor:
             counts[pid - 1] = val
         phi = phi_from_induced(subgraph_to_induced(counts), n)
     return Descriptor(
-        graph_id=0, method="gabe", b=state.reservoir.budget, seed=state.seed,
-        n=n, m=state.m_seen, values=phi)
+        graph_id=0, method="gabe", b=state.budget, seed=state.seed,
+        n=n, m=state.t, values=phi)
 
 
 def exact_gabe_descriptor(g: Graph) -> Descriptor:

@@ -117,12 +117,17 @@ def compute_descriptors(
 ) -> tuple[list[Descriptor | None], list[str | None]]:
     """Descriptors for every graph in the dataset, input order preserved.
 
-    Returns (descriptors, errors), both aligned with ds.graphs.  A graph
-    whose resolved budget is below the method's minimum gets None and an
-    error string; the rest of the run continues.  Results depend only on
-    (method, b_spec, workers, seed), not on thread scheduling.
+    Returns (descriptors, errors), both aligned with ds.graphs.  An
+    absolute budget below the method's minimum would fail every graph,
+    so it raises BudgetTooSmallError before any graph is read.  Under a
+    budget fraction, a graph whose resolved budget is below the minimum
+    gets None and an error string; the rest of the run continues.
+    Results depend only on (method, b_spec, workers, seed), not on
+    thread scheduling.
     """
-    _method(method)
+    spec = _method(method)
+    if b_spec.edges is not None:
+        spec.state.check_budget(b_spec.edges)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 

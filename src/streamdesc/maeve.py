@@ -55,6 +55,8 @@ class VertexFeatures:
 class MaeveState(StreamState):
     """Stream state plus per-vertex triangle and three-path estimates."""
 
+    __slots__ = ("tri", "path")
+
     MIN_BUDGET = MIN_MAEVE_BUDGET
     DETECTS = "triangles"
 
@@ -87,15 +89,13 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
     whose endpoints are v and w; symmetrically for neighbors of v.
     """
     u, v = edge
-    res = state.reservoir
-    t = res.t + 1
-    b = res.budget
+    t = state.t + 1
+    b = state.budget
 
     state.degrees[u] += 1
     state.degrees[v] += 1
-    state.m_seen += 1
 
-    adj = res.adj
+    adj = state.adj
     na = adj.get(u, _EMPTY)
     nb = adj.get(v, _EMPTY)
 
@@ -118,7 +118,7 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
         path[v] += w2 * len(na)
         path[u] += w2 * len(nb)
 
-    maybe_sample(res, edge)
+    maybe_sample(state, edge)
     return state
 
 
@@ -200,8 +200,8 @@ def maeve_finalize(state: MaeveState) -> Descriptor:
         values = _moment_vector(np.column_stack(
             features_from_counts(*columns).as_tuple()))
     return Descriptor(
-        graph_id=0, method="maeve", b=state.reservoir.budget, seed=state.seed,
-        n=n, m=state.m_seen, values=values)
+        graph_id=0, method="maeve", b=state.budget, seed=state.seed,
+        n=n, m=state.t, values=values)
 
 
 def exact_maeve_descriptor(g: Graph) -> Descriptor:

@@ -1,12 +1,13 @@
 """Budget-bounded reservoir over the edge stream, the stream state both
-estimators share, and detection math.
+estimators build on, and detection math.
 
 The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
 b/t inclusion probability.  A per-vertex adjacency index over the stored
 edges supports the neighborhood probes the estimators run on every
-arrival; gabe's reservoir also keeps the number of sampled triangles on
-each vertex.
+arrival.  An estimator's state is one object: StreamState extends the
+reservoir with the exact trackers, and each method's subclass adds its
+estimates (and, for gabe, an index the sample keeps up to date).
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ _EMPTY: frozenset[int] = frozenset()
 class ReservoirState:
     """Sample of at most `budget` edges with an adjacency index.
 
-    Single-writer: exactly one stream drives maybe_sample.  peak_stored
-    records the largest sample ever held, for memory-bound checks.
+    Single-writer: exactly one stream drives maybe_sample.  t counts the
+    edges offered so far; peak_stored records the largest sample ever
+    held, for memory-bound checks.  A subclass that keeps an extra index
+    over the sample overrides _link and _unlink, which maybe_sample calls
+    as edges enter and leave.
     """
 
     __slots__ = ("budget", "t", "rng", "edges", "adj", "peak_stored")
@@ -55,43 +59,6 @@ class ReservoirState:
                     del self.adj[a]
 
 
-class TriangleReservoir(ReservoirState):
-    """Reservoir that also keeps, per vertex, the number of sampled
-    triangles on it (vertices on none may be absent or hold 0).
-
-    A sampled edge u-v closes one triangle with each common sampled
-    neighbor w, so linking or unlinking it moves u's and v's counts by
-    |N(u) & N(v)| and each such w's count by 1.
-    """
-
-    __slots__ = ("tri",)
-
-    def __init__(self, budget: int, seed: int | None = 0):
-        super().__init__(budget, seed)
-        self.tri: dict[int, int] = {}
-
-    def _add_triangles(self, u: int, v: int, sign: int):
-        nu = self.adj.get(u)
-        nv = self.adj.get(v)
-        if nu and nv:
-            common = nu & nv
-            if common:
-                tri = self.tri
-                k = sign * len(common)
-                tri[u] = tri.get(u, 0) + k
-                tri[v] = tri.get(v, 0) + k
-                for w in common:
-                    tri[w] = tri.get(w, 0) + sign
-
-    def _link(self, u: int, v: int):
-        self._add_triangles(u, v, 1)
-        super()._link(u, v)
-
-    def _unlink(self, u: int, v: int):
-        super()._unlink(u, v)
-        self._add_triangles(u, v, -1)
-
-
 def maybe_sample(state: ReservoirState, edge: Edge) -> None:
     """Reservoir step for the next stream edge: append it while the
     sample has room, else let it replace a uniformly chosen stored edge
@@ -111,32 +78,36 @@ def maybe_sample(state: ReservoirState, edge: Edge) -> None:
         state._link(*edge)
 
 
-class StreamState:
-    """The reservoir plus exact degree and edge-count trackers.
+class StreamState(ReservoirState):
+    """One estimator run: the reservoir plus exact degree trackers.
 
     The estimator protocol: State(budget, seed, n_hint); a per-edge step
-    that updates these trackers inline, counts, then calls maybe_sample;
+    that reads the pre-arrival sample (t, budget, adj), updates the
+    degrees inline, counts, then calls maybe_sample(state, edge);
     merge(others) to average replicas of one stream into this state; a
-    finalize function that returns a Descriptor.  Subclasses set
-    MIN_BUDGET and DETECTS (what a smaller budget cannot detect), and
-    may set RESERVOIR to a ReservoirState subclass that keeps an extra
-    index over the sample.
+    finalize function that returns a Descriptor, with m = t.  Subclasses
+    set MIN_BUDGET and DETECTS (what a smaller budget cannot detect).
     """
+
+    __slots__ = ("seed", "n_hint", "degrees")
 
     MIN_BUDGET: int
     DETECTS: str
-    RESERVOIR: type[ReservoirState] = ReservoirState
+
+    @classmethod
+    def check_budget(cls, budget: int) -> None:
+        """Raise BudgetTooSmallError for a budget below MIN_BUDGET."""
+        if budget < cls.MIN_BUDGET:
+            raise BudgetTooSmallError(
+                f"budget {budget} cannot detect {cls.DETECTS}; "
+                f"need at least {cls.MIN_BUDGET}")
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
-        if budget < self.MIN_BUDGET:
-            raise BudgetTooSmallError(
-                f"budget {budget} cannot detect {self.DETECTS}; "
-                f"need at least {self.MIN_BUDGET}")
-        self.reservoir = self.RESERVOIR(budget, seed)
+        self.check_budget(budget)
+        super().__init__(budget, seed)
         self.seed = seed
         self.n_hint = n_hint
         self.degrees: dict[int, int] = defaultdict(int)
-        self.m_seen = 0
 
     @property
     def n(self) -> int:

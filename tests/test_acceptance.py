@@ -327,7 +327,7 @@ def test_criterion_10_single_pass_and_bounded_storage(corpus200, g30):
                 state = make(b, 11, n_hint=stream.n_hint)
                 for edge in stream:
                     drive(state, edge)
-                res = state.reservoir
+                res = state
                 ok &= res.peak_stored == min(m, b) <= b
                 ok &= res.t == m
             one = OneShot(stream)

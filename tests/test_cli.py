@@ -1,10 +1,15 @@
 """End-to-end command-line checks driven through main(argv)."""
 
+import itertools
 import random
+import tempfile
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamdesc import Descriptor, load_descriptors, save_descriptors
 from streamdesc.datasets import gnp_edges
@@ -83,6 +88,21 @@ def test_descriptor_budget_warning_keeps_exit_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning: graph 0" in captured.err
     assert captured.out.startswith("graph_id,method,b,seed,n,m")
+
+
+@pytest.mark.parametrize("command", ["descriptor", "classify"])
+def test_budget_abs_below_minimum_exits_one(tmp_path, capsys, command):
+    # every graph would be skipped, so the run is refused before any is read
+    out = tmp_path / "out.csv"
+    code = main([
+        command, "--dataset", classify_bundle(tmp_path), "--method", "gabe",
+        "--budget-abs", "3", "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: budget 3 cannot detect 6-edge patterns; need at least 5\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_descriptor_budget_flags_are_exclusive(tmp_path, capsys):
@@ -299,18 +319,79 @@ def test_error_vs_budget_bad_budget_list(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@st.composite
+def degenerate_bundles(draw):
+    """(n, edges) per graph: n = 0 (an id no vertex names), edgeless
+    graphs, n < 4, and vertices known only from the indicator file.  A
+    bundle that lists no vertex at all is a data error, so one has some."""
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any)):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graphs.append((n, edges))
+    return graphs
+
+
+def write_bundle(root: Path, graphs) -> None:
+    root.mkdir()
+    a_lines, indicator = [], []
+    for gid, (n, edges) in enumerate(graphs, start=1):
+        offset = len(indicator) + 1
+        a_lines += [f"{u + offset}, {v + offset}\n" for u, v in edges]
+        indicator += [f"{gid}\n"] * n
+    (root / "DEG_A.txt").write_text("".join(a_lines))
+    (root / "DEG_graph_indicator.txt").write_text("".join(indicator))
+    (root / "DEG_graph_labels.txt").write_text("0\n" * len(graphs))
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+@given(graphs=degenerate_bundles())
+@example(graphs=[(3, []), (2, [(0, 1)]), (5, [(0, 1), (1, 2)]),
+                 (4, list(itertools.combinations(range(4), 2)))])
+@settings(max_examples=40)
+def test_degenerate_bundles_estimate_equals_exact(method, graphs):
+    # a budget that holds every graph's stream makes the estimate exact
+    budget = max(5, *(len(edges) for _, edges in graphs))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_bundle(root / "bundle", graphs)
+        est, ex = root / "est.csv", root / "exact.csv"
+        assert main(["descriptor", "--dataset", str(root / "bundle"), "--method", method,
+                     "--budget-abs", str(budget), "--output", str(est)]) == 0
+        assert main(["exact", "--dataset", str(root / "bundle"), "--method", method,
+                     "--output", str(ex)]) == 0
+        got, want = ([line.split(",") for line in path.read_text().splitlines()[1:]]
+                     for path in (est, ex))
+    # CSV columns: graph_id, method, b, seed, n, m, values
+    expected = [[str(i), str(n), str(len(edges))] for i, (n, edges) in enumerate(graphs)]
+    assert [row[:1] + row[4:6] for row in got] == expected
+    assert [row[:1] + row[4:6] for row in want] == expected
+    if method == "maeve":
+        assert [row[6:] for row in got] == [row[6:] for row in want]
+    else:
+        for a, b in zip(got, want):
+            assert np.allclose(np.array(a[6:], float), np.array(b[6:], float),
+                               rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------------ general
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import streamdesc
+
+    # the child imports the same package as this process, installed or not
+    path = [str(Path(streamdesc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     tri = edge_file(tmp_path, "tri.txt", [(0, 1), (1, 2), (0, 2)])
     proc = subprocess.run(
         [sys.executable, "-m", "streamdesc", "exact", "--input", tri,
          "--method", "gabe"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph_id,method,")
 

@@ -75,7 +75,7 @@ def test_estimates_exact_when_budget_covers_stream(small_corpus):
 
 def test_state_bookkeeping():
     state = run_state(K4_EDGES, budget=6)
-    assert state.m_seen == 6
+    assert state.t == 6
     assert state.n == 4
     assert sum(state.degrees.values()) == 12
     assert run_state([], budget=5, n_hint=9).n == 9
@@ -227,9 +227,8 @@ def test_triangle_index_tracks_sample(case):
     state = GabeState(budget, seed=seed)
     for e in edges:
         gabe_process_edge(state, e)
-        res = state.reservoir
-        index = {x: k for x, k in res.tri.items() if k}
-        assert index == dict(triangles_per_vertex(res.edges))
+        index = {x: k for x, k in state.tri.items() if k}
+        assert index == dict(triangles_per_vertex(state.edges))
 
 
 # edges of each counted pattern minus the arriving one
@@ -249,13 +248,13 @@ def test_per_arrival_counts_under_evictions(n, p, seed, budget):
     evictions = 0
     seen = set()
     for edge in stream:
-        t = state.reservoir.t + 1
-        sample = list(state.reservoir.edges)
+        t = state.t + 1
+        sample = list(state.edges)
         before = dict(state.est)
         expected = completed_copies(sample, edge)
         seen.update(expected)
         gabe_process_edge(state, edge)
-        stored = state.reservoir.edges
+        stored = state.edges
         evictions += len(stored) == len(sample) and edge in stored
         for pid, k in PRIOR_EDGES.items():
             weight = detection_probability(t, budget, k)
