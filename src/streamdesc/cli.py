@@ -221,6 +221,13 @@ def _cmd_distance(args) -> int:
 def _cmd_classify(args) -> int:
     ds = load_benchmark_dataset(args.dataset, seed=args.seed)
     kept = _estimate(ds, args)
+    if ds.graphs and not kept:
+        # only a budget fraction skips graphs; an absolute budget below
+        # the minimum is refused before any graph runs
+        raise BudgetTooSmallError(
+            f"budget fraction {args.budget} gives every graph a budget below "
+            f"the minimum of {METHODS[args.method].state.MIN_BUDGET} "
+            f"for {args.method}; nothing to classify")
     report = cross_validate(
         [d for d, _ in kept], [label for _, label in kept],
         folds=args.folds, repeats=args.repeats, seed=args.seed)

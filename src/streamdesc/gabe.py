@@ -19,7 +19,7 @@ from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import N_PATTERNS, PatternId, STREAM_ESTIMATED, subgraph_to_induced
-from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
+from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
@@ -65,6 +65,12 @@ class GabeState(StreamState):
     def _unlink(self, u: int, v: int):
         super()._unlink(u, v)
         self._add_triangles(u, v, -1)
+
+    def fork(self, seed: int) -> GabeState:
+        twin = super().fork(seed)
+        twin.est = self.est.copy()
+        twin.tri = self.tri.copy()
+        return twin
 
     def merge(self, others: list[GabeState]) -> None:
         """Average the replicas' raw estimates into this state's."""
@@ -118,40 +124,46 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
         sa = sum(map(len, map(adj.__getitem__, na)))
     sb = sum(map(len, map(adj.__getitem__, nb)))
 
-    # triangle u-v-w: w adjacent to both endpoints
-    if c:
-        est[PatternId.TRIANGLE] += c / detection_probability(t, b, 2)
-
     # path on 4 vertices: edge in the middle (x-u-v-y, a*bb - c ways),
     # or at an end, continuing two hops out of one endpoint
     # (|N(x)| - 1 - [x in N(v)] ways for each x in N(u), and mirrored)
-    p4 = a * bb - 3 * c - a - bb + sa + sb
-    if p4:
-        est[PatternId.PATH_4] += p4 / detection_probability(t, b, 2)
-
-    # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
-    if c4:
-        est[PatternId.CYCLE_4] += c4 / detection_probability(t, b, 3)
-
+    path = a * bb - 3 * c - a - bb + sa + sb
     # paw: either the edge lies in the triangle (pendant off any of its
     # three vertices) or it is the pendant of a sampled triangle on u
     # or on v (the index's count: sampled edges within N(u), N(v))
     tri = state.tri
     paw = c * (a + bb - 4) + sw + tri.get(u, 0) + tri.get(v, 0)
-    if paw:
-        est[PatternId.PAW] += paw / detection_probability(t, b, 3)
-
     # diamond: the edge is the shared side of two triangles (pick 2
     # common neighbors) or a rim edge (one triangle plus a second one
     # hanging off either of its sides)
     dia = c * (c - 1) // 2 + rim
-    if dia:
-        est[PatternId.DIAMOND] += dia / detection_probability(t, b, 4)
-
     # K4: a sampled edge between two common neighbors, seen from both
     k4 //= 2
-    if k4:
-        est[PatternId.K4] += k4 / detection_probability(t, b, 5)
+
+    if c or path or c4 or paw or dia or k4:
+        # pk: probability that k given earlier edges are all in the
+        # sample, built factor by factor in detection_probability's
+        # order, so pk equals detection_probability(t, b, k) bit for bit
+        p2 = p3 = p4 = p5 = 1.0
+        if t - 1 > b:
+            p2 = b / (t - 1) * ((b - 1) / (t - 2))
+            p3 = p2 * ((b - 2) / (t - 3))
+            p4 = p3 * ((b - 3) / (t - 4))
+            p5 = p4 * ((b - 4) / (t - 5))
+        # triangle u-v-w: w adjacent to both endpoints
+        if c:
+            est[PatternId.TRIANGLE] += c / p2
+        if path:
+            est[PatternId.PATH_4] += path / p2
+        # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
+        if c4:
+            est[PatternId.CYCLE_4] += c4 / p3
+        if paw:
+            est[PatternId.PAW] += paw / p3
+        if dia:
+            est[PatternId.DIAMOND] += dia / p4
+        if k4:
+            est[PatternId.K4] += k4 / p5
 
     maybe_sample(state, edge)
     return state

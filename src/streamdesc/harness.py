@@ -5,14 +5,19 @@ Replica mode feeds W independent estimators from one pass over the
 stream and averages their raw sampled-count accumulators before
 descriptor assembly; exact quantities (degrees, n, m) are shared.
 Averaging the raw counts rather than finished descriptors matters
-because descriptor assembly is not linear in the counts.
+because descriptor assembly is not linear in the counts.  Estimators
+of one stream and budget that differ only in their seed agree for the
+first b edges, which draw no random number, so those edges are stepped
+once and the state forked per seed (_run_seeds).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import ceil, inf
 from typing import Callable
 
@@ -79,6 +84,26 @@ class BudgetSpec:
         return max(1, ceil(b))
 
 
+def _run_seeds(stream: EdgeStream, spec: Method, b: int,
+               seeds: list[int]) -> list[StreamState]:
+    """One estimator per seed, in seed order, fed by one pass over the
+    stream.  The first b edges are stepped into the first seed's state
+    alone, which is then forked for the others; each state draws its
+    own random numbers from there on."""
+    step = spec.step
+    edges = iter(stream)
+    first = spec.state(b, seeds[0], n_hint=stream.n_hint)
+    # islice refuses a stop above sys.maxsize, which a budget fraction
+    # above 1 can resolve to
+    for edge in islice(edges, min(b, sys.maxsize)):
+        step(first, edge)
+    states = [first, *(first.fork(s) for s in seeds[1:])]
+    for edge in edges:
+        for state in states:
+            step(state, edge)
+    return states
+
+
 def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
                seed: int) -> Descriptor:
     """`replicas` independent estimators with seeds seed, seed + 1, ...
@@ -87,11 +112,7 @@ def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
     spec = _method(method)
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    step = spec.step
-    states = [spec.state(b, seed + i, n_hint=stream.n_hint) for i in range(replicas)]
-    for edge in stream:
-        for state in states:
-            step(state, edge)
+    states = _run_seeds(stream, spec, b, [seed + i for i in range(replicas)])
     if replicas > 1:
         states[0].merge(states[1:])
     return spec.finalize(states[0])
@@ -227,7 +248,9 @@ def error_vs_budget(
 
     Every budget fraction must be finite and positive, and every
     resolved budget at or above the method's minimum.  Both are checked
-    before any exact or estimated descriptor is computed.
+    before any exact or estimated descriptor is computed.  The trials of
+    one graph and budget run as the replicas of replicated do, from one
+    pass and one shared prefix, but are scored one by one.
     """
     estimator = _method(method)
     if trials < 1:
@@ -256,10 +279,10 @@ def error_vs_budget(
         total = 0.0
         runs = 0
         for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
-            for trial in range(trials):
-                run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
-                vec = replicated(stream, method, b, 1, run_seed).values
-                total += canberra(vec, exact_vectors[gi])
+            seeds = [derive_seed(seed, "evb", method, fraction, gi, trial)
+                     for trial in range(trials)]
+            for state in _run_seeds(stream, estimator, b, seeds):
+                total += canberra(estimator.finalize(state).values, exact_vectors[gi])
                 runs += 1
         rows.append((fraction, total / runs))
     return rows

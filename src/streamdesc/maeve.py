@@ -65,6 +65,12 @@ class MaeveState(StreamState):
         self.tri: dict[int, float] = defaultdict(float)
         self.path: dict[int, float] = defaultdict(float)
 
+    def fork(self, seed: int) -> MaeveState:
+        twin = super().fork(seed)
+        twin.tri = self.tri.copy()
+        twin.path = self.path.copy()
+        return twin
+
     def merge(self, others: list[MaeveState]) -> None:
         """Average the replicas' per-vertex counts into this state's."""
         states = [self, *others]
@@ -174,12 +180,36 @@ def moments(values) -> tuple[float, float, float, float]:
     return (mean, std, skew, kurt)
 
 
-def _moment_vector(rows: np.ndarray) -> np.ndarray:
-    """The four moments of each of the five feature columns, feature-major."""
-    values = np.empty(20)
-    for j in range(5):
-        values[4 * j:4 * j + 4] = moments(rows[:, j])
-    return values
+def _moment_vector(table: np.ndarray) -> np.ndarray:
+    """The four moments of each feature, feature-major, from a (5, n)
+    C-contiguous float table with one row per feature.  Overwrites the
+    table.
+
+    moments() for the five rows: the means come from one row-wise
+    reduction, the other moments from the same steps as moments() on
+    each row, in place in the row and one n-sized buffer, so every
+    value has the bits moments(table[j]) gives.  (Reducing strided
+    columns of an (n, 5) table instead sums in another order.)  The
+    rest is not vectorized over all five rows because that needs a
+    second (5, n) buffer, and on graphs with thousands of vertices the
+    extra large temporaries raised the process's peak RSS.
+    """
+    mean = table.mean(axis=1)
+    table -= mean[:, None]
+    values = np.zeros((5, 4))
+    values[:, 0] = mean
+    sq = np.empty(table.shape[1])
+    for dev, out in zip(table, values):
+        std = sqrt(np.multiply(dev, dev, out=sq).mean())
+        if std == 0.0:
+            continue
+        out[1] = std
+        # standardize before raising to powers, as moments() does
+        z = np.divide(dev, std, out=dev)
+        z2 = np.multiply(z, z, out=sq)
+        out[2] = np.multiply(z2, z, out=z).mean()
+        out[3] = np.multiply(z2, z2, out=z2).mean()
+    return values.ravel()
 
 
 def maeve_finalize(state: MaeveState) -> Descriptor:
@@ -197,8 +227,7 @@ def maeve_finalize(state: MaeveState) -> Descriptor:
             k = len(counts)
             column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
             columns.append(column)
-        values = _moment_vector(np.column_stack(
-            features_from_counts(*columns).as_tuple()))
+        values = _moment_vector(np.array(features_from_counts(*columns).as_tuple()))
     return Descriptor(
         graph_id=0, method="maeve", b=state.budget, seed=state.seed,
         n=n, m=state.t, values=values)
@@ -208,7 +237,7 @@ def exact_maeve_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor from explicit egonet features."""
     values = np.zeros(20)
     if g.n > 0:
-        values = _moment_vector(
-            np.array([exact_vertex_features(g, v) for v in range(g.n)]))
+        rows = np.array([exact_vertex_features(g, v) for v in range(g.n)])
+        values = _moment_vector(np.ascontiguousarray(rows.T))
     return Descriptor(
         graph_id=0, method="maeve", b=g.m, seed=0, n=g.n, m=g.m, values=values)

@@ -12,6 +12,7 @@ estimates (and, for gabe, an index the sample keeps up to date).
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import defaultdict
 
@@ -84,9 +85,11 @@ class StreamState(ReservoirState):
     The estimator protocol: State(budget, seed, n_hint); a per-edge step
     that reads the pre-arrival sample (t, budget, adj), updates the
     degrees inline, counts, then calls maybe_sample(state, edge);
-    merge(others) to average replicas of one stream into this state; a
-    finalize function that returns a Descriptor, with m = t.  Subclasses
-    set MIN_BUDGET and DETECTS (what a smaller budget cannot detect).
+    fork(seed) to start another seed's run from this state while t <=
+    budget; merge(others) to average replicas of one stream into this
+    state; a finalize function that returns a Descriptor, with m = t.
+    Subclasses set MIN_BUDGET and DETECTS (what a smaller budget cannot
+    detect).
     """
 
     __slots__ = ("seed", "n_hint", "degrees")
@@ -108,6 +111,28 @@ class StreamState(ReservoirState):
         self.seed = seed
         self.n_hint = n_hint
         self.degrees: dict[int, int] = defaultdict(int)
+
+    def fork(self, seed: int) -> StreamState:
+        """A copy of this state for another seed, to go on with the same
+        stream.
+
+        Up to t = budget the reservoir stores every edge and draws no
+        random number, so every seed's state is this one; from there the
+        copy draws from its own fresh random.Random(seed).  Forking after
+        the first draw would carry this seed's sample into another, so it
+        raises.  Subclasses copy their own mutable fields too.
+        """
+        if self.t > self.budget:
+            raise RuntimeError(
+                f"cannot fork at t = {self.t} > budget {self.budget}: the "
+                "reservoir has already drawn from this seed's random numbers")
+        twin = copy.copy(self)
+        twin.seed = seed
+        twin.rng = random.Random(seed)
+        twin.edges = self.edges.copy()
+        twin.adj = {v: nbrs.copy() for v, nbrs in self.adj.items()}
+        twin.degrees = self.degrees.copy()
+        return twin
 
     @property
     def n(self) -> int:

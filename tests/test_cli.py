@@ -284,6 +284,23 @@ def test_classify_bundle(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2
 
 
+def test_classify_budget_fraction_skipping_every_graph_exits_one(tmp_path, capsys):
+    # a triangle and a 2-path: at fraction 0.5 they get b = 2 and b = 1,
+    # both below gabe's minimum of 5
+    root = tmp_path / "bundle"
+    write_bundle(root, [(3, [(0, 1), (1, 2), (0, 2)]), (3, [(0, 1), (1, 2)])])
+    (root / "DEG_graph_labels.txt").write_text("0\n1\n")
+    code = main([
+        "classify", "--dataset", str(root), "--method", "gabe",
+        "--budget", "0.5", "--folds", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: budget fraction 0.5 gives every graph a budget below the "
+        "minimum of 5 for gabe; nothing to classify")
+
+
 def test_classify_requires_dataset(tmp_path, capsys):
     code = main([
         "classify", "--input", "whatever.txt", "--method", "maeve",

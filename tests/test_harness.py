@@ -121,6 +121,85 @@ def test_replicas_share_one_pass(method):
     assert np.array_equal(got.values, replicated(stream, method, 9, 3, 400).values)
 
 
+def stepped_separately(stream, method, b, replicas, seed):
+    """replicated's contract, one full pass per replica: W states built
+    from scratch and stepped edge by edge, merged into the first."""
+    spec = METHODS[method]
+    states = []
+    for i in range(replicas):
+        state = spec.state(b, seed + i, n_hint=stream.n_hint)
+        for edge in stream:
+            spec.step(state, edge)
+        states.append(state)
+    if replicas > 1:
+        states[0].merge(states[1:])
+    return spec.finalize(states[0])
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_forked_prefix_matches_separate_runs(method):
+    # replicated steps the first b edges once and forks the state per
+    # seed; every replica must still end where its own run from scratch
+    # ends, for budgets below, at and above the stream's length
+    minimum = METHODS[method].state.MIN_BUDGET
+    streams = [random_stream(14, 0.35, seed=54), random_stream(9, 0.6, seed=55),
+               EdgeStream([(0, 1), (1, 2)], n_hint=4), EdgeStream([], n_hint=3)]
+    for stream in streams:
+        m = len(stream)
+        for b in sorted({minimum, m // 2, m - 1, m, m + 3}):
+            if b < minimum:
+                continue
+            for replicas in (1, 2, 5):
+                got = replicated(stream, method, b, replicas, 31)
+                want = stepped_separately(stream, method, b, replicas, 31)
+                assert np.array_equal(got.values, want.values), (m, b, replicas)
+                assert (got.n, got.m, got.b, got.seed) == (want.n, want.m, want.b, want.seed)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_fork_only_before_the_first_draw(method):
+    spec = METHODS[method]
+    stream = list(random_stream(12, 0.5, seed=56))
+    b = 6
+    state = spec.state(b, 1)
+    for edge in stream[:b]:
+        spec.step(state, edge)
+    twin = state.fork(2)
+    assert (twin.seed, twin.t) == (2, b)
+    assert twin.edges == state.edges and twin.edges is not state.edges
+    assert twin.adj == state.adj
+    assert all(twin.adj[v] is not state.adj[v] for v in state.adj)
+    spec.step(state, stream[b])  # t = b + 1: the reservoir draws
+    with pytest.raises(RuntimeError, match="cannot fork"):
+        state.fork(3)
+
+
+def reference_error_vs_budget(ds, method, budgets, trials, seed):
+    """error_vs_budget's rows from one replicated run per trial."""
+    exact = [METHODS[method].exact(build_graph(s)).values for s in ds.graphs]
+    rows = []
+    for fraction in budgets:
+        total, runs = 0.0, 0
+        for gi, stream in enumerate(ds.graphs):
+            b = BudgetSpec(fraction=fraction).resolve(len(stream))
+            for trial in range(trials):
+                run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
+                total += canberra(replicated(stream, method, b, 1, run_seed).values,
+                                  exact[gi])
+                runs += 1
+        rows.append((fraction, total / runs))
+    return rows
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_error_vs_budget_trials_match_separate_runs(method):
+    ds = evb_dataset()
+    for trials in (1, 4):
+        budgets = [0.4, 0.7, 1.0]
+        assert error_vs_budget(ds, method, budgets, trials, seed=6) == \
+            reference_error_vs_budget(ds, method, budgets, trials, seed=6)
+
+
 def test_gabe_replicas_average_raw_estimates():
     stream = random_stream(14, 0.35, seed=51)
     b, base = 9, 700

@@ -22,7 +22,7 @@ from streamdesc import (
     moments,
 )
 from streamdesc.errors import BudgetTooSmallError
-from streamdesc.maeve import FEATURE_NAMES, MOMENT_NAMES, features_from_counts
+from streamdesc.maeve import FEATURE_NAMES, MOMENT_NAMES, _moment_vector, features_from_counts
 
 from conftest import random_stream
 
@@ -171,6 +171,46 @@ def test_moments_permutation_invariant(xs):
     forward = moments(xs)
     backward = moments(list(reversed(xs)))
     assert forward == pytest.approx(backward, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def feature_tables(draw):
+    """A (5, n) table whose rows mix the cases moments() treats
+    apart: spread, constant, all zeros, a spread so small that std**4
+    underflows, and one so small that std itself is 0.  n runs past
+    numpy's 8,192-element buffer."""
+    n = draw(st.sampled_from([1, 2, 8, 9, 129, 8192, 8193, 20_000]) | st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    features = []
+    for _ in range(5):
+        kind = draw(st.sampled_from(
+            ["spread", "counts", "constant", "zeros", "tiny", "underflow",
+             "tiny constant"]))
+        if kind == "spread":
+            scale = draw(st.floats(1e-6, 1e6))
+            feature = rng.standard_normal(n) * scale + draw(st.floats(-1e6, 1e6))
+        elif kind == "counts":
+            feature = rng.integers(0, 10 ** 4, n).astype(float)
+        elif kind == "constant":
+            feature = np.full(n, draw(st.floats(-1e6, 1e6)))
+        elif kind == "zeros":
+            feature = np.zeros(n)
+        elif kind == "tiny":  # std near 5e-101: std**4 is below the subnormals
+            feature = rng.integers(0, 2, n) * 1e-100
+        elif kind == "underflow":  # distinct values, squared deviations 0
+            feature = rng.integers(0, 2, n) * 1e-170
+        else:  # the mean can miss the value by an ulp whose square is 0
+            feature = np.full(n, draw(st.floats(1e-200, 1e-160)))
+        features.append(feature)
+    return np.array(features)
+
+
+@given(feature_tables())
+@settings(max_examples=150)
+def test_moment_vector_equals_per_feature_moments(table):
+    want = [x for row in table for x in moments(row)]
+    got = _moment_vector(table.copy())
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_descriptor_k3():
