@@ -19,6 +19,7 @@ from .harness import (
     compute_descriptors,
     cross_validate,
     error_vs_budget,
+    graph_budgets,
 )
 
 EXIT_OK = 0
@@ -175,14 +176,18 @@ def _emit_rows(header, rows, output):
         sys.stdout.write(text)
 
 
+def _warn(reasons) -> None:
+    """Each skipped graph's reason to stderr as a warning."""
+    for reason in reasons:
+        if reason:
+            print(f"warning: {reason}", file=sys.stderr)
+
+
 def _estimate(ds: Dataset, args) -> list[tuple]:
-    """(descriptor, label) for each graph compute_descriptors did not
-    skip; each skipped graph's reason goes to stderr as a warning."""
+    """(descriptor, label) for each graph compute_descriptors keeps."""
     descriptors, errors = compute_descriptors(
         ds, args.method, _budget_spec(args), workers=args.workers, seed=args.seed)
-    for err in errors:
-        if err:
-            print(f"warning: {err}", file=sys.stderr)
+    _warn(errors)
     return [(d, label) for d, label in zip(descriptors, ds.labels) if d is not None]
 
 
@@ -221,13 +226,6 @@ def _cmd_distance(args) -> int:
 def _cmd_classify(args) -> int:
     ds = load_benchmark_dataset(args.dataset, seed=args.seed)
     kept = _estimate(ds, args)
-    if ds.graphs and not kept:
-        # only a budget fraction skips graphs; an absolute budget below
-        # the minimum is refused before any graph runs
-        raise BudgetTooSmallError(
-            f"budget fraction {args.budget} gives every graph a budget below "
-            f"the minimum of {METHODS[args.method].state.MIN_BUDGET} "
-            f"for {args.method}; nothing to classify")
     report = cross_validate(
         [d for d, _ in kept], [label for _, label in kept],
         folds=args.folds, repeats=args.repeats, seed=args.seed)
@@ -242,6 +240,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_error_vs_budget(args) -> int:
     ds = _load_input(args)
+    for fraction in args.budgets:
+        _warn(graph_budgets(ds, args.method, BudgetSpec(fraction=fraction))[1])
     rows = error_vs_budget(ds, args.method, args.budgets, args.trials, seed=args.seed)
     _emit_rows("budget,mean_error", [(f, repr(e)) for f, e in rows], args.output)
     return EXIT_OK

@@ -11,14 +11,13 @@ matrix and normalizes each order block by C(n, k).
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
-from .patterns import N_PATTERNS, PatternId, STREAM_ESTIMATED, subgraph_to_induced
+from .patterns import (
+    N_PATTERNS, PatternId, STREAM_ESTIMATED, plain_counts, subgraph_to_induced)
 from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
@@ -169,29 +168,19 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     return state
 
 
+def _plain_counts(state: GabeState, n: int) -> list:
+    return plain_counts(n, state.t, state.degrees.values(),
+                        [state.est[pid] for pid in STREAM_ESTIMATED])
+
+
 def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
     """The 11 pattern counts that follow from n, m, and exact degrees.
 
     Triangle-plus-isolated is the one entry built on an estimate.
     """
-    n = state.n
-    m = state.t
-    degs = state.degrees.values()
-    wedges = sum(comb(d, 2) for d in degs)
-    claws = sum(comb(d, 3) for d in degs)
-    return {
-        PatternId.EDGELESS_2: float(comb(n, 2)),
-        PatternId.EDGE: float(m),
-        PatternId.EDGELESS_3: float(comb(n, 3)),
-        PatternId.EDGE_PLUS_ISOLATED: float(m * max(n - 2, 0)),
-        PatternId.WEDGE: float(wedges),
-        PatternId.EDGELESS_4: float(comb(n, 4)),
-        PatternId.EDGE_PLUS_2_ISOLATED: float(m * comb(max(n - 2, 0), 2)),
-        PatternId.TWO_DISJOINT_EDGES: float(comb(m, 2) - wedges),
-        PatternId.WEDGE_PLUS_ISOLATED: float(wedges * max(n - 3, 0)),
-        PatternId.TRIANGLE_PLUS_ISOLATED: state.est[PatternId.TRIANGLE] * max(n - 3, 0),
-        PatternId.CLAW: float(claws),
-    }
+    counts = _plain_counts(state, state.n)
+    return {pid: float(counts[pid - 1])
+            for pid in PatternId if pid not in STREAM_ESTIMATED}
 
 
 def gabe_finalize(state: GabeState) -> Descriptor:
@@ -203,11 +192,7 @@ def gabe_finalize(state: GabeState) -> Descriptor:
     n = state.n
     phi = np.zeros(N_PATTERNS)
     if n >= 2:
-        counts = np.zeros(N_PATTERNS)
-        for pid, val in closed_form_counts(state).items():
-            counts[pid - 1] = val
-        for pid, val in state.est.items():
-            counts[pid - 1] = val
+        counts = np.array(_plain_counts(state, n), dtype=float)
         phi = phi_from_induced(subgraph_to_induced(counts), n)
     return Descriptor(
         graph_id=0, method="gabe", b=state.budget, seed=state.seed,

@@ -3,12 +3,13 @@ approximation-error experiment.
 
 Replica mode feeds W independent estimators from one pass over the
 stream and averages their raw sampled-count accumulators before
-descriptor assembly; exact quantities (degrees, n, m) are shared.
-Averaging the raw counts rather than finished descriptors matters
-because descriptor assembly is not linear in the counts.  Estimators
-of one stream and budget that differ only in their seed agree for the
-first b edges, which draw no random number, so those edges are stepped
-once and the state forked per seed (_run_seeds).
+descriptor assembly; every replica tracks the same exact quantities
+(degrees, n, m), and finalize reads the first one's.  Averaging the raw
+counts rather than finished descriptors matters because descriptor
+assembly is not linear in the counts.  Estimators of one stream and
+budget that differ only in their seed agree for the first b edges,
+which draw no random number, so those edges are stepped once and the
+state forked per seed (_run_seeds).
 """
 
 from __future__ import annotations
@@ -128,6 +129,32 @@ def maeve_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> Descript
     return replicated(stream, "maeve", budget, 1, seed)
 
 
+def graph_budgets(ds: Dataset, method: str,
+                  b_spec: BudgetSpec) -> tuple[list[int | None], list[str | None]]:
+    """(budgets, reasons), aligned with ds.graphs: a graph whose budget
+    under b_spec is below the method's minimum gets None and the reason.
+    Raises BudgetTooSmallError when a nonempty dataset keeps no graph,
+    which an absolute budget below the minimum always does.
+    """
+    state = _method(method).state
+    budgets: list[int | None] = []
+    reasons: list[str | None] = []
+    for gi, stream in enumerate(ds.graphs):
+        b = b_spec.resolve(len(stream))
+        kept = b >= state.MIN_BUDGET
+        budgets.append(b if kept else None)
+        reasons.append(None if kept else (
+            f"graph {gi}: budget fraction {b_spec.fraction} gives b = {b}; "
+            f"need at least {state.MIN_BUDGET} for {method}"))
+    if ds.graphs and all(b is None for b in budgets):
+        if b_spec.edges is not None:
+            state.check_budget(b_spec.edges)
+        raise BudgetTooSmallError(
+            f"budget fraction {b_spec.fraction} gives every graph a budget "
+            f"below the minimum of {state.MIN_BUDGET} for {method}")
+    return budgets, reasons
+
+
 def compute_descriptors(
     ds: Dataset,
     method: str,
@@ -138,34 +165,27 @@ def compute_descriptors(
 ) -> tuple[list[Descriptor | None], list[str | None]]:
     """Descriptors for every graph in the dataset, input order preserved.
 
-    Returns (descriptors, errors), both aligned with ds.graphs.  An
-    absolute budget below the method's minimum would fail every graph,
-    so it raises BudgetTooSmallError before any graph is read.  Under a
-    budget fraction, a graph whose resolved budget is below the minimum
-    gets None and an error string; the rest of the run continues.
+    Returns (descriptors, errors), both aligned with ds.graphs.  A graph
+    that graph_budgets skips gets None and its reason; a budget that
+    skips every graph raises BudgetTooSmallError before any graph runs.
     Results depend only on (method, b_spec, workers, seed), not on
     thread scheduling.
     """
-    spec = _method(method)
-    if b_spec.edges is not None:
-        spec.state.check_budget(b_spec.edges)
+    budgets, reasons = graph_budgets(ds, method, b_spec)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
-    def one(item):
-        idx, stream = item
-        b = b_spec.resolve(len(stream))
-        try:
-            d = replicated(stream, method, b, workers, derive_seed(seed, "graph", idx))
-        except BudgetTooSmallError as exc:
-            return None, f"graph {idx}: {exc}"
+    def one(idx):
+        if budgets[idx] is None:
+            return None
+        d = replicated(ds.graphs[idx], method, budgets[idx], workers,
+                       derive_seed(seed, "graph", idx))
         d.graph_id = idx
-        return d, None
+        return d
 
     pool_size = min(max_threads, max(1, len(ds.graphs)))
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        results = list(pool.map(one, enumerate(ds.graphs)))
-    return [r[0] for r in results], [r[1] for r in results]
+        return list(pool.map(one, range(len(ds.graphs)))), reasons
 
 
 @dataclass
@@ -197,6 +217,8 @@ def cross_validate(
     n = len(descriptors)
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     if n < folds:
         raise ValueError(f"cannot split {n} items into {folds} folds")
     if len(set(labels)) < 2:
@@ -246,39 +268,29 @@ def error_vs_budget(
     """Mean Canberra distance between estimated and exact descriptors,
     one row (budget_fraction, mean_error) per requested budget.
 
-    Every budget fraction must be finite and positive, and every
-    resolved budget at or above the method's minimum.  Both are checked
-    before any exact or estimated descriptor is computed.  The trials of
-    one graph and budget run as the replicas of replicated do, from one
-    pass and one shared prefix, but are scored one by one.
+    Every budget fraction goes through graph_budgets before any exact or
+    estimated descriptor is computed: a row's mean is over the trials of
+    the graphs it keeps, and a fraction that keeps none raises.  The
+    trials of one graph and budget run as the replicas of replicated do,
+    from one pass and one shared prefix, but are scored one by one.
     """
     estimator = _method(method)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    budgets = [float(f) for f in budgets]
-
-    # Resolve every budget before the oracle pass, so that a budget below
-    # the method's minimum fails at once rather than after it.
-    minimum = estimator.state.MIN_BUDGET
-    resolved = []
-    for fraction in budgets:
-        spec = BudgetSpec(fraction=fraction)
-        sizes = [spec.resolve(len(stream)) for stream in ds.graphs]
-        for gi, b in enumerate(sizes):
-            if b < minimum:
-                raise BudgetTooSmallError(
-                    f"graph {gi}: budget fraction {fraction} gives b = {b}; "
-                    f"need at least {minimum} for {method}")
-        resolved.append((fraction, sizes))
+    if not ds.graphs:
+        raise ValueError("the dataset has no graphs")
+    resolved = [(fraction, graph_budgets(ds, method, BudgetSpec(fraction=fraction))[0])
+                for fraction in map(float, budgets)]
 
     exact_vectors = [estimator.exact(build_graph(stream)).values
                      for stream in ds.graphs]
 
     rows: list[tuple[float, float]] = []
     for fraction, sizes in resolved:
-        total = 0.0
-        runs = 0
+        total, runs = 0.0, 0
         for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
+            if b is None:
+                continue
             seeds = [derive_seed(seed, "evb", method, fraction, gi, trial)
                      for trial in range(trials)]
             for state in _run_seeds(stream, estimator, b, seeds):

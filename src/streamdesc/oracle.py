@@ -32,6 +32,7 @@ from .patterns import (
     classify_degree_sequence,
     induced_to_subgraph,
     overlap_matrix,
+    plain_counts,
 )
 
 # Enumeration is over all C(n,4) vertex subsets; past this size the cost
@@ -166,7 +167,7 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
                 so each K4 is counted once, at its lowest-labelled edge;
     - cycle-4   from _cycle4_count.
 
-    The other eleven are closed forms in n, m, wedges and claws.  The
+    The other eleven are patterns.plain_counts' closed forms.  The
     induced counts follow by back-substitution through the overlap
     matrix on Python ints, converted to float once at the end.  Time is
     the sum of the per-edge intersections plus the wedge pass; memory is
@@ -193,27 +194,9 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
                     if len(above) > 1:
                         k4x2 += sum([len(adj[x] & above) for x in above])
     triangles = tri3 // 3
-    wedges = sum([d * (d - 1) // 2 for d in deg])
-    claws = sum([comb(d, 3) for d in deg])
-    sub = [
-        comb(n, 2),                           # EDGELESS_2
-        m,                                    # EDGE
-        comb(n, 3),                           # EDGELESS_3
-        m * max(n - 2, 0),                    # EDGE_PLUS_ISOLATED
-        wedges,                               # WEDGE
-        triangles,                            # TRIANGLE
-        comb(n, 4),                           # EDGELESS_4
-        m * comb(max(n - 2, 0), 2),           # EDGE_PLUS_2_ISOLATED
-        comb(m, 2) - wedges,                  # TWO_DISJOINT_EDGES
-        wedges * max(n - 3, 0),               # WEDGE_PLUS_ISOLATED
-        triangles * max(n - 3, 0),            # TRIANGLE_PLUS_ISOLATED
-        claws,                                # CLAW
-        path - 3 * triangles,                 # PATH_4
-        _cycle4_count(adj, deg),              # CYCLE_4
-        paw2 // 2,                            # PAW
-        diamond,                              # DIAMOND
-        k4x2 // 2,                            # K4
-    ]
+    sub = plain_counts(n, m, deg, [triangles, path - 3 * triangles,
+                                   _cycle4_count(adj, deg), paw2 // 2,
+                                   diamond, k4x2 // 2])
     # O is unit upper triangular: solve O x = sub from the last row up.
     for i in range(N_PATTERNS - 1, -1, -1):
         sub[i] -= sum(map(mul, _OVERLAP_ROWS[i][i + 1:], sub[i + 1:]))

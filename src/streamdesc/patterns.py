@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from math import comb
 
 import numpy as np
 
@@ -78,6 +79,28 @@ STREAM_ESTIMATED = (
     PatternId.DIAMOND,
     PatternId.K4,
 )
+
+
+def plain_counts(n: int, m: int, degrees, connected) -> list:
+    """The 17 plain subgraph counts in id order, for a graph with n
+    vertices, m edges and the given vertex degrees (a collection, read
+    twice).  connected holds the six STREAM_ESTIMATED counts in that
+    order; the other eleven are closed forms in n, m, the wedges, the
+    claws and, for triangle-plus-isolated, the triangles.  Integer
+    inputs give exact Python ints.
+    """
+    triangles = connected[0]
+    wedges = sum([comb(d, 2) for d in degrees])
+    claws = sum([comb(d, 3) for d in degrees])
+    rest2, rest3 = max(n - 2, 0), max(n - 3, 0)
+    return [
+        comb(n, 2), m,                                          # ids 1-2
+        comb(n, 3), m * rest2, wedges, triangles,               # ids 3-6
+        comb(n, 4), m * comb(rest2, 2), comb(m, 2) - wedges,    # ids 7-9
+        wedges * rest3, triangles * rest3, claws,               # ids 10-12
+        *connected[1:],                                         # ids 13-17
+    ]
+
 
 # Positions of each order's block inside a 17-vector (id i at index i-1).
 ORDER_SLICES = {2: slice(0, 2), 3: slice(2, 6), 4: slice(6, 17)}

@@ -79,15 +79,27 @@ def test_descriptor_to_stdout(tmp_path, capsys):
     assert out.startswith("graph_id,method,b,seed,n,m,v0,")
 
 
+SQUARE = (4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+K5 = (5, list(itertools.combinations(range(5), 2)))
+
+
 def test_descriptor_budget_warning_keeps_exit_zero(tmp_path, capsys):
-    square = edge_file(tmp_path, "sq.txt", [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # at fraction 0.5 the square gets b = 2, below gabe's minimum of 5,
+    # and K5 gets b = 5: the square is skipped, K5 is estimated
+    root = tmp_path / "bundle"
+    write_bundle(root, [SQUARE, K5])
     code = main([
-        "descriptor", "--input", square, "--method", "gabe",
+        "descriptor", "--dataset", str(root), "--method", "gabe",
         "--budget", "0.5"])
     assert code == 0
     captured = capsys.readouterr()
-    assert "warning: graph 0" in captured.err
-    assert captured.out.startswith("graph_id,method,b,seed,n,m")
+    assert captured.err == (
+        "warning: graph 0: budget fraction 0.5 gives b = 2; "
+        "need at least 5 for gabe\n")
+    header, row = captured.out.splitlines()
+    assert header.startswith("graph_id,method,b,seed,n,m")
+    graph_id, method, b, _, n, m = row.split(",")[:6]
+    assert (graph_id, method, b, n, m) == ("1", "gabe", "5", "5", "10")
 
 
 @pytest.mark.parametrize("command", ["descriptor", "classify"])
@@ -284,21 +296,24 @@ def test_classify_bundle(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2
 
 
-def test_classify_budget_fraction_skipping_every_graph_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["descriptor", "--budget", "0.5"],
+    ["classify", "--budget", "0.5", "--folds", "2"],
+    ["experiment", "error-vs-budget", "--budgets", "0.5"],
+], ids=["descriptor", "classify", "error-vs-budget"])
+def test_budget_fraction_skipping_every_graph_exits_one(tmp_path, capsys, command):
     # a triangle and a 2-path: at fraction 0.5 they get b = 2 and b = 1,
     # both below gabe's minimum of 5
     root = tmp_path / "bundle"
     write_bundle(root, [(3, [(0, 1), (1, 2), (0, 2)]), (3, [(0, 1), (1, 2)])])
     (root / "DEG_graph_labels.txt").write_text("0\n1\n")
-    code = main([
-        "classify", "--dataset", str(root), "--method", "gabe",
-        "--budget", "0.5", "--folds", "2"])
+    code = main([*command, "--dataset", str(root), "--method", "gabe"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
+    assert captured.err == (
         "error: budget fraction 0.5 gives every graph a budget below the "
-        "minimum of 5 for gabe; nothing to classify")
+        "minimum of 5 for gabe\n")
 
 
 def test_classify_requires_dataset(tmp_path, capsys):
@@ -324,6 +339,29 @@ def test_error_vs_budget_experiment(tmp_path, capsys):
     assert lines[1].startswith("0.5,")
     assert lines[2].startswith("1.0,")
     assert float(lines[2].split(",")[1]) == 0.0  # full budget is exact
+
+
+def test_error_vs_budget_warns_of_each_skipped_graph(tmp_path, capsys):
+    # an 8-edge graph gets b = 4 at fraction 0.5 and the square b = 2 and
+    # b = 4 at 0.5 and 1.0, all below gabe's minimum of 5; K5 always runs
+    eight = (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (3, 5)])
+    root = tmp_path / "bundle"
+    write_bundle(root, [eight, K5, SQUARE])
+    code = main([
+        "experiment", "error-vs-budget", "--dataset", str(root),
+        "--method", "gabe", "--budgets", "0.5,1.0", "--trials", "2"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: graph 0: budget fraction 0.5 gives b = 4; need at least 5 for gabe",
+        "warning: graph 2: budget fraction 0.5 gives b = 2; need at least 5 for gabe",
+        "warning: graph 2: budget fraction 1.0 gives b = 4; need at least 5 for gabe",
+    ]
+    lines = captured.out.splitlines()
+    assert lines[0] == "budget,mean_error"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.0"]
+    assert np.isfinite([float(line.split(",")[1]) for line in lines[1:]]).all()
+    assert float(lines[2].split(",")[1]) < 1e-12  # b = m is exact
 
 
 def test_error_vs_budget_bad_budget_list(tmp_path, capsys):

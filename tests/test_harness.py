@@ -38,6 +38,7 @@ from streamdesc import (
 )
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.graph import derive_seed
+from streamdesc.harness import graph_budgets
 from streamdesc.patterns import STREAM_ESTIMATED
 
 from conftest import random_stream
@@ -175,13 +176,16 @@ def test_fork_only_before_the_first_draw(method):
 
 
 def reference_error_vs_budget(ds, method, budgets, trials, seed):
-    """error_vs_budget's rows from one replicated run per trial."""
+    """error_vs_budget's rows from one replicated run per trial, over
+    the graphs whose budget reaches the method's minimum."""
     exact = [METHODS[method].exact(build_graph(s)).values for s in ds.graphs]
     rows = []
     for fraction in budgets:
         total, runs = 0.0, 0
         for gi, stream in enumerate(ds.graphs):
             b = BudgetSpec(fraction=fraction).resolve(len(stream))
+            if b < METHODS[method].state.MIN_BUDGET:
+                continue
             for trial in range(trials):
                 run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
                 total += canberra(replicated(stream, method, b, 1, run_seed).values,
@@ -198,6 +202,22 @@ def test_error_vs_budget_trials_match_separate_runs(method):
         budgets = [0.4, 0.7, 1.0]
         assert error_vs_budget(ds, method, budgets, trials, seed=6) == \
             reference_error_vs_budget(ds, method, budgets, trials, seed=6)
+
+
+@pytest.mark.parametrize("method, budgets", [
+    ("gabe", [0.3, 0.7, 1.0]), ("maeve", [0.1, 0.3, 1.0])], ids=["gabe", "maeve"])
+def test_error_vs_budget_skips_graphs_below_the_minimum(method, budgets):
+    # m = 18, 4, 22, 13: the square is below gabe's minimum at every
+    # fraction, the 13-edge graph at gabe's 0.3, the square at maeve's 0.1
+    from streamdesc import preprocess
+
+    square = preprocess([(0, 1), (1, 2), (2, 3), (3, 0)], seed=0)
+    graphs = evb_dataset().graphs
+    ds = Dataset(graphs=[graphs[0], square, *graphs[1:]], labels=[0] * 4)
+    budgets_of = [graph_budgets(ds, method, BudgetSpec(fraction=f))[0] for f in budgets]
+    assert any(None in sizes for sizes in budgets_of)
+    assert error_vs_budget(ds, method, budgets, 3, seed=2) == \
+        reference_error_vs_budget(ds, method, budgets, 3, seed=2)
 
 
 def test_gabe_replicas_average_raw_estimates():
@@ -329,6 +349,28 @@ def test_compute_descriptors_reports_budget_failures_and_continues():
     assert "graph 1:" in errors[1] and "budget" in errors[1]
     assert descs[0] is not None and descs[2] is not None
     assert errors[0] is None and errors[2] is None
+
+
+def test_graph_budgets_skips_below_the_minimum_and_refuses_all_skipped():
+    from streamdesc import preprocess
+
+    square = preprocess([(0, 1), (1, 2), (2, 3), (3, 0)], seed=0)
+    ds = Dataset(graphs=[random_stream(10, 0.5, seed=401), square], labels=[0, 1])
+    assert len(ds.graphs[0]) == 18
+    assert graph_budgets(ds, "gabe", BudgetSpec(fraction=0.5)) == (
+        [9, None],
+        [None, "graph 1: budget fraction 0.5 gives b = 2; need at least 5 for gabe"])
+    assert graph_budgets(ds, "maeve", BudgetSpec(fraction=0.5)) == ([9, 2], [None, None])
+    assert graph_budgets(ds, "gabe", BudgetSpec(edges=5)) == ([5, 5], [None, None])
+    with pytest.raises(BudgetTooSmallError, match=re.escape(
+            "budget fraction 0.2 gives every graph a budget below the minimum "
+            "of 5 for gabe")):
+        graph_budgets(ds, "gabe", BudgetSpec(fraction=0.2))
+    with pytest.raises(BudgetTooSmallError, match=re.escape(
+            "budget 4 cannot detect 6-edge patterns; need at least 5")):
+        graph_budgets(ds, "gabe", BudgetSpec(edges=4))
+    empty = Dataset(graphs=[], labels=[])
+    assert graph_budgets(empty, "gabe", BudgetSpec(edges=1)) == ([], [])
 
 
 def test_compute_descriptors_thread_count_does_not_change_results():
@@ -472,6 +514,9 @@ def test_cross_validate_validation():
              hand_descriptor(1, np.zeros(20), method="maeve")]
     with pytest.raises(ValueError, match="mixed"):
         cross_validate(mixed, [0, 1], folds=2)
+    # zero repeats would leave no fold to average: a nan mean accuracy
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        cross_validate(descs, labels, folds=2, repeats=0)
 
 
 # --------------------------------------------------------- error vs budget
@@ -523,13 +568,15 @@ def test_error_vs_budget_rejects_small_budget_before_oracle(monkeypatch, method,
     b = BudgetSpec(fraction=fraction).resolve(len(ds.graphs[0]))
     minimum = 5 if method == "gabe" else 2
     assert b < minimum
-    message = (f"graph 0: budget fraction {fraction} gives b = {b}; "
-               f"need at least {minimum} for {method}")
+    message = (f"budget fraction {fraction} gives every graph a budget "
+               f"below the minimum of {minimum} for {method}")
     with pytest.raises(BudgetTooSmallError, match=re.escape(message)):
         error_vs_budget(ds, method, [1.0, fraction], trials=1)
 
 
 def test_error_vs_budget_validation():
+    with pytest.raises(ValueError, match="the dataset has no graphs"):
+        error_vs_budget(Dataset(graphs=[], labels=[]), "gabe", [0.5], trials=1)
     ds = evb_dataset()
     with pytest.raises(ValueError, match="unknown method"):
         error_vs_budget(ds, "spectral", [0.5], trials=1)
