@@ -8,8 +8,9 @@ descriptor assembly; every replica tracks the same exact quantities
 counts rather than finished descriptors matters because descriptor
 assembly is not linear in the counts.  Estimators of one stream and
 budget that differ only in their seed agree for the first b edges,
-which draw no random number, so those edges are stepped once and the
-state forked per seed (_run_seeds).
+which draw no random number and weigh every detection 1, so the state
+there is built once, in one batch from the prefix graph
+(State.from_prefix), and forked per seed (_run_seeds).
 """
 
 from __future__ import annotations
@@ -88,16 +89,16 @@ class BudgetSpec:
 def _run_seeds(stream: EdgeStream, spec: Method, b: int,
                seeds: list[int]) -> list[StreamState]:
     """One estimator per seed, in seed order, fed by one pass over the
-    stream.  The first b edges are stepped into the first seed's state
-    alone, which is then forked for the others; each state draws its
-    own random numbers from there on."""
+    stream.  The first min(b, m) edges draw no random number, so they
+    are read into a list and built into the first seed's state in one
+    batch (from_prefix), which is then forked for the others; each
+    state steps the rest edge by edge with its own random numbers."""
     step = spec.step
     edges = iter(stream)
-    first = spec.state(b, seeds[0], n_hint=stream.n_hint)
     # islice refuses a stop above sys.maxsize, which a budget fraction
     # above 1 can resolve to
-    for edge in islice(edges, min(b, sys.maxsize)):
-        step(first, edge)
+    prefix = list(islice(edges, min(b, sys.maxsize)))
+    first = spec.state.from_prefix(prefix, b, seeds[0], stream.n_hint)
     states = [first, *(first.fork(s) for s in seeds[1:])]
     for edge in edges:
         for state in states:

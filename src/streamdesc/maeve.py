@@ -18,7 +18,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import exact_vertex_features
-from .reservoir import _EMPTY, StreamState, detection_probability, maybe_sample
+from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # A triangle's two prior edges must fit in the sample.
 MIN_MAEVE_BUDGET = 2
@@ -65,6 +65,28 @@ class MaeveState(StreamState):
         self.tri: dict[int, float] = defaultdict(float)
         self.path: dict[int, float] = defaultdict(float)
 
+    @classmethod
+    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
+                    n_hint: int | None = None) -> MaeveState:
+        """StreamState.from_prefix, with tri[x] the prefix graph's
+        triangles on x (x is on T(x)/2 of the common neighbourhoods of
+        its edges) and path[x] = sum over y in N(x) of (d_y - 1).  Exact
+        integers as floats, so equal to the stepped counts bit for bit.
+        """
+        state = super().from_prefix(edges, budget, seed, n_hint)
+        adj, degrees = state.adj, state.degrees
+        tri2: dict[int, int] = {}
+        for u, v in edges:
+            c = len(adj[u] & adj[v])
+            if c:
+                tri2[u] = tri2.get(u, 0) + c
+                tri2[v] = tri2.get(v, 0) + c
+        state.tri.update((x, float(k // 2)) for x, k in tri2.items())
+        state.path.update(
+            (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
+            for x, nbrs in adj.items())
+        return state
+
     def fork(self, seed: int) -> MaeveState:
         twin = super().fork(seed)
         twin.tri = self.tri.copy()
@@ -105,17 +127,23 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
     na = adj.get(u, _EMPTY)
     nb = adj.get(v, _EMPTY)
 
-    common = na & nb
-    if common:
-        w1 = 1.0 / detection_probability(t, b, 2)
-        tri = state.tri
-        for w in common:
-            tri[u] += w1
-            tri[v] += w1
-            tri[w] += w1
-
     if na or nb:
-        w2 = 1.0 / detection_probability(t, b, 1)
+        # pk: probability that k given earlier edges are all in the
+        # sample, built factor by factor in detection_probability's
+        # order, so pk equals detection_probability(t, b, k) bit for bit
+        p1 = p2 = 1.0
+        if t - 1 > b:
+            p1 = b / (t - 1)
+            p2 = p1 * ((b - 1) / (t - 2))
+        common = na & nb
+        if common:
+            w1 = 1.0 / p2
+            tri = state.tri
+            for w in common:
+                tri[u] += w1
+                tri[v] += w1
+                tri[w] += w1
+        w2 = 1.0 / p1
         path = state.path
         for w in na:
             path[w] += w2

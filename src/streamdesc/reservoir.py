@@ -82,7 +82,9 @@ def maybe_sample(state: ReservoirState, edge: Edge) -> None:
 class StreamState(ReservoirState):
     """One estimator run: the reservoir plus exact degree trackers.
 
-    The estimator protocol: State(budget, seed, n_hint); a per-edge step
+    The estimator protocol: State(budget, seed, n_hint);
+    State.from_prefix(edges, budget, seed, n_hint), the state stepping
+    those first edges leaves, built in one batch; a per-edge step
     that reads the pre-arrival sample (t, budget, adj), updates the
     degrees inline, counts, then calls maybe_sample(state, edge);
     fork(seed) to start another seed's run from this state while t <=
@@ -111,6 +113,29 @@ class StreamState(ReservoirState):
         self.seed = seed
         self.n_hint = n_hint
         self.degrees: dict[int, int] = defaultdict(int)
+
+    @classmethod
+    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
+                    n_hint: int | None = None) -> StreamState:
+        """The state that stepping the first `edges` of a simple stream
+        leaves, built in one batch: at most `budget` edges, all stored
+        in arrival order, no random number drawn.  The list becomes the
+        state's sample.  This sets the reservoir and the degrees;
+        subclasses add their counts, which the prefix graph determines,
+        since every detection weight before the first draw is 1.
+        """
+        if len(edges) > budget:
+            raise ValueError(
+                f"a prefix of {len(edges)} edges does not fit budget {budget}")
+        state = cls(budget, seed, n_hint)
+        adj = state.adj
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        state.edges = edges
+        state.t = state.peak_stored = len(edges)
+        state.degrees.update((v, len(nbrs)) for v, nbrs in adj.items())
+        return state
 
     def fork(self, seed: int) -> StreamState:
         """A copy of this state for another seed, to go on with the same

@@ -1,0 +1,115 @@
+"""The sampling-free prefix built in one batch (from_prefix) against the
+per-edge step and against the brute-force oracle in conftest."""
+
+import tracemalloc
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from streamdesc import STREAM_ESTIMATED, BudgetSpec, build_graph, replicated
+from streamdesc.harness import METHODS, _run_seeds
+
+from conftest import brute_force_counts, random_stream, triangles_per_vertex
+
+
+def stepped(method, edges, budget, seed, n_hint):
+    spec = METHODS[method]
+    state = spec.state(budget, seed, n_hint)
+    for edge in edges:
+        spec.step(state, edge)
+    return state
+
+
+def nonzero(counts, form=lambda x: x):
+    """counts without its zero entries, values mapped by form: a vertex
+    may hold 0 in one state and be absent from the other."""
+    return {v: form(x) for v, x in counts.items() if x}
+
+
+def fields(state, method):
+    """Every field the suffix reads, floats by their hex strings."""
+    common = (state.budget, state.seed, state.n_hint, state.t, state.peak_stored,
+              state.edges, state.adj, nonzero(state.degrees))
+    if method == "gabe":
+        return (*common, {pid: state.est[pid].hex() for pid in STREAM_ESTIMATED},
+                nonzero(state.tri))
+    return (*common, nonzero(state.tri, float.hex), nonzero(state.path, float.hex))
+
+
+@settings(max_examples=80)
+@given(n=st.integers(0, 13), p=st.sampled_from([0.15, 0.4, 0.7, 1.0]),
+       seed=st.integers(0, 2 ** 16), isolated=st.integers(0, 3), data=st.data())
+@example(n=0, p=0.4, seed=1, isolated=2, data=None)
+def test_batch_state_equals_stepped_state(n, p, seed, isolated, data):
+    stream = random_stream(n, p, seed)
+    edges, m, n_hint = stream.edges, len(stream), n + isolated
+    for method, spec in METHODS.items():
+        minimum = spec.state.MIN_BUDGET
+        budgets = {minimum, m, m + 3}
+        if data is not None and m - 1 >= minimum:
+            budgets.add(data.draw(st.integers(minimum, m - 1), label=f"{method} b"))
+        for b in sorted(x for x in budgets if x >= minimum):
+            prefix = edges[:b]
+            batch = spec.state.from_prefix(list(prefix), b, seed, n_hint)
+            step = stepped(method, prefix, b, seed, n_hint)
+            assert fields(batch, method) == fields(step, method), (method, b)
+            # both go on from the fork point to the same bits
+            for other in (seed + 1, seed + 2):
+                a, z = batch.fork(other), step.fork(other)
+                for edge in edges[b:]:
+                    spec.step(a, edge)
+                    spec.step(z, edge)
+                da, dz = spec.finalize(a), spec.finalize(z)
+                assert (da.n, da.m, da.b) == (dz.n, dz.m, dz.b)
+                assert [x.hex() for x in da.values] == [x.hex() for x in dz.values]
+
+
+def test_batch_counts_match_brute_force(small_corpus):
+    gabe, maeve = METHODS["gabe"].state, METHODS["maeve"].state
+    for stream in small_corpus:
+        m = len(stream)
+        sub, _ = brute_force_counts(build_graph(stream))
+        state = gabe.from_prefix(list(stream.edges), max(m, gabe.MIN_BUDGET))
+        assert [state.est[pid] for pid in STREAM_ESTIMATED] == [
+            sub[pid - 1] for pid in STREAM_ESTIMATED]
+        triangles = dict(triangles_per_vertex(stream.edges))
+        assert nonzero(state.tri) == triangles
+        state = maeve.from_prefix(list(stream.edges), max(m, maeve.MIN_BUDGET))
+        assert nonzero(state.tri) == triangles
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_batch_memory_follows_the_prefix_not_n(method):
+    # a per-vertex list over range(n) would take ~8 MB here
+    top = 10 ** 6
+    edges = [(top - 4, top - 3), (top - 3, top - 2), (top - 4, top - 2),
+             (top - 2, top - 1), (top - 1, top)]
+    tracemalloc.start()
+    try:
+        state = METHODS[method].state.from_prefix(edges, 5, 0, n_hint=top + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert state.t == state.peak_stored == 5
+    assert state.n == top + 1
+
+
+def test_from_prefix_refuses_a_prefix_above_the_budget():
+    with pytest.raises(ValueError, match="does not fit"):
+        METHODS["maeve"].state.from_prefix([(0, 1), (1, 2), (0, 2)], 2)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_budget_fraction_two_stores_the_whole_stream(method):
+    stream = random_stream(25, 0.3, seed=61)
+    m = len(stream)
+    b = BudgetSpec(fraction=2.0).resolve(m)
+    assert b == 2 * m
+    [state] = _run_seeds(stream, METHODS[method], b, [9])
+    assert state.t == state.peak_stored == m
+    over = replicated(stream, method, b, 1, 9)
+    full = replicated(stream, method, m, 1, 9)
+    assert [x.hex() for x in over.values] == [x.hex() for x in full.values]
+
