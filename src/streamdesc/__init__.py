@@ -26,13 +26,11 @@ from .descriptors import (
 from .errors import (
     BudgetTooSmallError,
     DataFormatError,
-    OracleSizeError,
     StreamDescError,
 )
 from .gabe import (
     GabeState,
     MIN_GABE_BUDGET,
-    closed_form_counts,
     exact_gabe_descriptor,
     gabe_finalize,
     gabe_process_edge,
@@ -65,15 +63,10 @@ from .maeve import (
     features_from_counts,
     maeve_finalize,
     maeve_process_edge,
-    moments,
 )
 from .oracle import (
-    ORACLE_LIMIT,
     edge_centric_induced_counts,
-    exact_induced_counts,
-    exact_subgraph_counts,
     exact_vertex_features,
-    exact_vertex_triangle_path_counts,
     phi_from_induced,
 )
 from .patterns import (
@@ -82,14 +75,11 @@ from .patterns import (
     PatternCounts,
     PatternId,
     STREAM_ESTIMATED,
-    classify_degree_sequence,
-    induced_to_subgraph,
     overlap_matrix,
     subgraph_to_induced,
 )
 from .reservoir import (
     ReservoirState,
-    detection_probability,
     maybe_sample,
     variance_bound,
 )

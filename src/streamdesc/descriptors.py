@@ -80,12 +80,18 @@ def _check_single_method(descriptors) -> None:
         raise ValueError(f"mixed methods in one collection: {sorted(methods)}")
 
 
+def _check_format(format: str) -> None:
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
+
+
 def write_descriptors(descriptors, fh, format: str = "csv") -> None:
     """Serialize to an open text handle; rows ordered by graph_id.
 
     Values are written with repr precision so a load restores the exact
     doubles.
     """
+    _check_format(format)
     descriptors = sorted(descriptors, key=lambda d: d.graph_id)
     _check_single_method(descriptors)
     if format == "csv":
@@ -96,7 +102,7 @@ def write_descriptors(descriptors, fh, format: str = "csv") -> None:
             writer.writerow(
                 [d.graph_id, d.method, d.b, d.seed, d.n, d.m]
                 + [repr(float(x)) for x in d.values])
-    elif format == "jsonl":
+    else:
         for d in descriptors:
             record = {
                 "graph_id": d.graph_id,
@@ -108,11 +114,14 @@ def write_descriptors(descriptors, fh, format: str = "csv") -> None:
                 "values": [float(x) for x in d.values],
             }
             fh.write(json.dumps(record) + "\n")
-    else:
-        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
 
 
 def save_descriptors(descriptors, path, format: str = "csv") -> None:
+    """write_descriptors to a file, checked before the file is opened, so
+    a refused call leaves an existing file as it was."""
+    descriptors = list(descriptors)
+    _check_format(format)
+    _check_single_method(descriptors)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_descriptors(descriptors, fh, format)
 
@@ -123,8 +132,7 @@ def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
     The two formats differ only in how a line becomes its fields; each
     row is then built, checked and tagged with "path:lineno" here.
     """
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
+    _check_format(format)
     out: list[Descriptor] = []
     with open(path, newline="", encoding="utf-8") as fh:
         if format == "csv":

@@ -9,9 +9,5 @@ class BudgetTooSmallError(StreamDescError):
     """Raised when the edge budget cannot support the requested estimate."""
 
 
-class OracleSizeError(StreamDescError):
-    """Raised when a graph is too large for exact enumeration."""
-
-
 class DataFormatError(StreamDescError):
     """Raised when an input file does not match its expected format."""

@@ -207,8 +207,9 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
 
     if c or path or c4 or paw or dia or k4:
         # pk: probability that k given earlier edges are all in the
-        # sample, built factor by factor in detection_probability's
-        # order, so pk equals detection_probability(t, b, k) bit for bit
+        # sample, built factor by factor in the order of the reference
+        # detection_probability in tests/reference.py, so pk equals
+        # detection_probability(t, b, k) bit for bit
         p2 = p3 = p4 = p5 = 1.0
         if t - 1 > b:
             p2 = b / (t - 1) * ((b - 1) / (t - 2))
@@ -234,21 +235,6 @@ def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
     return state
 
 
-def _plain_counts(state: GabeState, n: int) -> list:
-    return plain_counts(n, state.t, state.degrees.values(),
-                        [state.est[pid] for pid in STREAM_ESTIMATED])
-
-
-def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
-    """The 11 pattern counts that follow from n, m, and exact degrees.
-
-    Triangle-plus-isolated is the one entry built on an estimate.
-    """
-    counts = _plain_counts(state, state.n)
-    return {pid: float(counts[pid - 1])
-            for pid in PatternId if pid not in STREAM_ESTIMATED}
-
-
 def gabe_finalize(state: GabeState) -> Descriptor:
     """Assemble the descriptor once the stream is fully consumed.
 
@@ -258,7 +244,9 @@ def gabe_finalize(state: GabeState) -> Descriptor:
     n = state.n
     phi = np.zeros(N_PATTERNS)
     if n >= 2:
-        counts = np.array(_plain_counts(state, n), dtype=float)
+        counts = np.array(plain_counts(
+            n, state.t, state.degrees.values(),
+            [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
         phi = phi_from_induced(subgraph_to_induced(counts), n)
     return Descriptor(
         graph_id=0, method="gabe", b=state.budget, seed=state.seed,

@@ -15,6 +15,7 @@ there is built once, in one batch from the prefix graph
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -74,8 +75,14 @@ class BudgetSpec:
         # nan fails every comparison, so it is refused here too
         if self.fraction is not None and not 0 < self.fraction < inf:
             raise ValueError(f"fraction must be finite and positive, got {self.fraction}")
-        if self.edges is not None and self.edges < 1:
-            raise ValueError(f"edges must be at least 1, got {self.edges}")
+        if self.edges is not None:
+            try:
+                # numpy integers pass; a float fails here, not mid-run
+                object.__setattr__(self, "edges", operator.index(self.edges))
+            except TypeError:
+                raise ValueError(f"edges must be an integer, got {self.edges!r}") from None
+            if self.edges < 1:
+                raise ValueError(f"edges must be at least 1, got {self.edges}")
 
     def resolve(self, m: int) -> int:
         if self.edges is not None:

@@ -129,8 +129,9 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
 
     if na or nb:
         # pk: probability that k given earlier edges are all in the
-        # sample, built factor by factor in detection_probability's
-        # order, so pk equals detection_probability(t, b, k) bit for bit
+        # sample, built factor by factor in the order of the reference
+        # detection_probability in tests/reference.py, so pk equals
+        # detection_probability(t, b, k) bit for bit
         p1 = p2 = 1.0
         if t - 1 > b:
             p1 = b / (t - 1)
@@ -183,40 +184,16 @@ def features_from_counts(degree, triangles, paths) -> VertexFeatures:
     )
 
 
-def moments(values) -> tuple[float, float, float, float]:
-    """Population moments (mean, std, skewness, kurtosis) of a sample.
-
-    Central-moment definitions with the plain (non-excess) kurtosis; a
-    constant sample reports skewness and kurtosis of 0.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("moments of an empty sample are undefined")
-    mean = float(arr.mean())
-    dev = arr - mean
-    m2 = float(np.mean(dev * dev))
-    std = sqrt(m2)
-    if std == 0.0:
-        return (mean, 0.0, 0.0, 0.0)
-    # standardize before raising to powers: std**4 can underflow to zero
-    # for tiny spreads even though std itself is positive; plain
-    # multiplication (not **) keeps odd powers exactly sign-symmetric
-    z = dev / std
-    z2 = z * z
-    skew = float(np.mean(z2 * z))
-    kurt = float(np.mean(z2 * z2))
-    return (mean, std, skew, kurt)
-
-
 def _moment_vector(table: np.ndarray) -> np.ndarray:
-    """The four moments of each feature, feature-major, from a (5, n)
-    C-contiguous float table with one row per feature.  Overwrites the
-    table.
+    """The four population moments (mean, std, skewness, plain
+    kurtosis) of each feature, feature-major, from a (5, n) C-contiguous
+    float table with one row per feature; a constant row has skewness
+    and kurtosis 0.  Overwrites the table.
 
-    moments() for the five rows: the means come from one row-wise
-    reduction, the other moments from the same steps as moments() on
-    each row, in place in the row and one n-sized buffer, so every
-    value has the bits moments(table[j]) gives.  (Reducing strided
+    The means come from one row-wise reduction, the other moments from
+    the steps the one-sample moments() in tests/reference.py takes
+    on each row, in place in the row and one n-sized buffer, so
+    every value has the bits moments(table[j]) gives.  (Reducing strided
     columns of an (n, 5) table instead sums in another order.)  The
     rest is not vectorized over all five rows because that needs a
     second (5, n) buffer, and on graphs with thousands of vertices the
@@ -232,7 +209,8 @@ def _moment_vector(table: np.ndarray) -> np.ndarray:
         if std == 0.0:
             continue
         out[1] = std
-        # standardize before raising to powers, as moments() does
+        # standardize before raising to powers: std**4 can underflow
+        # to zero for tiny spreads even though std itself is positive
         z = np.divide(dev, std, out=dev)
         z2 = np.multiply(z, z, out=sq)
         out[2] = np.multiply(z2, z, out=z).mean()

@@ -119,18 +119,11 @@ DEGREE_SEQUENCE: dict[PatternId, tuple[int, ...]] = {
 }
 
 # Sorted degree sequences distinguish every graph on at most 4 vertices,
-# so they serve as the isomorphism fingerprint throughout the package.
+# so they serve as the isomorphism fingerprint that builds the overlap
+# matrix.
 _BY_DEGSEQ: dict[tuple[int, ...], PatternId] = {
     seq: pid for pid, seq in DEGREE_SEQUENCE.items()
 }
-
-
-def classify_degree_sequence(seq) -> PatternId:
-    """Map a sorted degree sequence of a graph on <= 4 vertices to its pattern."""
-    try:
-        return _BY_DEGSEQ[tuple(seq)]
-    except KeyError:
-        raise ValueError(f"not a valid order <= 4 degree sequence: {seq!r}") from None
 
 
 @dataclass
@@ -190,8 +183,3 @@ def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
     for i in range(N_PATTERNS - 1, -1, -1):
         x[i] -= o[i, i + 1:] @ x[i + 1:]
     return x
-
-
-def induced_to_subgraph(counts: np.ndarray) -> np.ndarray:
-    """Apply O: plain subgraph counts from induced counts."""
-    return _OVERLAP @ np.asarray(counts, dtype=float)

@@ -1,5 +1,5 @@
 """Budget-bounded reservoir over the edge stream, the stream state both
-estimators build on, and detection math.
+estimators build on, and a variance bound for the estimates.
 
 The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
@@ -165,28 +165,6 @@ class StreamState(ReservoirState):
         outside [0, n) fails here, at finalize, not per edge."""
         return vertex_count(min(self.degrees, default=0),
                             max(self.degrees, default=-1), self.n_hint)
-
-
-def detection_probability(t: int, b: int, m: int) -> float:
-    """Probability that m specific earlier edges all survive in the
-    reservoir when edge t arrives.
-
-    Equals 1 while t-1 <= b, otherwise the product over i < m of
-    (b - i) / (t - 1 - i).  m is the pattern's edge count minus one; a
-    pattern needing more prior edges than the budget can hold is
-    undetectable, hence the error for m > b.
-    """
-    if t < 1 or b < 1 or m < 1:
-        raise ValueError(f"need t, b, m >= 1, got t={t} b={b} m={m}")
-    if m > b:
-        raise BudgetTooSmallError(
-            f"budget {b} cannot hold the {m} prior edges the pattern needs")
-    if t - 1 <= b:
-        return 1.0
-    p = 1.0
-    for i in range(m):
-        p *= (b - i) / (t - 1 - i)
-    return p
 
 
 def variance_bound(count: float, m_total: int, pattern_edges: int, b: int) -> float:

@@ -1,7 +1,8 @@
 """Shared fixtures and an independent brute-force counting oracle.
 
-The production oracle classifies vertex subsets through a degree-sequence
-fingerprint and converts between count kinds with the overlap matrix.
+The reference enumerator (reference.py) classifies vertex subsets through
+a degree-sequence fingerprint and converts between count kinds with the
+overlap matrix.
 The oracle below shares none of that machinery: it recognizes patterns by
 permutation matching against a hand-typed catalog and tallies both count
 kinds by direct enumeration.  Slow, but an honest second opinion.

@@ -1,0 +1,175 @@
+"""Reference implementations the tests check the package against.
+
+No command, harness path or estimator calls these: the capped C(n,4)
+enumerator and the helpers built on it, and the one-call forms of what
+gabe_finalize, maeve's _moment_vector and the inline detection weights
+compute bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import comb, sqrt
+
+import numpy as np
+
+from streamdesc.errors import BudgetTooSmallError
+from streamdesc.gabe import GabeState
+from streamdesc.graph import Graph
+from streamdesc.patterns import (
+    _BY_DEGSEQ, N_PATTERNS, STREAM_ESTIMATED, PatternCounts, PatternId, overlap_matrix,
+    plain_counts)
+
+# Enumeration is over all C(n,4) vertex subsets; past this size the cost
+# and memory stop being desk-scale.
+ORACLE_LIMIT = 60
+
+_OVERLAP = overlap_matrix()
+
+
+def classify_degree_sequence(seq) -> PatternId:
+    """Map a sorted degree sequence of a graph on <= 4 vertices to its pattern."""
+    try:
+        return _BY_DEGSEQ[tuple(seq)]
+    except KeyError:
+        raise ValueError(f"not a valid order <= 4 degree sequence: {seq!r}") from None
+
+
+def induced_to_subgraph(counts: np.ndarray) -> np.ndarray:
+    """Apply O: plain subgraph counts from induced counts."""
+    return _OVERLAP @ np.asarray(counts, dtype=float)
+
+
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, nbrs in enumerate(g.adj):
+        a[u, list(nbrs)] = True
+    return a
+
+
+def _edge_code_lut(k: int) -> np.ndarray:
+    """Edge-bit code -> pattern index (id - 1), for order k.
+
+    Bit i of a code is set when the i-th vertex pair of the subset, in
+    itertools.combinations(range(k), 2) order, is an edge.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    lut = np.empty(2 ** len(pairs), dtype=np.int64)
+    for code in range(len(lut)):
+        ends = [v for bit, pair in enumerate(pairs) if code >> bit & 1 for v in pair]
+        lut[code] = classify_degree_sequence(sorted(map(ends.count, range(k)))) - 1
+    return lut
+
+
+_LUT = {k: _edge_code_lut(k) for k in (3, 4)}
+
+
+def exact_induced_counts(g: Graph) -> PatternCounts:
+    """Induced counts of all 17 patterns; order-k entries sum to C(n,k).
+
+    Each triple x < y < z gets the 3-bit code of its pairs (x,y), (x,z),
+    (y,z).  A quadruple a < x < y < z adds the bits of (a,x), (a,y),
+    (a,z) below its triple's code shifted up by 3.  The triples above a
+    are a suffix of the lexicographic triple list, so no C(n,4) array is
+    ever built.  A graph above ORACLE_LIMIT vertices is refused with a
+    ValueError before any enumeration.
+    """
+    if g.n > ORACLE_LIMIT:
+        raise ValueError(
+            f"graph has {g.n} vertices, exact enumeration is limited to {ORACLE_LIMIT}")
+    values = np.zeros(N_PATTERNS)
+    values[PatternId.EDGE - 1] = g.m
+    values[PatternId.EDGELESS_2 - 1] = comb(g.n, 2) - g.m
+    if g.n < 3:
+        return PatternCounts(values=values)
+    adj = _adjacency_matrix(g).view(np.uint8)
+    triples = np.array(list(itertools.combinations(range(g.n), 3)), dtype=np.int64)
+    x, y, z = np.ascontiguousarray(triples.T)
+    code3 = adj[x, y] | adj[x, z] << 1 | adj[y, z] << 2
+    high = code3 << 3
+    hist4 = np.zeros(64, dtype=np.int64)
+    for a in range(g.n - 3):
+        s = np.searchsorted(x, a, side="right")
+        row = adj[a]
+        code4 = row[x[s:]] | row[y[s:]] << 1 | row[z[s:]] << 2 | high[s:]
+        hist4 += np.bincount(code4, minlength=64)
+    hist3 = np.bincount(code3, minlength=8)
+    for k, hist in ((3, hist3), (4, hist4)):
+        values += np.bincount(_LUT[k], weights=hist, minlength=N_PATTERNS)
+    return PatternCounts(values=values)
+
+
+def exact_subgraph_counts(g: Graph) -> PatternCounts:
+    """Not-necessarily-induced counts, derived from the induced counts."""
+    return PatternCounts(values=induced_to_subgraph(exact_induced_counts(g).values))
+
+
+def exact_vertex_triangle_path_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex triangle count and endpoint three-path count, as int64.
+
+    path[v] counts paths on three vertices with v as an endpoint, which
+    equals sum over neighbors u of (deg(u) - 1).
+    """
+    adj = _adjacency_matrix(g).astype(np.int64)
+    deg = adj.sum(axis=1)
+    tri = ((adj @ adj) * adj).sum(axis=1) // 2
+    path = adj @ deg - deg
+    return tri, path
+
+
+def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
+    """The 11 pattern counts that follow from n, m, and exact degrees.
+
+    Triangle-plus-isolated is the one entry built on an estimate.
+    """
+    counts = plain_counts(state.n, state.t, state.degrees.values(),
+                          [state.est[pid] for pid in STREAM_ESTIMATED])
+    return {pid: float(counts[pid - 1])
+            for pid in PatternId if pid not in STREAM_ESTIMATED}
+
+
+def moments(values) -> tuple[float, float, float, float]:
+    """Population moments (mean, std, skewness, kurtosis) of a sample.
+
+    Central-moment definitions with the plain (non-excess) kurtosis; a
+    constant sample reports skewness and kurtosis of 0.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("moments of an empty sample are undefined")
+    mean = float(arr.mean())
+    dev = arr - mean
+    m2 = float(np.mean(dev * dev))
+    std = sqrt(m2)
+    if std == 0.0:
+        return (mean, 0.0, 0.0, 0.0)
+    # standardize before raising to powers: std**4 can underflow to zero
+    # for tiny spreads even though std itself is positive; plain
+    # multiplication (not **) keeps odd powers exactly sign-symmetric
+    z = dev / std
+    z2 = z * z
+    skew = float(np.mean(z2 * z))
+    kurt = float(np.mean(z2 * z2))
+    return (mean, std, skew, kurt)
+
+
+def detection_probability(t: int, b: int, m: int) -> float:
+    """Probability that m specific earlier edges all survive in the
+    reservoir when edge t arrives.
+
+    Equals 1 while t-1 <= b, otherwise the product over i < m of
+    (b - i) / (t - 1 - i).  m is the pattern's edge count minus one; a
+    pattern needing more prior edges than the budget can hold is
+    undetectable, hence the error for m > b.
+    """
+    if t < 1 or b < 1 or m < 1:
+        raise ValueError(f"need t, b, m >= 1, got t={t} b={b} m={m}")
+    if m > b:
+        raise BudgetTooSmallError(
+            f"budget {b} cannot hold the {m} prior edges the pattern needs")
+    if t - 1 <= b:
+        return 1.0
+    p = 1.0
+    for i in range(m):
+        p *= (b - i) / (t - 1 - i)
+    return p

@@ -20,17 +20,13 @@ from streamdesc import (
     MIN_GABE_BUDGET,
     MIN_MAEVE_BUDGET,
     build_graph,
-    closed_form_counts,
     compute_descriptors,
     cross_validate,
     derive_seed,
     error_vs_budget,
     exact_gabe_descriptor,
     exact_maeve_descriptor,
-    exact_subgraph_counts,
-    exact_induced_counts,
     exact_vertex_features,
-    exact_vertex_triangle_path_counts,
     features_from_counts,
     gabe_descriptor,
     gabe_process_edge,
@@ -50,6 +46,9 @@ from streamdesc.patterns import (
 )
 
 from conftest import random_stream
+from reference import (
+    closed_form_counts, exact_induced_counts, exact_subgraph_counts,
+    exact_vertex_triangle_path_counts)
 
 OVERLAP = overlap_matrix()
 

@@ -439,16 +439,20 @@ def test_module_entry_point(tmp_path):
 
     import streamdesc
 
-    # the child imports the same package as this process, installed or not
+    # the child imports the same package as this process, installed or
+    # not, and runs outside the checkout, so the test tree is not on its
+    # path and an import of test code from the package fails there
     path = [str(Path(streamdesc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     tri = edge_file(tmp_path, "tri.txt", [(0, 1), (1, 2), (0, 2)])
-    proc = subprocess.run(
-        [sys.executable, "-m", "streamdesc", "exact", "--input", tri,
-         "--method", "gabe"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("graph_id,method,")
+    for method in ("gabe", "maeve"):
+        for command in (["exact"], ["descriptor", "--budget-abs", "5"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "streamdesc", *command, "--input", tri,
+                 "--method", method],
+                capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith("graph_id,method,")
 
 
 def test_help_exits_zero(capsys):

@@ -177,6 +177,17 @@ def test_mixed_methods_rejected_on_save(tmp_path):
             tmp_path / "mixed.csv")
 
 
+def test_refused_save_leaves_existing_file_unchanged(tmp_path):
+    path = tmp_path / "keep.csv"
+    save_descriptors([make_descriptor(0, "gabe")], path)
+    before = path.read_bytes()
+    for descriptors, format in (([make_descriptor(0, "gabe")], "xml"),
+                                ([make_descriptor(0, "gabe"), make_descriptor(1, "maeve")], "csv")):
+        with pytest.raises(ValueError):
+            save_descriptors(descriptors, path, format=format)
+        assert path.read_bytes() == before
+
+
 def test_mixed_methods_rejected_on_load(tmp_path):
     # a stitched CSV trips the width check (17 vs 20 values); jsonl rows
     # carry their own widths, so it reaches the explicit method check

@@ -15,17 +15,15 @@ from streamdesc import (
     GabeState,
     PatternId,
     build_graph,
-    closed_form_counts,
     exact_gabe_descriptor,
-    exact_subgraph_counts,
     gabe_descriptor,
     gabe_finalize,
     gabe_process_edge,
 )
 from streamdesc.errors import BudgetTooSmallError
-from streamdesc.reservoir import detection_probability
 
 from conftest import completed_copies, random_stream, triangles_per_vertex
+from reference import closed_form_counts, detection_probability, exact_subgraph_counts
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 K4_EDGES = list(itertools.combinations(range(4), 2))

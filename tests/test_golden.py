@@ -18,11 +18,9 @@ from pathlib import Path
 import pytest
 
 from streamdesc import (
-    ORACLE_LIMIT,
     EdgeStream,
     build_graph,
     exact_gabe_descriptor,
-    exact_induced_counts,
     exact_maeve_descriptor,
     gabe_descriptor,
     maeve_descriptor,
@@ -30,6 +28,8 @@ from streamdesc import (
 )
 from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 from streamdesc.graph import preprocess
+
+from reference import ORACLE_LIMIT, exact_induced_counts
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 

