@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -53,17 +56,14 @@ def _budget_list(text: str) -> list[float]:
     return budgets
 
 
-def _add_input_options(parser, dataset_only: bool = False):
-    if dataset_only:
-        parser.add_argument(
-            "--dataset", required=True,
-            help="benchmark bundle directory (PREFIX_A.txt and friends)")
-        return
+_DATASET_HELP = "benchmark bundle directory (PREFIX_A.txt and friends)"
+
+
+def _add_input_options(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--input", help="edge-list file, one 'u v' or 'u,v' pair per line, '#' comments")
-    group.add_argument(
-        "--dataset", help="benchmark bundle directory (PREFIX_A.txt and friends)")
+    group.add_argument("--dataset", help=_DATASET_HELP)
 
 
 def _add_budget_options(parser):
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "classify", help="1-NN cross-validated accuracy on a labeled bundle")
-    _add_input_options(p, dataset_only=True)
+    p.add_argument("--dataset", required=True, help=_DATASET_HELP)
     _add_budget_options(p)
     p.add_argument("--method", choices=tuple(METHODS), required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(args) -> Dataset:
-    if getattr(args, "input", None):
+    if args.input:
         raw = read_edge_list(args.input)
         stream = preprocess(raw, seed=derive_seed(args.seed, "shuffle", 0))
         return Dataset(graphs=[stream], labels=[0], name=args.input)

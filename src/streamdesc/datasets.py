@@ -128,28 +128,21 @@ def synthetic_two_class_dataset(
     per_class: int = 60,
     n_range: tuple[int, int] = (50, 100),
     seed: int = 0,
-    p: float = 0.1,
-    m_attach: int = 3,
 ) -> Dataset:
-    """Uniform random graphs (class 0) versus preferential-attachment
-    graphs (class 1), sizes drawn uniformly from n_range."""
+    """Uniform random graphs with edge probability 0.1 (class 0) versus
+    preferential-attachment graphs with 3 attachments per vertex
+    (class 1), sizes drawn uniformly from n_range."""
     lo, hi = n_range
     graphs: list[EdgeStream] = []
     labels: list[int] = []
-    for i in range(per_class):
-        rng = random.Random(derive_seed(seed, "gnp", i))
-        n = rng.randint(lo, hi)
-        stream = preprocess(gnp_edges(n, p, rng), seed=derive_seed(seed, "gnp-shuffle", i))
-        stream.n_hint = n
-        graphs.append(stream)
-        labels.append(0)
-    for i in range(per_class):
-        rng = random.Random(derive_seed(seed, "pa", i))
-        n = rng.randint(lo, hi)
-        stream = preprocess(
-            preferential_attachment_edges(n, m_attach, rng),
-            seed=derive_seed(seed, "pa-shuffle", i))
-        stream.n_hint = n
-        graphs.append(stream)
-        labels.append(1)
+    models = (("gnp", gnp_edges, 0.1), ("pa", preferential_attachment_edges, 3))
+    for label, (tag, edges, param) in enumerate(models):
+        for i in range(per_class):
+            rng = random.Random(derive_seed(seed, tag, i))
+            n = rng.randint(lo, hi)
+            stream = preprocess(edges(n, param, rng),
+                                seed=derive_seed(seed, f"{tag}-shuffle", i))
+            stream.n_hint = n
+            graphs.append(stream)
+            labels.append(label)
     return Dataset(graphs=graphs, labels=labels, name="synthetic-two-class")

@@ -99,20 +99,12 @@ def write_descriptors(descriptors, fh, format: str = "csv") -> None:
         dim = len(descriptors[0].values) if descriptors else 0
         writer.writerow(list(_META_FIELDS) + [f"v{i}" for i in range(dim)])
         for d in descriptors:
-            writer.writerow(
-                [d.graph_id, d.method, d.b, d.seed, d.n, d.m]
-                + [repr(float(x)) for x in d.values])
+            writer.writerow([getattr(d, f) for f in _META_FIELDS]
+                            + [repr(float(x)) for x in d.values])
     else:
         for d in descriptors:
-            record = {
-                "graph_id": d.graph_id,
-                "method": d.method,
-                "b": d.b,
-                "seed": d.seed,
-                "n": d.n,
-                "m": d.m,
-                "values": [float(x) for x in d.values],
-            }
+            record = {f: getattr(d, f) for f in _META_FIELDS}
+            record["values"] = [float(x) for x in d.values]
             fh.write(json.dumps(record) + "\n")
 
 

@@ -20,7 +20,7 @@ from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
-    N_PATTERNS, PatternId, STREAM_ESTIMATED, plain_counts, subgraph_to_induced)
+    PatternId, STREAM_ESTIMATED, plain_counts, subgraph_to_induced)
 from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
@@ -242,12 +242,10 @@ def gabe_finalize(state: GabeState) -> Descriptor:
     are kept raw rather than clamped, which preserves unbiasedness.
     """
     n = state.n
-    phi = np.zeros(N_PATTERNS)
-    if n >= 2:
-        counts = np.array(plain_counts(
-            n, state.t, state.degrees.values(),
-            [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
-        phi = phi_from_induced(subgraph_to_induced(counts), n)
+    counts = np.array(plain_counts(
+        n, state.t, state.degrees.values(),
+        [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
+    phi = phi_from_induced(subgraph_to_induced(counts), n)
     return Descriptor(
         graph_id=0, method="gabe", b=state.budget, seed=state.seed,
         n=n, m=state.t, values=phi)
@@ -256,8 +254,6 @@ def gabe_finalize(state: GabeState) -> Descriptor:
 def exact_gabe_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor from the edge-centric induced counts, for
     a graph of any size."""
-    phi = np.zeros(N_PATTERNS)
-    if g.n >= 2:
-        phi = phi_from_induced(edge_centric_induced_counts(g).values, g.n)
+    phi = phi_from_induced(edge_centric_induced_counts(g).values, g.n)
     return Descriptor(
         graph_id=0, method="gabe", b=g.m, seed=0, n=g.n, m=g.m, values=phi)

@@ -258,7 +258,7 @@ def cross_validate(
         mean_accuracy=float(np.mean(accuracies)),
         std_accuracy=float(np.std(accuracies)),
         config={
-            "method": next(iter(methods)) if methods else None,
+            "method": next(iter(methods)),
             "folds": folds,
             "repeats": repeats,
             "seed": seed,

@@ -34,7 +34,7 @@ class ReservoirState:
 
     __slots__ = ("budget", "t", "rng", "edges", "adj", "peak_stored")
 
-    def __init__(self, budget: int, seed: int | None = 0):
+    def __init__(self, budget: int, seed: int = 0):
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
         self.budget = budget
@@ -53,11 +53,10 @@ class ReservoirState:
 
     def _unlink(self, u: int, v: int):
         for a, b in ((u, v), (v, u)):
-            nbrs = self.adj.get(a)
-            if nbrs is not None:
-                nbrs.discard(b)
-                if not nbrs:
-                    del self.adj[a]
+            nbrs = self.adj[a]
+            nbrs.discard(b)
+            if not nbrs:
+                del self.adj[a]
 
 
 def maybe_sample(state: ReservoirState, edge: Edge) -> None:

@@ -125,6 +125,22 @@ def test_descriptor_budget_flags_are_exclusive(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["descriptor", "--method", "gabe", "--budget-abs", "x"],
+    ["descriptor", "--method", "gabe", "--budget", "0.5", "--workers", "1.5"],
+    ["classify", "--method", "gabe", "--budget", "0.5", "--folds", "1.5"],
+    ["classify", "--method", "gabe", "--budget", "0.5", "--repeats", "1.5"],
+    ["experiment", "error-vs-budget", "--method", "gabe", "--trials", "1.5"],
+], ids=["budget-abs", "workers", "folds", "repeats", "trials"])
+def test_non_integer_count_exits_one(capsys, argv):
+    # parsing fails before the input is read
+    source = ["--dataset" if argv[0] == "classify" else "--input", "unread"]
+    assert main(argv + source) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f": must be an integer, got '{argv[-1]}'\n")
+    assert "_positive_int" not in err
+
+
 def test_descriptor_reads_comma_separated_edges(tmp_path, capsys):
     pairs = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u + v) % 3]
     plain = edge_file(tmp_path, "plain.txt", pairs)

@@ -1,5 +1,6 @@
 """Benchmark bundle loading and the synthetic corpora."""
 
+import hashlib
 import random
 
 import pytest
@@ -185,6 +186,12 @@ def test_synthetic_two_class_dataset():
         assert 20 <= stream.n_hint <= 30
     again = synthetic_two_class_dataset(per_class=5, n_range=(20, 30), seed=1)
     assert [list(s) for s in again.graphs] == [list(s) for s in ds.graphs]
+    # every stream's edges and n_hint, pinned to the generator's output
+    digest = hashlib.sha256()
+    for stream in ds.graphs:
+        digest.update(repr((stream.n_hint, list(stream))).encode())
+    assert digest.hexdigest() == (
+        "8ecb99080bc501d3c7f98d99ad14b1eabc54e7f107ecb7e4d6031f75203606a7")
 
 
 def test_dataset_length_validation():

@@ -129,6 +129,21 @@ def test_csv_header_layout(tmp_path):
     assert header.endswith(",v19")
 
 
+def test_file_bytes_are_pinned(tmp_path):
+    # field order, JSONL key order and repr floats, byte for byte
+    d = Descriptor(graph_id=7, method="gabe", b=12, seed=3, n=9, m=20,
+                   values=[0.1, 1 / 3, -2.5, 1e16, 1e-20, -0.0] + [0.0] * 11)
+    save_descriptors([d], tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes().split(b"\r\n")[1] == (
+        b"7,gabe,12,3,9,20,0.1,0.3333333333333333,-2.5,1e+16,1e-20,-0.0"
+        + b",0.0" * 11)
+    save_descriptors([d], tmp_path / "out.jsonl", format="jsonl")
+    assert (tmp_path / "out.jsonl").read_bytes() == (
+        b'{"graph_id": 7, "method": "gabe", "b": 12, "seed": 3, "n": 9, "m": 20, '
+        b'"values": [0.1, 0.3333333333333333, -2.5, 1e+16, 1e-20, -0.0'
+        + b", 0.0" * 11 + b"]}\n")
+
+
 def test_empty_collection_round_trip(tmp_path):
     path = tmp_path / "empty.csv"
     save_descriptors([], path)

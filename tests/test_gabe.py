@@ -189,11 +189,15 @@ def test_triangle_estimate_unbiased_small():
 
 
 def test_degenerate_descriptor():
-    d = gabe_finalize(run_state([], budget=5))
-    assert d.degenerate
-    assert np.all(d.values == 0)
-    d1 = gabe_finalize(run_state([], budget=5, n_hint=1))
-    assert d1.degenerate
+    # every closed form is 0 and every C(n, k) block is zeroed: +0.0
+    # in all 17 coordinates, from the estimator and from the oracle
+    for n in (0, 1):
+        d = gabe_finalize(run_state([], budget=5, n_hint=n))
+        exact = exact_gabe_descriptor(build_graph(EdgeStream([], n_hint=n)))
+        for desc in (d, exact):
+            assert desc.degenerate
+            assert desc.n == n
+            assert [float(x).hex() for x in desc.values] == ["0x0.0p+0"] * 17
 
 
 def test_two_vertex_graph_not_degenerate():
