@@ -6,8 +6,10 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataFormatError
-from .graph import EdgeStream, derive_seed, int_rows, preprocess
+from .graph import EdgeStream, derive_seed, int_columns, preprocess, raise_first_fault
 
 
 @dataclass
@@ -30,9 +32,12 @@ def load_benchmark_dataset(directory, seed: int = 0) -> Dataset:
 
     Expects PREFIX_A.txt (1-indexed edge endpoints),
     PREFIX_graph_indicator.txt (vertex -> graph id), and
-    PREFIX_graph_labels.txt (graph -> class), all read by int_rows.
-    Each graph comes out as a preprocessed 0-based stream with n_hint
-    preserving its isolated vertices.
+    PREFIX_graph_labels.txt (graph -> class), all read by int_columns.
+    The range and cross-graph checks and the split into graphs are array
+    operations; a faulty edge row is then named by path:line, the first
+    in the file whatever its fault.  Each graph comes out as a
+    preprocessed 0-based stream with n_hint preserving its isolated
+    vertices.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -51,35 +56,42 @@ def load_benchmark_dataset(directory, seed: int = 0) -> Dataset:
         if not p.is_file():
             raise DataFormatError(f"{directory}: missing {p.name}")
 
-    indicator = [gid for _, (gid,) in int_rows(indicator_path, 1)]
-    labels = [label for _, (label,) in int_rows(labels_path, 1)]
-    if not indicator:
+    indicator = int_columns(indicator_path, 1)[:, 0]
+    labels = int_columns(labels_path, 1)[:, 0].tolist()
+    if not len(indicator):
         raise DataFormatError(f"{indicator_path}: no vertices listed")
     n_graphs = len(labels)
-    lo, hi = min(indicator), max(indicator)
+    lo, hi = int(indicator.min()), int(indicator.max())
     if lo < 1 or hi > n_graphs:
         raise DataFormatError(
             f"{indicator_path}: graph ids span [{lo}, {hi}] but "
             f"{labels_path.name} lists {n_graphs} graphs")
 
-    n_vertices = [0] * (n_graphs + 1)
-    local = [0] * (len(indicator) + 1)  # global vertex id -> local 0-based id
-    for global_v, gid in enumerate(indicator, start=1):
-        local[global_v] = n_vertices[gid]
-        n_vertices[gid] += 1
-
-    per_graph: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs + 1)]
     n_total = len(indicator)
-    for lineno, (u, v) in int_rows(a_path, 2):
-        if not (1 <= u <= n_total and 1 <= v <= n_total):
-            raise DataFormatError(
-                f"{a_path}:{lineno}: vertex id out of range in ({u}, {v})")
-        gu, gv = indicator[u - 1], indicator[v - 1]
-        if gu != gv:
-            raise DataFormatError(
-                f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}")
-        per_graph[gu].append((local[u], local[v]))
 
+    def fault(row):
+        u, v = row
+        if not (1 <= u <= n_total and 1 <= v <= n_total):
+            return f"vertex id out of range in ({u}, {v})"
+        gu, gv = indicator[u - 1], indicator[v - 1]
+        return gu != gv and f"edge ({u}, {v}) crosses graphs {gu} and {gv}"
+
+    try:
+        edges = int_columns(a_path, 2)
+        bad = ((edges < 1) | (edges > n_total)).any(axis=1)
+        gids = indicator[np.where(bad[:, None], 1, edges) - 1]
+        bad |= gids[:, 0] != gids[:, 1]
+    except DataFormatError:
+        bad = None
+    if bad is None or bad.any():
+        raise_first_fault(a_path, 2, fault)
+
+    # Each graph's edges in file order; row 0 is graph 0, which has none.
+    # preprocess relabels by first appearance, so the global ids can stay.
+    by_graph = gids[:, 0].argsort(kind="stable")
+    per_graph = np.split(edges[by_graph],
+                         np.cumsum(np.bincount(gids[:, 0], minlength=n_graphs + 1))[:-1])
+    n_vertices = np.bincount(indicator, minlength=n_graphs + 1).tolist()
     graphs = []
     for g in range(1, n_graphs + 1):
         stream = preprocess(per_graph[g], seed=derive_seed(seed, "shuffle", g))

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import random
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -59,30 +63,36 @@ class EdgeStream:
 
 
 def preprocess(raw_edges, seed: int) -> EdgeStream:
-    """Clean a raw pair list into a stream ready for the estimators.
+    """Clean raw (u, v) pairs, a list of pairs or an (m, 2) integer
+    array such as read_edge_list returns, into a stream ready for the
+    estimators.
 
     Self-loops are dropped, duplicates (in either orientation) keep the
     first occurrence, labels are remapped to a contiguous 0-based range
     in order of first appearance, and the result is shuffled by a seeded
     permutation.  An input that is empty after cleaning yields an empty
-    stream, not an error.
+    stream, not an error.  A negative label raises ValueError; a label
+    of 2**63 or more does not fit the int64 array (OverflowError).
     """
-    seen: set[Edge] = set()
-    relabel: dict[int, int] = {}
-    edges: list[Edge] = []
-    for a, b in raw_edges:
-        if a < 0 or b < 0:
-            raise ValueError(f"vertex labels must be non-negative, got ({a}, {b})")
-        if a == b:
-            continue
-        # A duplicate's endpoints already have their labels, so labelling
-        # before the duplicate check keeps the first-appearance order.
-        ra = relabel.setdefault(a, len(relabel))
-        rb = relabel.setdefault(b, len(relabel))
-        edge = (ra, rb) if ra < rb else (rb, ra)
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
+    pairs = np.asarray(raw_edges, dtype=np.int64).reshape(len(raw_edges), 2)
+    negative = (pairs < 0).any(axis=1)
+    if negative.any():
+        a, b = pairs[negative.argmax()].tolist()
+        raise ValueError(f"vertex labels must be non-negative, got ({a}, {b})")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # A duplicate's endpoints already have their labels, so labelling
+    # every surviving pair by first appearance before the dedupe gives
+    # the same labels as labelling only the kept edges.
+    _, first, inverse = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
+    n = len(first)
+    rank = first.argsort().argsort()  # each vertex's place in first-appearance order
+    ends = rank[inverse].reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    kept = np.zeros(len(lo), dtype=bool)
+    kept[np.unique(lo * n + hi, return_index=True)[1]] = True
+    # One shared int object per vertex, as a relabelling dict would give.
+    labels = np.array(range(n), dtype=object)
+    edges = list(zip(labels[lo[kept]].tolist(), labels[hi[kept]].tolist()))
     random.Random(seed).shuffle(edges)
     return EdgeStream(edges)
 
@@ -123,10 +133,13 @@ def build_graph(stream: EdgeStream) -> Graph:
 def int_rows(path, width: int):
     """Yield (lineno, row) for each data line of a text file of integers.
 
+    The line-by-line reference parser: int_columns reads every file and
+    runs this one only to name a fault or to skip comment lines.
     Fields are separated by commas and/or whitespace.  Blank lines and
     lines whose first field starts with '#' are skipped.  row is a tuple
-    of `width` ints; any other field count, or a field int() rejects,
-    raises DataFormatError starting with "path:lineno".
+    of `width` ints; any other field count, a field int() rejects, or a
+    value outside the int64 range raises DataFormatError starting with
+    "path:lineno".
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -145,17 +158,57 @@ def int_rows(path, width: int):
                     continue
                 raise DataFormatError(
                     f"{path}:{lineno}: non-integer field in {line.strip()!r}") from None
+            if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
+                raise DataFormatError(
+                    f"{path}:{lineno}: integer outside the 64-bit range in {line.strip()!r}")
             yield lineno, row
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse a text edge list: one "u v" or "u, v" pair per line, '#'
-    starts a comment line (see int_rows)."""
-    pairs: list[tuple[int, int]] = []
-    for lineno, row in int_rows(path, 2):
-        if row[0] < 0 or row[1] < 0:
-            raise DataFormatError(f"{path}:{lineno}: negative vertex label in {row}")
-        pairs.append(row)
+def int_columns(path, width: int) -> np.ndarray:
+    """Read a text file of integers (the format of int_rows) as a
+    (rows, width) int64 array.
+
+    One np.loadtxt call parses a well-formed file.  On anything else (an
+    exception or warning, a width mismatch, a '#' line, a negative value)
+    the file is parsed again by int_rows, which raises its path:line
+    error or returns the rows without the comment lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Text mode, so line ends are the universal newlines of int_rows.
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read().replace(",", " ")
+            rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        if rows.shape[1] == width and rows.min() >= 0:
+            return rows
+    except Exception:  # int_rows below raises the real error, if there is one
+        pass
+    rows = [row for _, row in int_rows(path, width)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def raise_first_fault(path, width: int, fault) -> None:
+    """Re-read an int_rows file and raise, naming path:line, the first
+    fault in file order: int_rows' own, or the message fault(row) returns
+    for a row it refuses (a falsy value for a good row)."""
+    for lineno, row in int_rows(path, width):
+        message = fault(row)
+        if message:
+            raise DataFormatError(f"{path}:{lineno}: {message}")
+
+
+def read_edge_list(path) -> np.ndarray:
+    """Parse a text edge list into an (m, 2) int64 array: one "u v" or
+    "u, v" pair per line, '#' starts a comment line (see int_columns).
+    A negative label raises DataFormatError naming path:line; of several
+    faults, the first in the file is reported."""
+    try:
+        pairs = int_columns(path, 2)
+    except DataFormatError:
+        pairs = None
+    if pairs is None or (pairs < 0).any():
+        raise_first_fault(path, 2, lambda row: min(row) < 0 and f"negative vertex label in {row}")
     return pairs
 
 

@@ -189,6 +189,25 @@ def test_descriptor_malformed_input(tmp_path, capsys):
         "--budget", "0.5"])
     assert code == 2
     assert "bad.txt:2" in capsys.readouterr().err
+    bad.write_text(f"1 2\n{2 ** 63} 0\n")
+    assert main(["descriptor", "--input", str(bad), "--method", "gabe", "--budget", "0.5"]) == 2
+    assert "bad.txt:2: integer outside the 64-bit range" in capsys.readouterr().err
+
+
+def test_descriptor_same_for_either_parser_path(tmp_path, capsys):
+    # a clean file takes the numpy path; comments, CRLF and commas the
+    # int_rows fallback
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u * v) % 3]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    other = tmp_path / "other.txt"
+    other.write_bytes(("# header\r\n" + "".join(f"{u},{v}\r\n" for u, v in edges)).encode())
+    outputs = []
+    for path in (plain, other):
+        assert main(["descriptor", "--method", "maeve", "--budget-abs", "2",
+                     "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
 
 
 # -------------------------------------------------------------------- exact

@@ -2,10 +2,11 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
-from streamdesc import build_graph, load_benchmark_dataset
+from streamdesc import build_graph, derive_seed, load_benchmark_dataset, preprocess
 from streamdesc.datasets import (
     gnp_edges,
     preferential_attachment_edges,
@@ -46,6 +47,20 @@ def test_load_two_triangle_bundle(tmp_path):
         assert stream.n_hint == 3
         g = build_graph(stream)
         assert [len(s) for s in g.adj] == [2, 2, 2]  # local 0-based triangle
+    assert all(type(x) is int for x in ds.labels + [s.n_hint for s in ds.graphs])
+
+
+def test_loader_interleaved_graphs(tmp_path):
+    # local ids count each graph's vertices in indicator order, and each
+    # graph's edges keep their file order
+    write_bundle(tmp_path, a="5, 2\n1, 4\n3, 5\n", indicator="2\n1\n1\n2\n1\n",
+                 labels="1\n0\n")
+    ds = load_benchmark_dataset(tmp_path, seed=4)
+    assert ds.labels == [1, 0]
+    assert [s.n_hint for s in ds.graphs] == [3, 2]
+    local = {1: [(2, 0), (1, 2)], 2: [(0, 1)]}
+    for g, stream in enumerate(ds.graphs, start=1):
+        assert stream.edges == preprocess(local[g], seed=derive_seed(4, "shuffle", g)).edges
 
 
 def test_loader_files_share_the_edge_list_rules(tmp_path):
@@ -121,6 +136,30 @@ def test_loader_vertex_out_of_range(tmp_path):
 def test_loader_cross_graph_edge(tmp_path):
     write_bundle(tmp_path, a="1, 3\n", indicator="1\n1\n2\n", labels="0\n1\n")
     with pytest.raises(DataFormatError, match="crosses graphs"):
+        load_benchmark_dataset(tmp_path)
+
+
+def test_loader_edge_faults_name_their_line(tmp_path):
+    # the first faulty row in file order is reported, whichever its kind
+    indicator, labels = "1\n1\n2\n2\n", "0\n1\n"
+    head = "# edges\n1, 2\n\n3, 4\n"
+    cases = (
+        (head + "1, 3\n0, 1\n", "5: edge (1, 3) crosses graphs 1 and 2"),
+        (head + "4, 5\n1, 3\n", "5: vertex id out of range in (4, 5)"),
+        (head + "2, -1\n", "5: vertex id out of range in (2, -1)"),
+        (head + "1, 3\n1 2 3\n", "5: edge (1, 3) crosses graphs 1 and 2"),
+        (head + "1 2 3\n1, 3\n", "5: expected 2 fields"),
+    )
+    for a, message in cases:
+        write_bundle(tmp_path, a=a, indicator=indicator, labels=labels)
+        with pytest.raises(DataFormatError, match=re.escape(f"DS_A.txt:{message}")):
+            load_benchmark_dataset(tmp_path)
+
+
+def test_loader_refuses_ids_beyond_int64(tmp_path):
+    write_bundle(tmp_path, a="1, 2\n", indicator=f"1\n{2 ** 64}\n", labels="0\n")
+    with pytest.raises(DataFormatError,
+                       match=r"DS_graph_indicator\.txt:2: integer outside the 64-bit range"):
         load_benchmark_dataset(tmp_path)
 
 

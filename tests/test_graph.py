@@ -3,8 +3,9 @@
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
@@ -15,7 +16,7 @@ from streamdesc import (
     read_edge_list,
 )
 from streamdesc.errors import DataFormatError
-from streamdesc.graph import int_rows, vertex_count
+from streamdesc.graph import int_columns, int_rows, vertex_count
 
 
 def test_preprocess_drops_self_loops_and_duplicates():
@@ -51,14 +52,39 @@ def reference_preprocess_edges(raw_edges):
     return edges
 
 
-@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
-       st.integers(0, 3))
+raw_labels = st.integers(0, 12) | st.integers(2 ** 63 - 4, 2 ** 63 - 1)
+
+
+@given(st.lists(st.tuples(raw_labels, raw_labels), max_size=40), st.integers(0, 3))
+@example([], 0)
+@example([(3, 3), (0, 0), (3, 3)], 1)
 @settings(max_examples=200)
 def test_preprocess_matches_reference(raw, seed):
     # labelling before the duplicate check must not change any label
     expected = reference_preprocess_edges(raw)
     random.Random(seed).shuffle(expected)
-    assert preprocess(raw, seed=seed).edges == expected
+    as_array = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
+    for pairs in (raw, as_array):
+        edges = preprocess(pairs, seed=seed).edges
+        assert edges == expected
+        assert all(type(x) is int for edge in edges for x in edge)
+
+
+def test_preprocess_labels_share_one_int_per_vertex():
+    # every occurrence of a vertex is one int object, also above the small
+    # ints CPython caches
+    raw = [(5000, 20000 + i) for i in range(400)] + [(20000 + i, 9) for i in range(400)]
+    ids = {}
+    for edge in preprocess(raw, seed=0).edges:
+        for x in edge:
+            ids.setdefault(x, set()).add(id(x))
+    assert max(ids) > 256 and all(len(s) == 1 for s in ids.values())
+
+
+def test_preprocess_rejects_negative_labels():
+    for pairs in ([(0, 1), (2, -3), (-1, 4)], np.array([[0, 1], [2, -3]])):
+        with pytest.raises(ValueError, match=re.escape("non-negative, got (2, -3)")):
+            preprocess(pairs, seed=0)
 
 
 def test_preprocess_is_deterministic():
@@ -143,7 +169,9 @@ def test_vertex_count_rule():
 def test_read_edge_list(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# a comment\n0 1\n\n1 2\n")
-    assert read_edge_list(path) == [(0, 1), (1, 2)]
+    pairs = read_edge_list(path)
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[0, 1], [1, 2]]
 
 
 def test_read_edge_list_reports_line_numbers(tmp_path):
@@ -157,6 +185,25 @@ def test_read_edge_list_reports_line_numbers(tmp_path):
     path.write_text("0 1\n2, -3\n")
     with pytest.raises(DataFormatError, match=r"bad\.txt:2: negative"):
         read_edge_list(path)
+    # the first fault in the file is reported, whichever its kind
+    for text in ("# c\n\n0 1\n\n5 -0\n2\t-3\n", "0 1\n\n\n\n\n2, -3\nx y\n"):
+        path.write_text(text)
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}:6: negative vertex label in (2, -3)")):
+            read_edge_list(path)
+    path.write_text("0 1\nx y\n2 -3\n")
+    with pytest.raises(DataFormatError, match=r"bad\.txt:2: non-integer"):
+        read_edge_list(path)
+
+
+def test_labels_beyond_int64_are_refused(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"0 1\n{2 ** 63 - 1} 0\n")
+    assert read_edge_list(path).tolist() == [[0, 1], [2 ** 63 - 1, 0]]
+    for line in (f"# c\n{2 ** 63} 0\n", f"\n0, {10 ** 30}\n", f"5 1\n0 {-2 ** 63 - 1}\n"):
+        path.write_text(line)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: integer outside")):
+            read_edge_list(path)
 
 
 SEPARATORS = (" ", "\t", ", ", ",")
@@ -182,7 +229,7 @@ bad_tokens = st.text(alphabet="0123456789abx.+-_", min_size=1, max_size=5).filte
 def test_read_edge_list_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("edges") / "edges.txt"
     path.write_text("".join(f"{skipped}{u}{sep}{v}\n" for u, v, sep, skipped in rows))
-    assert read_edge_list(path) == [(u, v) for u, v, _, _ in rows]
+    assert read_edge_list(path).tolist() == [[u, v] for u, v, _, _ in rows]
 
 
 @given(
@@ -212,6 +259,69 @@ def test_int_rows_yields_line_numbers(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_text("# header\n1, 2\n\n3\t4\n  5 ,6  \n")
     assert list(int_rows(path, 2)) == [(2, (1, 2)), (4, (3, 4)), (5, (5, 6))]
+
+
+def test_int_columns_reads_clean_file_without_int_rows(tmp_path, monkeypatch):
+    path = tmp_path / "rows.txt"
+    path.write_text("1, 2\n\n3\t4\r\n  5 ,6  \n")
+
+    def refuse(*_):
+        raise AssertionError("int_rows called on a clean file")
+
+    monkeypatch.setattr("streamdesc.graph.int_rows", refuse)
+    assert int_columns(path, 2).tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+def test_int_columns_empty_and_comment_only_files(tmp_path):
+    path = tmp_path / "rows.txt"
+    for text in ("", "\n\n", "# only\n#\n\n  # a comment, 1 2\n"):
+        path.write_text(text)
+        for width in (1, 2, 3):
+            rows = int_columns(path, width)
+            assert rows.shape == (0, width) and rows.dtype == np.int64
+
+
+COLUMN_SEPARATORS = (" ", "\t", ",", ", ", "\x0b", "\x0c", "\xa0", "\x1c", "\x85")
+LINE_ENDS = ("\n", "\r\n", "\r")
+odd_tokens = st.sampled_from(
+    ("+5", "-0", "007", "1_000", "1.0", "0x1", "\u0663", str(2 ** 63 - 1), str(2 ** 63),
+     str(-2 ** 63), "#", "#7"))
+
+
+def column_lines(width):
+    """One line of an integer file; most data lines have `width` fields."""
+    token = st.integers(0, 10 ** 6).map(str) | st.integers(-3, 3).map(str) | odd_tokens
+    tokens = st.sampled_from((width,) * 6 + (1, 2, 3, 4)).flatmap(
+        lambda k: st.lists(token, min_size=k, max_size=k))
+    seps = st.sampled_from(COLUMN_SEPARATORS)
+    edge = st.sampled_from(("", "", "") + COLUMN_SEPARATORS)
+    data = st.builds(
+        lambda ts, sep, lead, trail: lead + sep.join(ts) + trail, tokens, seps, edge, edge)
+    return data | st.sampled_from(("", " ", "\t", "", "# comment", " #3, 4"))
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_int_columns_matches_int_rows(tmp_path_factory, data):
+    width = data.draw(st.integers(1, 3), label="width")
+    lines = data.draw(st.lists(
+        st.tuples(column_lines(width), st.sampled_from(LINE_ENDS)), max_size=8), label="lines")
+    last_end = data.draw(st.booleans(), label="last_end")
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_end:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("cols") / "rows.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = [list(row) for _, row in int_rows(path, width)]
+    except DataFormatError as err:
+        with pytest.raises(DataFormatError) as got:
+            int_columns(path, width)
+        assert str(got.value) == str(err)
+    else:
+        rows = int_columns(path, width)
+        assert rows.dtype == np.int64 and rows.shape == (len(expected), width)
+        assert rows.tolist() == expected
 
 
 def test_derive_seed_stable_and_distinct():
