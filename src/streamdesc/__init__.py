@@ -79,7 +79,6 @@ from .patterns import (
     subgraph_to_induced,
 )
 from .reservoir import (
-    ReservoirState,
     maybe_sample,
     variance_bound,
 )

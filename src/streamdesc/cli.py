@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact descriptors from the oracle")
     _add_input_options(p)
     p.add_argument("--method", choices=tuple(METHODS), required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for dataset preprocessing shuffles")
     _add_output_options(p)
     p.set_defaults(func=_cmd_exact)
 
@@ -145,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(args) -> Dataset:
+def _load_input(args, seed: int) -> Dataset:
     if args.input:
         raw = read_edge_list(args.input)
-        stream = preprocess(raw, seed=derive_seed(args.seed, "shuffle", 0))
+        stream = preprocess(raw, seed=derive_seed(seed, "shuffle", 0))
         return Dataset(graphs=[stream], labels=[0], name=args.input)
-    return load_benchmark_dataset(args.dataset, seed=args.seed)
+    return load_benchmark_dataset(args.dataset, seed=seed)
 
 
 def _budget_spec(args) -> BudgetSpec:
@@ -192,12 +190,13 @@ def _estimate(ds: Dataset, args) -> list[tuple]:
 
 
 def _cmd_descriptor(args) -> int:
-    _emit_descriptors([d for d, _ in _estimate(_load_input(args), args)], args)
+    _emit_descriptors([d for d, _ in _estimate(_load_input(args, args.seed), args)], args)
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
-    ds = _load_input(args)
+    # The seed only orders each stream, which the oracles ignore.
+    ds = _load_input(args, seed=0)
     out = []
     for idx, stream in enumerate(ds.graphs):
         d = METHODS[args.method].exact(build_graph(stream))
@@ -239,7 +238,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_error_vs_budget(args) -> int:
-    ds = _load_input(args)
+    ds = _load_input(args, args.seed)
     for fraction in args.budgets:
         _warn(graph_budgets(ds, args.method, BudgetSpec(fraction=fraction))[1])
     rows = error_vs_budget(ds, args.method, args.budgets, args.trials, seed=args.seed)

@@ -38,6 +38,7 @@ class GabeState(StreamState):
     """
 
     __slots__ = ("est", "tri")
+    MERGED = ("est",)  # the triangle index only serves the steps
 
     MIN_BUDGET = MIN_GABE_BUDGET
     DETECTS = "6-edge patterns"
@@ -106,18 +107,6 @@ class GabeState(StreamState):
     def _unlink(self, u: int, v: int):
         super()._unlink(u, v)
         self._add_triangles(u, v, -1)
-
-    def fork(self, seed: int) -> GabeState:
-        twin = super().fork(seed)
-        twin.est = self.est.copy()
-        twin.tri = self.tri.copy()
-        return twin
-
-    def merge(self, others: list[GabeState]) -> None:
-        """Average the replicas' raw estimates into this state's."""
-        states = [self, *others]
-        self.est = {pid: sum(s.est[pid] for s in states) / len(states)
-                    for pid in STREAM_ESTIMATED}
 
 
 def _cycles4(adj: dict[int, set[int]]) -> int:

@@ -71,10 +71,14 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     first occurrence, labels are remapped to a contiguous 0-based range
     in order of first appearance, and the result is shuffled by a seeded
     permutation.  An input that is empty after cleaning yields an empty
-    stream, not an error.  A negative label raises ValueError; a label
-    of 2**63 or more does not fit the int64 array (OverflowError).
+    stream, not an error.  A label outside [0, 2**63) raises ValueError
+    naming its pair.
     """
-    pairs = np.asarray(raw_edges, dtype=np.int64).reshape(len(raw_edges), 2)
+    try:
+        pairs = np.asarray(raw_edges, dtype=np.int64).reshape(len(raw_edges), 2)
+    except OverflowError:  # a label beyond the int64 range
+        a, b = next((a, b) for a, b in raw_edges if not 0 <= min(a, b) <= max(a, b) < 2 ** 63)
+        raise ValueError(f"vertex labels must lie in [0, 2**63), got ({a}, {b})") from None
     negative = (pairs < 0).any(axis=1)
     if negative.any():
         a, b = pairs[negative.argmax()].tolist()
@@ -168,10 +172,11 @@ def int_columns(path, width: int) -> np.ndarray:
     """Read a text file of integers (the format of int_rows) as a
     (rows, width) int64 array.
 
-    One np.loadtxt call parses a well-formed file.  On anything else (an
-    exception or warning, a width mismatch, a '#' line, a negative value)
-    the file is parsed again by int_rows, which raises its path:line
-    error or returns the rows without the comment lines.
+    One np.loadtxt call parses a well-formed file, negative values
+    included: each caller checks its own range.  On anything else (an
+    exception or warning, a width mismatch, a '#' line) the file is
+    parsed again by int_rows, which raises its path:line error or
+    returns the rows without the comment lines.
     """
     try:
         with warnings.catch_warnings():
@@ -180,7 +185,7 @@ def int_columns(path, width: int) -> np.ndarray:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read().replace(",", " ")
             rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-        if rows.shape[1] == width and rows.min() >= 0:
+        if rows.shape[1] == width:
             return rows
     except Exception:  # int_rows below raises the real error, if there is one
         pass

@@ -56,6 +56,7 @@ class MaeveState(StreamState):
     """Stream state plus per-vertex triangle and three-path estimates."""
 
     __slots__ = ("tri", "path")
+    MERGED = __slots__
 
     MIN_BUDGET = MIN_MAEVE_BUDGET
     DETECTS = "triangles"
@@ -86,26 +87,6 @@ class MaeveState(StreamState):
             (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
             for x, nbrs in adj.items())
         return state
-
-    def fork(self, seed: int) -> MaeveState:
-        twin = super().fork(seed)
-        twin.tri = self.tri.copy()
-        twin.path = self.path.copy()
-        return twin
-
-    def merge(self, others: list[MaeveState]) -> None:
-        """Average the replicas' per-vertex counts into this state's."""
-        states = [self, *others]
-        self.tri = _mean_counts([s.tri for s in states])
-        self.path = _mean_counts([s.path for s in states])
-
-
-def _mean_counts(counts: list[dict[int, float]]) -> dict[int, float]:
-    total: dict[int, float] = {}
-    for per_vertex in counts:
-        for v, x in per_vertex.items():
-            total[v] = total.get(v, 0.0) + x
-    return {v: x / len(counts) for v, x in total.items()}
 
 
 def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:

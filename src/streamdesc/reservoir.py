@@ -5,8 +5,8 @@ The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
 b/t inclusion probability.  A per-vertex adjacency index over the stored
 edges supports the neighborhood probes the estimators run on every
-arrival.  An estimator's state is one object: StreamState extends the
-reservoir with the exact trackers, and each method's subclass adds its
+arrival.  An estimator's state is one object, a StreamState: the
+reservoir, the exact trackers, and in each method's subclass its
 estimates (and, for gabe, an index the sample keeps up to date).
 """
 
@@ -22,44 +22,7 @@ from .graph import Edge, vertex_count
 _EMPTY: frozenset[int] = frozenset()
 
 
-class ReservoirState:
-    """Sample of at most `budget` edges with an adjacency index.
-
-    Single-writer: exactly one stream drives maybe_sample.  t counts the
-    edges offered so far; peak_stored records the largest sample ever
-    held, for memory-bound checks.  A subclass that keeps an extra index
-    over the sample overrides _link and _unlink, which maybe_sample calls
-    as edges enter and leave.
-    """
-
-    __slots__ = ("budget", "t", "rng", "edges", "adj", "peak_stored")
-
-    def __init__(self, budget: int, seed: int = 0):
-        if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {budget}")
-        self.budget = budget
-        self.t = 0
-        self.rng = random.Random(seed)
-        self.edges: list[Edge] = []
-        self.adj: dict[int, set[int]] = {}
-        self.peak_stored = 0
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def _link(self, u: int, v: int):
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _unlink(self, u: int, v: int):
-        for a, b in ((u, v), (v, u)):
-            nbrs = self.adj[a]
-            nbrs.discard(b)
-            if not nbrs:
-                del self.adj[a]
-
-
-def maybe_sample(state: ReservoirState, edge: Edge) -> None:
+def maybe_sample(state: StreamState, edge: Edge) -> None:
     """Reservoir step for the next stream edge: append it while the
     sample has room, else let it replace a uniformly chosen stored edge
     with probability b/t.  Must be called exactly once per stream edge,
@@ -78,8 +41,10 @@ def maybe_sample(state: ReservoirState, edge: Edge) -> None:
         state._link(*edge)
 
 
-class StreamState(ReservoirState):
-    """One estimator run: the reservoir plus exact degree trackers.
+class StreamState:
+    """One estimator run: a sample of at most `budget` edges with an
+    adjacency index, the exact degree trackers, and, in each method's
+    subclass, its estimates.
 
     The estimator protocol: State(budget, seed, n_hint);
     State.from_prefix(edges, budget, seed, n_hint), the state stepping
@@ -89,14 +54,23 @@ class StreamState(ReservoirState):
     fork(seed) to start another seed's run from this state while t <=
     budget; merge(others) to average replicas of one stream into this
     state; a finalize function that returns a Descriptor, with m = t.
-    Subclasses set MIN_BUDGET and DETECTS (what a smaller budget cannot
-    detect).
+
+    Single-writer: exactly one stream drives maybe_sample.  t counts the
+    edges offered so far; peak_stored records the largest sample ever
+    held, for memory-bound checks.  A subclass sets MIN_BUDGET and
+    DETECTS (what a smaller budget cannot detect), declares its per-run
+    fields in __slots__ (dicts, which fork copies) and names in MERGED
+    those that merge averages.  One that keeps an extra index over the
+    sample overrides _link and _unlink, which maybe_sample calls as
+    edges enter and leave.
     """
 
-    __slots__ = ("seed", "n_hint", "degrees")
+    __slots__ = ("budget", "seed", "n_hint", "t", "rng", "edges", "adj",
+                 "peak_stored", "degrees")
 
     MIN_BUDGET: int
     DETECTS: str
+    MERGED: tuple[str, ...]
 
     @classmethod
     def check_budget(cls, budget: int) -> None:
@@ -108,9 +82,14 @@ class StreamState(ReservoirState):
 
     def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
         self.check_budget(budget)
-        super().__init__(budget, seed)
+        self.budget = budget
         self.seed = seed
         self.n_hint = n_hint
+        self.t = 0
+        self.rng = random.Random(seed)
+        self.edges: list[Edge] = []
+        self.adj: dict[int, set[int]] = {}
+        self.peak_stored = 0
         self.degrees: dict[int, int] = defaultdict(int)
 
     @classmethod
@@ -136,15 +115,28 @@ class StreamState(ReservoirState):
         state.degrees.update((v, len(nbrs)) for v, nbrs in adj.items())
         return state
 
+    def _link(self, u: int, v: int):
+        self.adj.setdefault(u, set()).add(v)
+        self.adj.setdefault(v, set()).add(u)
+
+    def _unlink(self, u: int, v: int):
+        for a, b in ((u, v), (v, u)):
+            nbrs = self.adj[a]
+            nbrs.discard(b)
+            if not nbrs:
+                del self.adj[a]
+
     def fork(self, seed: int) -> StreamState:
         """A copy of this state for another seed, to go on with the same
-        stream.
+        stream: the sample, the degrees and the subclass's __slots__
+        fields are copied, so stepping either state leaves the other as
+        it was.
 
         Up to t = budget the reservoir stores every edge and draws no
         random number, so every seed's state is this one; from there the
         copy draws from its own fresh random.Random(seed).  Forking after
         the first draw would carry this seed's sample into another, so it
-        raises.  Subclasses copy their own mutable fields too.
+        raises.
         """
         if self.t > self.budget:
             raise RuntimeError(
@@ -155,8 +147,24 @@ class StreamState(ReservoirState):
         twin.rng = random.Random(seed)
         twin.edges = self.edges.copy()
         twin.adj = {v: nbrs.copy() for v, nbrs in self.adj.items()}
-        twin.degrees = self.degrees.copy()
+        for name in ("degrees", *type(self).__slots__):
+            setattr(twin, name, getattr(self, name).copy())
         return twin
+
+    def merge(self, others: list[StreamState]) -> None:
+        """Average each MERGED field of replicas of one stream into this
+        state's: per key, the values of [self, *others] added left to
+        right from 0.0, then divided by their number.  The builtin sum()
+        is not used because it compensates from Python 3.12 on, which
+        would make a replica average's bits depend on the interpreter.
+        """
+        states = [self, *others]
+        for name in self.MERGED:
+            total: dict = {}
+            for state in states:
+                for key, x in getattr(state, name).items():
+                    total[key] = total.get(key, 0.0) + x
+            setattr(self, name, {key: x / len(states) for key, x in total.items()})
 
     @property
     def n(self) -> int:

@@ -225,6 +225,13 @@ def test_exact_descriptor_stdout(tmp_path, capsys):
     assert row[6] == "2.0"  # mean degree of a triangle
 
 
+def test_exact_takes_no_seed(tmp_path, capsys):
+    # a seed would only reorder the stream, which the oracles ignore
+    tri = edge_file(tmp_path, "tri.txt", [(0, 1), (1, 2), (0, 2)])
+    assert main(["exact", "--input", tri, "--method", "gabe", "--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_exact_gabe_past_the_enumeration_cap(tmp_path, capsys):
     star = edge_file(tmp_path, "star.txt", [(0, i) for i in range(1, 62)])
     code = main(["exact", "--input", star, "--method", "gabe"])

@@ -50,6 +50,23 @@ def test_load_two_triangle_bundle(tmp_path):
     assert all(type(x) is int for x in ds.labels + [s.n_hint for s in ds.graphs])
 
 
+def test_negative_labels_take_the_fast_path(tmp_path, monkeypatch):
+    # -1/1 class labels, as in many bundles, need no line-by-line parse;
+    # a negative graph id is still refused by the loader's range check
+    write_bundle(tmp_path, a="1, 2\n2, 3\n4, 5\n", indicator="1\n1\n1\n2\n2\n",
+                 labels="-1\n1\n")
+
+    def refuse(*_):
+        raise AssertionError("int_rows called on a clean bundle")
+
+    monkeypatch.setattr("streamdesc.graph.int_rows", refuse)
+    assert load_benchmark_dataset(tmp_path).labels == [-1, 1]
+    monkeypatch.undo()
+    write_bundle(tmp_path, indicator="1\n1\n1\n2\n-2\n")
+    with pytest.raises(DataFormatError, match=re.escape("graph ids span [-2, 2]")):
+        load_benchmark_dataset(tmp_path)
+
+
 def test_loader_interleaved_graphs(tmp_path):
     # local ids count each graph's vertices in indicator order, and each
     # graph's edges keep their file order

@@ -87,6 +87,14 @@ def test_preprocess_rejects_negative_labels():
             preprocess(pairs, seed=0)
 
 
+def test_preprocess_rejects_labels_beyond_int64():
+    for pairs, bad in (([(2 ** 63, 1)], "(9223372036854775808, 1)"),
+                       ([(0, 1), (1, 2 ** 64), (-1, 0)], "(1, 18446744073709551616)"),
+                       ([(0, 1), (-2 ** 63 - 1, 2)], "(-9223372036854775809, 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"[0, 2**63), got {bad}")):
+            preprocess(pairs, seed=0)
+
+
 def test_preprocess_is_deterministic():
     raw = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     a = preprocess(raw, seed=11)

@@ -1,6 +1,7 @@
 """Batch computation, replica averaging, cross-validation, and the
 error-versus-budget experiment."""
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -38,7 +39,7 @@ from streamdesc import (
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.graph import derive_seed
 from streamdesc.harness import graph_budgets
-from streamdesc.patterns import STREAM_ESTIMATED
+from streamdesc.patterns import STREAM_ESTIMATED, PatternId
 
 from conftest import random_stream
 from reference import ORACLE_LIMIT
@@ -181,6 +182,47 @@ def test_fork_only_before_the_first_draw(method):
     spec.step(state, stream[b])  # t = b + 1: the reservoir draws
     with pytest.raises(RuntimeError, match="cannot fork"):
         state.fork(3)
+
+
+RUN_FIELDS = {"gabe": ("est", "tri"), "maeve": ("tri", "path")}
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_stepping_a_fork_leaves_the_parent_unchanged(method):
+    spec = METHODS[method]
+    stream = list(random_stream(14, 0.6, seed=57))
+    b = 12
+    parent = spec.state.from_prefix(stream[:b], b, 1)
+    fields = ("edges", "adj", "degrees", *RUN_FIELDS[method])
+    before = copy.deepcopy({name: getattr(parent, name) for name in fields})
+    twin = parent.fork(2)
+    for edge in stream[b:]:
+        spec.step(twin, edge)
+    assert parent.t == b and twin.t == len(stream)
+    for name in fields:
+        assert getattr(parent, name) == before[name], name
+        assert getattr(twin, name) != before[name], name
+
+
+# Two (field, key) slots merge averages, per method.
+MERGED_SLOTS = {"gabe": (("est", PatternId.TRIANGLE), ("est", PatternId.PAW)),
+                "maeve": (("tri", 0), ("path", 4))}
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_merge_adds_replicas_left_to_right(method):
+    # Left to right, 1e16 + 1.0 rounds back to 1e16, so the three values
+    # sum to 0.0; a compensated sum (the builtin sum() from Python 3.12
+    # on) would give 1.0 and an average of 1/3.
+    spec = METHODS[method]
+    states = [spec.state(spec.state.MIN_BUDGET, seed) for seed in range(3)]
+    (field, key), (other, other_key) = MERGED_SLOTS[method]
+    for state, x in zip(states, (1e16, 1.0, -1e16)):
+        getattr(state, field)[key] = x
+    getattr(states[2], other)[other_key] = 3.0
+    states[0].merge(states[1:])
+    assert getattr(states[0], field)[key] == 0.0
+    assert getattr(states[0], other)[other_key] == 1.0
 
 
 def reference_error_vs_budget(ds, method, budgets, trials, seed):

@@ -1,4 +1,7 @@
-"""Reservoir sampling, detection probabilities, and the variance bound."""
+"""Reservoir sampling, detection probabilities, and the variance bound.
+
+The reservoir is driven through MaeveState, the state class with the
+smallest minimum budget, by maybe_sample alone."""
 
 import math
 
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
-    ReservoirState,
+    MaeveState,
     maybe_sample,
     variance_bound,
 )
@@ -27,39 +30,39 @@ def path_edges(t):
 
 
 def test_first_b_edges_always_kept():
-    state = ReservoirState(budget=10, seed=4)
+    state = MaeveState(budget=10, seed=4)
     for t, e in enumerate(path_edges(10), start=1):
         maybe_sample(state, e)
         # appended, nothing evicted
-        assert state.edges[-1] == e and len(state) == t
+        assert state.edges[-1] == e and len(state.edges) == t
     assert sorted(state.edges) == path_edges(10)
     assert state.t == 10
 
 
 def test_budget_never_exceeded():
-    state = drive(ReservoirState(budget=7, seed=1), path_edges(200))
-    assert len(state) == 7
+    state = drive(MaeveState(budget=7, seed=1), path_edges(200))
+    assert len(state.edges) == 7
     assert state.peak_stored == 7
     assert state.t == 200
     assert all(e in path_edges(200) for e in state.edges)
 
 
 def test_sample_size_is_min_t_b():
-    state = ReservoirState(budget=50, seed=2)
+    state = MaeveState(budget=50, seed=2)
     for t, e in enumerate(path_edges(30), start=1):
         maybe_sample(state, e)
-        assert len(state) == min(t, 50)
+        assert len(state.edges) == min(t, 50)
     assert state.peak_stored == 30
 
 
 def test_whole_stream_kept_when_budget_covers_it():
     edges = path_edges(25)
-    state = drive(ReservoirState(budget=25, seed=9), edges)
+    state = drive(MaeveState(budget=25, seed=9), edges)
     assert sorted(state.edges) == edges
 
 
 def test_adjacency_index_consistency():
-    state = drive(ReservoirState(budget=8, seed=5), path_edges(100))
+    state = drive(MaeveState(budget=8, seed=5), path_edges(100))
     # rebuild the index from scratch and compare
     fresh = {}
     for u, v in state.edges:
@@ -73,7 +76,7 @@ def test_adjacency_index_consistency():
 
 
 def test_sampled_neighbors_examples():
-    state = drive(ReservoirState(budget=5, seed=0), [(0, 1), (1, 2)])
+    state = drive(MaeveState(budget=5, seed=0), [(0, 1), (1, 2)])
     assert state.adj[1] == {0, 2}
     assert state.adj[0] == {1}
     assert 99 not in state.adj
@@ -85,7 +88,7 @@ def test_reservoir_uniformity_monte_carlo():
     edges = path_edges(t)
     hits = [0] * t
     for r in range(runs):
-        state = drive(ReservoirState(budget=b, seed=10_000 + r), edges)
+        state = drive(MaeveState(budget=b, seed=10_000 + r), edges)
         kept = set(state.edges)
         for j, e in enumerate(edges):
             hits[j] += e in kept
@@ -101,7 +104,7 @@ def test_acceptance_probability_at_arrival():
     edges = path_edges(t)
     accepted = 0
     for r in range(runs):
-        state = drive(ReservoirState(budget=b, seed=50_000 + r), edges[:-1])
+        state = drive(MaeveState(budget=b, seed=50_000 + r), edges[:-1])
         maybe_sample(state, edges[-1])
         accepted += edges[-1] in state.edges
     p = b / t
