@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,15 @@ from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
+
+# A prefix of at least this many edges counts its 4-cycles with
+# _cycles4_wedges, a smaller one with _cycles4.  On a 2-vCPU host the
+# numpy pass wins from about 100-130 edges when called alone, but only
+# from about 300-400 inside compute_descriptors' thread pool, where
+# each numpy call costs more; rounded up to a power of two.
+NUMPY_CYCLES4_EDGES = 512
+# About this many wedges are counted at once by _cycles4_wedges.
+WEDGE_CHUNK = 2 ** 15
 
 
 class GabeState(StreamState):
@@ -60,10 +70,18 @@ class GabeState(StreamState):
         C's of its edges), path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw =
         sum T(x)(d_x - 2), diamond = sum C(|C|, 2), and K4 from the
         edges inside C (each K4 has 6 edges, each seeing the opposite
-        one from both its ends).  4-cycles come from _cycles4.  The
-        sums are Python ints, so each estimate equals the stepped one
-        bit for bit while partial sums stay below 2**53.
+        one from both its ends).  4-cycles come from _cycles4_wedges
+        on a prefix of NUMPY_CYCLES4_EDGES or more, before the
+        adjacency is built, so the two never hold memory at once; from
+        _cycles4 on a smaller one.  Both count exactly, and the sums
+        are Python ints, so each estimate equals the stepped one bit
+        for bit while partial sums stay below 2**53.
+
+        Besides the prefix's adjacency and per-vertex counts, the batch
+        holds O(len(edges)) int64 arrays and one chunk of wedges while
+        _cycles4_wedges runs, nothing over all n vertices.
         """
+        cycles4 = _cycles4_wedges(edges) if len(edges) >= NUMPY_CYCLES4_EDGES else None
         state = super().from_prefix(edges, budget, seed, n_hint)
         adj = state.adj
         tri2: dict[int, int] = {}
@@ -82,8 +100,9 @@ class GabeState(StreamState):
         tri = state.tri = {x: k // 2 for x, k in tri2.items()}
         triangles = sum(tri.values()) // 3
         paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
-        counts = (triangles, path - 3 * triangles, _cycles4(adj), paw,
-                  diamond, k4x12 // 12)
+        if cycles4 is None:
+            cycles4 = _cycles4(adj)
+        counts = (triangles, path - 3 * triangles, cycles4, paw, diamond, k4x12 // 12)
         state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
         return state
 
@@ -130,6 +149,70 @@ def _cycles4(adj: dict[int, set[int]]) -> int:
             ends += mid[:bisect_left(mid, r)]
         if len(ends) > 1:
             pairs += sum([c * (c - 1) for c in Counter(ends).values()])
+    return pairs // 2
+
+
+def _ranked_keys(edges: list[Edge]) -> tuple[np.ndarray, int]:
+    """(keys, n) for the edges between vertices of degree > 1: one key
+    rank_x * n + rank_y per direction of each, sorted, with the n
+    vertices ranked by (degree, label) as _cycles4 ranks them.
+
+    np.unique makes the labels dense first (any ints, negative ones
+    too), so each array is O(len(edges)) whatever the labels.
+    """
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+    except OverflowError:  # a label beyond int64: sort the Python ints
+        flat = np.array(edges, dtype=object).ravel()
+    ends = np.unique(flat, return_inverse=True)[1]
+    del flat
+    deg = np.bincount(ends)
+    n = len(deg)
+    rank = deg.argsort(kind="stable").argsort()
+    a, b = ends[0::2], ends[1::2]
+    core = (deg[a] > 1) & (deg[b] > 1)
+    a, b = rank[a[core]], rank[b[core]]
+    keys = np.concatenate([a * n + b, b * n + a])
+    keys.sort()
+    return keys, n
+
+
+def _cycles4_wedges(edges: list[Edge]) -> int:
+    """_cycles4 of the graph an edge list holds, by the same ranking
+    and wedges in numpy, counted in chunks of about WEDGE_CHUNK.
+
+    The sorted keys of _ranked_keys are a CSR of the ranked graph: row
+    x lists x's neighbours in rank order, and those below r end where
+    x * n + r sorts, which for a neighbour r is its own key.  So for
+    each edge from u down to mid, the wedges u-mid-w with w below u
+    are the start of mid's row.  These edges come in order of u, and a
+    chunk takes whole rows of u, so the count c of each (u, w) is
+    complete in one chunk.  Arrays are freed once used; the peak, about
+    12 int64 values per edge, is np.unique's in _ranked_keys.
+    """
+    keys, n = _ranked_keys(edges)
+    row, nbr = np.divmod(keys, n)
+    down = nbr < row
+    u, mid = row[down], nbr[down]
+    del row, down
+    if not len(u):
+        return 0
+    start = np.searchsorted(keys, np.arange(n) * n)
+    count = np.searchsorted(keys, mid * n + u) - start[mid]
+    del keys
+    end = np.cumsum(count)
+    shift = start[mid] - end + count  # wedge g of an edge is nbr[shift + g]
+    del mid
+    last = np.flatnonzero(np.diff(u, append=-1))  # each u's last edge
+    cuts = last[np.searchsorted(end[last], np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))]
+    pairs = i = 0
+    for j in [*(cuts + 1).tolist(), len(u)]:
+        if j > i:  # a u with over WEDGE_CHUNK wedges ends several cuts
+            c = count[i:j]
+            w = nbr[np.repeat(shift[i:j], c) + np.arange(end[i] - c[0], end[j - 1])]
+            k = np.unique(np.repeat(u[i:j], c) * n + w, return_counts=True)[1]
+            pairs += int((k * (k - 1)).sum())
+            i = j
     return pairs // 2
 
 

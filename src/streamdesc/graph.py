@@ -62,6 +62,24 @@ class EdgeStream:
         return vertex_count(*_label_range(self.edges), None)
 
 
+def _label_pairs(raw_edges) -> np.ndarray:
+    """raw_edges as an (m, 2) int64 array.  The first pair holding a
+    label that is not an integer in [0, 2**63) raises ValueError, named
+    as given: numpy would truncate a float and wrap a uint64."""
+    pairs = np.asarray(raw_edges)
+    if pairs.dtype.kind in "iu" and not ((pairs < 0) | (pairs > 2 ** 63 - 1)).any():
+        return pairs.astype(np.int64, copy=False).reshape(len(raw_edges), 2)
+    for a, b in raw_edges:
+        if not all(isinstance(x, (int, np.integer)) for x in (a, b)):
+            raise ValueError(f"vertex labels must be integers, got ({a}, {b})")
+        low, high = sorted((int(a), int(b)))
+        if not -2 ** 63 <= low <= high < 2 ** 63:
+            raise ValueError(f"vertex labels must lie in [0, 2**63), got ({a}, {b})")
+        if low < 0:
+            raise ValueError(f"vertex labels must be non-negative, got ({a}, {b})")
+    return pairs.astype(np.int64).reshape(len(raw_edges), 2)
+
+
 def preprocess(raw_edges, seed: int) -> EdgeStream:
     """Clean raw (u, v) pairs, a list of pairs or an (m, 2) integer
     array such as read_edge_list returns, into a stream ready for the
@@ -71,18 +89,10 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     first occurrence, labels are remapped to a contiguous 0-based range
     in order of first appearance, and the result is shuffled by a seeded
     permutation.  An input that is empty after cleaning yields an empty
-    stream, not an error.  A label outside [0, 2**63) raises ValueError
-    naming its pair.
+    stream, not an error.  A label that is not an integer in [0, 2**63)
+    raises ValueError naming its pair as given.
     """
-    try:
-        pairs = np.asarray(raw_edges, dtype=np.int64).reshape(len(raw_edges), 2)
-    except OverflowError:  # a label beyond the int64 range
-        a, b = next((a, b) for a, b in raw_edges if not 0 <= min(a, b) <= max(a, b) < 2 ** 63)
-        raise ValueError(f"vertex labels must lie in [0, 2**63), got ({a}, {b})") from None
-    negative = (pairs < 0).any(axis=1)
-    if negative.any():
-        a, b = pairs[negative.argmax()].tolist()
-        raise ValueError(f"vertex labels must be non-negative, got ({a}, {b})")
+    pairs = _label_pairs(raw_edges)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     # A duplicate's endpoints already have their labels, so labelling
     # every surviving pair by first appearance before the dedupe gives

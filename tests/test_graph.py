@@ -95,6 +95,17 @@ def test_preprocess_rejects_labels_beyond_int64():
             preprocess(pairs, seed=0)
 
 
+@pytest.mark.parametrize("pairs, shown", [
+    ([(0, 1), (0.5, 1.5)], "integers, got (0.5, 1.5)"),
+    (np.array([[0.5, 1.7], [2.2, 3]]), "integers, got (0.5, 1.7)"),
+    (np.array([[0, 1], [2 ** 63, 1]], dtype=np.uint64),
+     "[0, 2**63), got (9223372036854775808, 1)"),
+], ids=["float list", "float array", "uint64 array"])
+def test_preprocess_names_a_label_numpy_would_truncate_or_wrap(pairs, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        preprocess(pairs, seed=0)
+
+
 def test_preprocess_is_deterministic():
     raw = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     a = preprocess(raw, seed=11)

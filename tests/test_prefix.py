@@ -1,14 +1,19 @@
 """The sampling-free prefix built in one batch (from_prefix) against the
 per-edge step and against the brute-force oracle in conftest."""
 
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamdesc import STREAM_ESTIMATED, BudgetSpec, build_graph, replicated
+from streamdesc import (
+    STREAM_ESTIMATED, BudgetSpec, EdgeStream, PatternId, build_graph, exact_gabe_descriptor,
+    gnp_edges, preferential_attachment_edges, preprocess, replicated)
+from streamdesc import gabe
 from streamdesc.harness import METHODS, _run_seeds
+from streamdesc.oracle import _cycle4_count
 
 from conftest import brute_force_counts, random_stream, triangles_per_vertex
 
@@ -79,21 +84,96 @@ def test_batch_counts_match_brute_force(small_corpus):
         assert nonzero(state.tri) == triangles
 
 
-@pytest.mark.parametrize("method", ["gabe", "maeve"])
-def test_batch_memory_follows_the_prefix_not_n(method):
+TOP = 10 ** 6
+SMALL_PREFIX = [(TOP - 4, TOP - 3), (TOP - 3, TOP - 2), (TOP - 4, TOP - 2),
+                (TOP - 2, TOP - 1), (TOP - 1, TOP)]
+# above gabe.NUMPY_CYCLES4_EDGES, so gabe takes the numpy 4-cycle pass
+LARGE_PREFIX = [(TOP - u, TOP - v) for u, v in random_stream(100, 0.12, seed=5).edges]
+
+
+@pytest.mark.parametrize("method, edges", [
+    ("gabe", SMALL_PREFIX), ("maeve", SMALL_PREFIX),
+    ("gabe", LARGE_PREFIX), ("maeve", LARGE_PREFIX),
+], ids=["gabe", "maeve", "gabe-large", "maeve-large"])
+def test_batch_memory_follows_the_prefix_not_n(method, edges):
+    assert len(LARGE_PREFIX) >= gabe.NUMPY_CYCLES4_EDGES
     # a per-vertex list over range(n) would take ~8 MB here
-    top = 10 ** 6
-    edges = [(top - 4, top - 3), (top - 3, top - 2), (top - 4, top - 2),
-             (top - 2, top - 1), (top - 1, top)]
+    m = len(edges)
     tracemalloc.start()
     try:
-        state = METHODS[method].state.from_prefix(edges, 5, 0, n_hint=top + 1)
+        state = METHODS[method].state.from_prefix(edges, m, 0, n_hint=TOP + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert state.t == state.peak_stored == 5
-    assert state.n == top + 1
+    assert state.t == state.peak_stored == m
+    assert state.n == TOP + 1
+
+
+def adjacency(edges):
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+LABELS = {
+    "dense": lambda x: x,
+    "sparse": lambda x: 97 * x + 5,
+    "huge": lambda x: 10 ** 12 + 10 ** 9 * x,
+    "negative": lambda x: 3 - 10 ** 12 * x,
+    "beyond int64": lambda x: 2 ** 64 + x,
+}
+
+
+@settings(max_examples=150)
+@given(n=st.integers(0, 11), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 2 ** 16), labels=st.sampled_from(sorted(LABELS)),
+       chunk=st.sampled_from([1, 2, 3, 7, gabe.WEDGE_CHUNK]))
+def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
+    stream = random_stream(n, p, seed)
+    cycles4 = brute_force_counts(build_graph(stream))[0][PatternId.CYCLE_4 - 1]
+    label = LABELS[labels]
+    # each edge in a seeded orientation, as a raw prefix may hold it
+    flip = random.Random(seed)
+    edges = [(label(u), label(v)) if flip.random() < 0.5 else (label(v), label(u))
+             for u, v in stream.edges]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gabe, "WEDGE_CHUNK", chunk)
+        assert gabe._cycles4_wedges(edges) == gabe._cycles4(adjacency(edges)) == cycles4
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
+    m = gabe.NUMPY_CYCLES4_EDGES + offset
+    stream = random_stream(100, 0.12, seed=71)
+    prefix = stream.edges[:m]
+    calls = []
+    for name in ("_cycles4", "_cycles4_wedges"):
+        def spy(arg, name=name, real=getattr(gabe, name)):
+            calls.append(name)
+            return real(arg)
+        monkeypatch.setattr(gabe, name, spy)
+    batch = gabe.GabeState.from_prefix(list(prefix), m, 3, 100)
+    assert calls == ["_cycles4" if offset < 0 else "_cycles4_wedges"]
+    g = build_graph(EdgeStream(prefix, n_hint=100))
+    assert batch.est[PatternId.CYCLE_4] == _cycle4_count(g.adj, [len(x) for x in g.adj])
+    assert fields(batch, "gabe") == fields(stepped("gabe", prefix, m, 3, 100), "gabe")
+
+
+@pytest.mark.parametrize("raw", [
+    gnp_edges(120, 0.1, random.Random(81)),
+    preferential_attachment_edges(200, 4, random.Random(82)),
+], ids=["gnp", "pa"])
+def test_full_budget_matches_oracle_above_the_cutoff(raw):
+    # criterion 02's graphs have at most 10 vertices, all below the cutoff
+    stream = preprocess(raw, seed=83)
+    m = len(stream)
+    assert m > gabe.NUMPY_CYCLES4_EDGES
+    est = replicated(stream, "gabe", m, 1, 84)
+    exact = exact_gabe_descriptor(build_graph(stream))
+    assert [x.hex() for x in est.values] == [x.hex() for x in exact.values]
 
 
 def test_from_prefix_refuses_a_prefix_above_the_budget():
