@@ -119,7 +119,8 @@ def save_descriptors(descriptors, path, format: str = "csv") -> None:
 
 
 def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
-    """Load a descriptor file; malformed rows report their line number.
+    """Load a descriptor file; malformed rows, and values that are not
+    finite (no descriptor holds nan or inf), report their line number.
 
     The two formats differ only in how a line becomes its fields; each
     row is then built, checked and tagged with "path:lineno" here.
@@ -135,11 +136,15 @@ def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
         for lineno, row in rows:
             try:
                 f = to_fields(row)
+                values = np.array([float(x) for x in f["values"]])
+                finite = np.isfinite(values)
+                if not finite.all():
+                    i = int(finite.argmin())
+                    raise ValueError(f"v{i} is {values[i]}, expected a finite number")
                 d = Descriptor(
                     graph_id=int(f["graph_id"]), method=str(f["method"]), b=int(f["b"]),
-                    seed=int(f["seed"]), n=int(f["n"]), m=int(f["m"]),
-                    values=np.array([float(x) for x in f["values"]]))
-            except (KeyError, TypeError, ValueError) as exc:
+                    seed=int(f["seed"]), n=int(f["n"]), m=int(f["m"]), values=values)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             if out and d.method != out[0].method:
                 raise DataFormatError(f"{path}:{lineno}: mixed method tags in one file")

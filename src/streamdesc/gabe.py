@@ -11,8 +11,6 @@ matrix and normalizes each order block by C(n, k).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -21,17 +19,18 @@ from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
-    PatternId, STREAM_ESTIMATED, plain_counts, subgraph_to_induced)
+    PatternId, STREAM_ESTIMATED, cycles4, plain_counts, subgraph_to_induced)
 from .reservoir import _EMPTY, StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
 
 # A prefix of at least this many edges counts its 4-cycles with
-# _cycles4_wedges, a smaller one with _cycles4.  On a 2-vCPU host the
-# numpy pass wins from about 100-130 edges when called alone, but only
-# from about 300-400 inside compute_descriptors' thread pool, where
-# each numpy call costs more; rounded up to a power of two.
+# _cycles4_wedges, a smaller one with patterns.cycles4, the Python pass
+# the oracle also runs.  On a 2-vCPU host the numpy pass wins from
+# about 100-130 edges when called alone, but only from about 300-400
+# inside compute_descriptors' thread pool, where each numpy call costs
+# more; rounded up to a power of two.
 NUMPY_CYCLES4_EDGES = 512
 # About this many wedges are counted at once by _cycles4_wedges.
 WEDGE_CHUNK = 2 ** 15
@@ -73,15 +72,15 @@ class GabeState(StreamState):
         one from both its ends).  4-cycles come from _cycles4_wedges
         on a prefix of NUMPY_CYCLES4_EDGES or more, before the
         adjacency is built, so the two never hold memory at once; from
-        _cycles4 on a smaller one.  Both count exactly, and the sums
-        are Python ints, so each estimate equals the stepped one bit
-        for bit while partial sums stay below 2**53.
+        patterns.cycles4 on a smaller one.  Both count exactly, and the
+        sums are Python ints, so each estimate equals the stepped one
+        bit for bit while partial sums stay below 2**53.
 
         Besides the prefix's adjacency and per-vertex counts, the batch
         holds O(len(edges)) int64 arrays and one chunk of wedges while
         _cycles4_wedges runs, nothing over all n vertices.
         """
-        cycles4 = _cycles4_wedges(edges) if len(edges) >= NUMPY_CYCLES4_EDGES else None
+        c4 = _cycles4_wedges(edges) if len(edges) >= NUMPY_CYCLES4_EDGES else None
         state = super().from_prefix(edges, budget, seed, n_hint)
         adj = state.adj
         tri2: dict[int, int] = {}
@@ -100,9 +99,9 @@ class GabeState(StreamState):
         tri = state.tri = {x: k // 2 for x, k in tri2.items()}
         triangles = sum(tri.values()) // 3
         paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
-        if cycles4 is None:
-            cycles4 = _cycles4(adj)
-        counts = (triangles, path - 3 * triangles, cycles4, paw, diamond, k4x12 // 12)
+        if c4 is None:
+            c4 = cycles4(adj)
+        counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4x12 // 12)
         state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
         return state
 
@@ -128,34 +127,10 @@ class GabeState(StreamState):
         self._add_triangles(u, v, -1)
 
 
-def _cycles4(adj: dict[int, set[int]]) -> int:
-    """Number of 4-cycles in the graph adj holds, by degree-ordered
-    wedges (Chiba and Nishizeki, SIAM J. Comput. 1985).
-
-    A vertex of degree < 2 is on no 4-cycle, so only the others get a
-    rank, by (degree, label).  A 4-cycle is two wedges u-v-w and u-x-w
-    from its top-ranked vertex u to the opposite corner w; so with c the
-    number of wedges from u to w through a lower-ranked middle to a
-    lower-ranked end, the count is the sum of C(c, 2) over u and w.
-    """
-    core = sorted([(len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) > 1])
-    rank = {v: r for r, (_, v) in enumerate(core)}
-    ranked = [sorted([rank[x] for x in adj[v] if x in rank]) for _, v in core]
-    pairs = 0
-    for r, row in enumerate(ranked):
-        ends: list[int] = []
-        for s in row[:bisect_left(row, r)]:
-            mid = ranked[s]
-            ends += mid[:bisect_left(mid, r)]
-        if len(ends) > 1:
-            pairs += sum([c * (c - 1) for c in Counter(ends).values()])
-    return pairs // 2
-
-
 def _ranked_keys(edges: list[Edge]) -> tuple[np.ndarray, int]:
     """(keys, n) for the edges between vertices of degree > 1: one key
     rank_x * n + rank_y per direction of each, sorted, with the n
-    vertices ranked by (degree, label) as _cycles4 ranks them.
+    vertices ranked by (degree, label) as patterns.cycles4 ranks them.
 
     np.unique makes the labels dense first (any ints, negative ones
     too), so each array is O(len(edges)) whatever the labels.
@@ -178,8 +153,8 @@ def _ranked_keys(edges: list[Edge]) -> tuple[np.ndarray, int]:
 
 
 def _cycles4_wedges(edges: list[Edge]) -> int:
-    """_cycles4 of the graph an edge list holds, by the same ranking
-    and wedges in numpy, counted in chunks of about WEDGE_CHUNK.
+    """patterns.cycles4 of the graph an edge list holds, by the same
+    ranking and wedges in numpy, counted in chunks of about WEDGE_CHUNK.
 
     The sorted keys of _ranked_keys are a CSR of the ranked graph: row
     x lists x's neighbours in rank order, and those below r end where

@@ -9,45 +9,18 @@ an oracle for those identities.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from math import comb
 from operator import mul
 
 import numpy as np
 
 from .graph import Graph
-from .patterns import N_PATTERNS, ORDER_SLICES, PatternCounts, overlap_matrix, plain_counts
+from .patterns import (
+    N_PATTERNS, ORDER_SLICES, PatternCounts, cycles4, overlap_matrix, plain_counts)
 
 # Python-int rows of the overlap matrix, so the edge-centric inversion
 # never rounds.
 _OVERLAP_ROWS = overlap_matrix().tolist()
-
-
-def _cycle4_count(adj: list[set[int]], deg: list[int]) -> int:
-    """Number of 4-cycles, by one degree-ordered wedge pass.
-
-    Vertices are ranked by (degree, label).  A 4-cycle u-v-w-x whose
-    highest-ranked vertex is u is the pair of wedges u-v-w and u-x-w.
-    So for each u, with c the number of wedges from u to w whose middle
-    and end w both rank below u, summing C(c, 2) over w counts every
-    cycle once.  The pass costs the sum over edges of the lower-ranked
-    end's degree (Chiba and Nishizeki); no n x n array is built.
-    """
-    order = sorted(range(len(adj)), key=deg.__getitem__)
-    rank = [0] * len(adj)
-    for r, v in enumerate(order):
-        rank[v] = r
-    ranked = [sorted([rank[x] for x in adj[v]]) for v in order]
-    pairs = 0
-    for u, row in enumerate(ranked):
-        ends: list[int] = []
-        for v in row[:bisect_left(row, u)]:
-            below = ranked[v]
-            ends += below[:bisect_left(below, u)]
-        if len(ends) > 1:
-            pairs += sum(c * (c - 1) for c in Counter(ends).values())
-    return pairs // 2
 
 
 def edge_centric_induced_counts(g: Graph) -> PatternCounts:
@@ -67,7 +40,8 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
     - diamond   sum C(t, 2);
     - K4        the edges inside the part of C labelled above u and v,
                 so each K4 is counted once, at its lowest-labelled edge;
-    - cycle-4   from _cycle4_count.
+    - cycle-4   from patterns.cycles4, the wedge pass gabe's batch
+                prefix runs below its numpy cutoff.
 
     The other eleven are patterns.plain_counts' closed forms.  The
     induced counts follow by back-substitution through the overlap
@@ -97,7 +71,7 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
                         k4x2 += sum([len(adj[x] & above) for x in above])
     triangles = tri3 // 3
     sub = plain_counts(n, m, deg, [triangles, path - 3 * triangles,
-                                   _cycle4_count(adj, deg), paw2 // 2,
+                                   cycles4(dict(enumerate(adj))), paw2 // 2,
                                    diamond, k4x2 // 2])
     # O is unit upper triangular: solve O x = sub from the last row up.
     for i in range(N_PATTERNS - 1, -1, -1):

@@ -11,6 +11,8 @@ reference edge lists below rather than typed out by hand.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from math import comb
@@ -100,6 +102,33 @@ def plain_counts(n: int, m: int, degrees, connected) -> list:
         wedges * rest3, triangles * rest3, claws,               # ids 10-12
         *connected[1:],                                         # ids 13-17
     ]
+
+
+def cycles4(adj) -> int:
+    """Number of 4-cycles in the graph adj holds (each vertex mapped to
+    its neighbour set), by degree-ordered wedges (Chiba and Nishizeki,
+    SIAM J. Comput. 1985).
+
+    A vertex of degree < 2 is on no 4-cycle, so only the others get a
+    rank, by (degree, label), kept in a dict: memory follows the edges,
+    not the labels.  A 4-cycle is two wedges u-v-w and u-x-w from its
+    top-ranked vertex u to the opposite corner w; so with c the number
+    of wedges from u to w through a lower-ranked middle to a
+    lower-ranked end, the count is the sum of C(c, 2) over u and w.
+    The pass costs the sum over edges of the lower-ranked end's degree.
+    """
+    core = sorted([(len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) > 1])
+    rank = {v: r for r, (_, v) in enumerate(core)}
+    ranked = [sorted([rank[x] for x in adj[v] if x in rank]) for _, v in core]
+    pairs = 0
+    for r, row in enumerate(ranked):
+        ends: list[int] = []
+        for s in row[:bisect_left(row, r)]:
+            mid = ranked[s]
+            ends += mid[:bisect_left(mid, r)]
+        if len(ends) > 1:
+            pairs += sum([c * (c - 1) for c in Counter(ends).values()])
+    return pairs // 2
 
 
 # Positions of each order's block inside a 17-vector (id i at index i-1).

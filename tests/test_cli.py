@@ -309,6 +309,19 @@ def test_distance_rejects_non_object_jsonl(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_distance_rejects_a_non_finite_value(tmp_path, capsys):
+    a = write_descriptor_file(tmp_path / "a.csv", [0])
+    header, row = (tmp_path / "a.csv").read_text().splitlines()
+    fields = row.split(",")
+    fields[6] = "nan"
+    (tmp_path / "a.csv").write_text(f"{header}\n{','.join(fields)}\n")
+    assert main(["distance", a, a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a.csv:2: v0 is nan" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_distance_missing_file(tmp_path, capsys):
     a = write_descriptor_file(tmp_path / "a.csv", [0])
     assert main(["distance", a, str(tmp_path / "nope.csv")]) == 2

@@ -268,6 +268,36 @@ def test_csv_and_jsonl_rows_report_the_same_errors(tmp_path):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_reports_line(tmp_path, text):
+    path = tmp_path / "out.csv"
+    save_descriptors([make_descriptor(i) for i in range(2)], path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[6 + 4] = text
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"out\.csv:3: v4 is -?(nan|inf)"):
+        load_descriptors(path)
+
+
+@pytest.mark.parametrize("field, token", [
+    ("values", "NaN"), ("values", "Infinity"), ("values", "-Infinity"), ("values", "1e400"),
+    ("b", "Infinity"),
+])
+def test_jsonl_non_finite_value_reports_line(tmp_path, field, token):
+    # json reads NaN, Infinity and out-of-range numbers as non-finite floats
+    path = tmp_path / "out.jsonl"
+    save_descriptors([make_descriptor(i) for i in range(2)], path, format="jsonl")
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = "TOKEN" if field == "b" else [0.5] * 16 + ["TOKEN"]
+    lines[1] = json.dumps(record).replace('"TOKEN"', token)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"out\.jsonl:2: "):
+        load_descriptors(path, format="jsonl")
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_descriptors([make_descriptor(0)], tmp_path / "x", format="xml")

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
-    STREAM_ESTIMATED, BudgetSpec, EdgeStream, PatternId, build_graph, exact_gabe_descriptor,
+    STREAM_ESTIMATED, BudgetSpec, PatternId, build_graph, exact_gabe_descriptor,
     gnp_edges, preferential_attachment_edges, preprocess, replicated)
 from streamdesc import gabe
 from streamdesc.harness import METHODS, _run_seeds
-from streamdesc.oracle import _cycle4_count
+from streamdesc.patterns import cycles4
 
 from conftest import brute_force_counts, random_stream, triangles_per_vertex
 
@@ -133,7 +133,7 @@ LABELS = {
        chunk=st.sampled_from([1, 2, 3, 7, gabe.WEDGE_CHUNK]))
 def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
     stream = random_stream(n, p, seed)
-    cycles4 = brute_force_counts(build_graph(stream))[0][PatternId.CYCLE_4 - 1]
+    brute = brute_force_counts(build_graph(stream))[0][PatternId.CYCLE_4 - 1]
     label = LABELS[labels]
     # each edge in a seeded orientation, as a raw prefix may hold it
     flip = random.Random(seed)
@@ -141,7 +141,7 @@ def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
              for u, v in stream.edges]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gabe, "WEDGE_CHUNK", chunk)
-        assert gabe._cycles4_wedges(edges) == gabe._cycles4(adjacency(edges)) == cycles4
+        assert gabe._cycles4_wedges(edges) == cycles4(adjacency(edges)) == brute
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -150,15 +150,17 @@ def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
     stream = random_stream(100, 0.12, seed=71)
     prefix = stream.edges[:m]
     calls = []
-    for name in ("_cycles4", "_cycles4_wedges"):
+    for name in ("cycles4", "_cycles4_wedges"):
         def spy(arg, name=name, real=getattr(gabe, name)):
             calls.append(name)
             return real(arg)
         monkeypatch.setattr(gabe, name, spy)
     batch = gabe.GabeState.from_prefix(list(prefix), m, 3, 100)
-    assert calls == ["_cycles4" if offset < 0 else "_cycles4_wedges"]
-    g = build_graph(EdgeStream(prefix, n_hint=100))
-    assert batch.est[PatternId.CYCLE_4] == _cycle4_count(g.adj, [len(x) for x in g.adj])
+    assert calls == ["cycles4" if offset < 0 else "_cycles4_wedges"]
+    # each side of the cutoff against the other pass
+    monkeypatch.undo()
+    assert batch.est[PatternId.CYCLE_4] == gabe._cycles4_wedges(prefix) == cycles4(
+        adjacency(prefix))
     assert fields(batch, "gabe") == fields(stepped("gabe", prefix, m, 3, 100), "gabe")
 
 
