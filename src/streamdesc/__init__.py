@@ -34,6 +34,7 @@ from .gabe import (
     exact_gabe_descriptor,
     gabe_finalize,
     gabe_process_edge,
+    gabe_process_edges,
 )
 from .graph import (
     Edge,
@@ -63,6 +64,7 @@ from .maeve import (
     features_from_counts,
     maeve_finalize,
     maeve_process_edge,
+    maeve_process_edges,
 )
 from .oracle import (
     edge_centric_induced_counts,

@@ -122,8 +122,11 @@ def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
     """Load a descriptor file; malformed rows, and values that are not
     finite (no descriptor holds nan or inf), report their line number.
 
-    The two formats differ only in how a line becomes its fields; each
-    row is then built, checked and tagged with "path:lineno" here.
+    The two formats differ only in how a line becomes its fields, as
+    text (a JSON number, bool or null as its JSON text); each row is
+    then built, checked and tagged with "path:lineno" here, so a token
+    is refused alike in either: a float or a bool is no integer field,
+    a bool or null no value.
     """
     _check_format(format)
     out: list[Descriptor] = []
@@ -177,4 +180,10 @@ def _json_object(line):
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    return record
+    return {key: list(map(_json_text, x)) if isinstance(x, list) else _json_text(x)
+            for key, x in record.items()}
+
+
+def _json_text(x) -> str:
+    """A JSON value as the text a CSV cell holds for it."""
+    return x if isinstance(x, str) else json.dumps(x)

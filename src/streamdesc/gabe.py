@@ -20,7 +20,7 @@ from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
     PatternId, STREAM_ESTIMATED, cycles4, plain_counts, subgraph_to_induced)
-from .reservoir import _EMPTY, StreamState, maybe_sample
+from .reservoir import StreamState, maybe_sample
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
@@ -191,95 +191,114 @@ def _cycles4_wedges(edges: list[Edge]) -> int:
     return pairs // 2
 
 
-def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
-    """Count every tracked pattern copy the arriving edge completes
-    against the current sample, then offer the edge to the reservoir.
+def gabe_process_edges(state: GabeState, edges) -> GabeState:
+    """Step a block of stream edges (a sequence, read twice): count the
+    block's degrees, then per edge every tracked pattern copy it
+    completes against the current sample, then offer it to the
+    reservoir.
 
-    One pass over N(u) and one over N(v) (sampled neighborhoods) gather
-    every sum the six counts need; the sampled triangles on u and on v
-    come from the state's triangle index.  Expects a preprocessed
-    stream (no self-loops or duplicates).
+    Where both endpoints have sampled neighbours, one pass over N(u)
+    and one over N(v) (sampled neighborhoods) gather every sum the six
+    counts need; the sampled triangles on u and on v come from the
+    state's triangle index.  An edge with sampled neighbours at one end
+    only completes paths and paws alone, and one with none completes
+    nothing.  Expects a preprocessed stream (no self-loops or
+    duplicates).
     """
-    u, v = edge
-    t = state.t + 1
-    b = state.budget
+    adj, tri, b = state.adj, state.tri, state.budget
+    get, item, tri_get, sample = adj.get, adj.__getitem__, tri.get, maybe_sample
+    # the estimates stay in locals until the block ends: no step reads them
+    e_tri, e_path, e_c4, e_paw, e_dia, e_k4 = map(state.est.__getitem__, STREAM_ESTIMATED)
+    state.degrees.update(chain.from_iterable(edges))
+    # maybe_sample moves state.t on by one per edge
+    for t, edge in enumerate(edges, state.t + 1):
+        u, v = edge
+        na = get(u)  # the index holds no empty set
+        nb = get(v)
+        if na is not None and nb is not None:
+            a, bb = len(na), len(nb)
+            # One pass over x in N(u): sa = sum |N(x)|, c4 = sum
+            # |N(x) & N(v)|, and over the common neighbors w among them:
+            # c = their number, sw = sum |N(w)|, rim = sum |N(w) & N(u)|
+            # + |N(w) & N(v)|, k4 = sum |N(w) & N(u) & N(v)|.  Then
+            # sb = sum |N(y)| over y in N(v).
+            sa = c = c4 = sw = rim = k4 = 0
+            for x in na:
+                nx = adj[x]
+                sa += len(nx)
+                xb = len(nx & nb)
+                c4 += xb
+                if x in nb:
+                    c += 1
+                    sw += len(nx)
+                    nxa = nx & na
+                    rim += len(nxa) + xb
+                    k4 += len(nxa & nb)
+            sb = sum(map(len, map(item, nb)))
+            # path on 4 vertices: edge in the middle (x-u-v-y, a*bb - c
+            # ways), or at an end, continuing two hops out of one
+            # endpoint (|N(x)| - 1 - [x in N(v)] ways for each x in
+            # N(u), and mirrored)
+            path = a * bb - 3 * c - a - bb + sa + sb
+            # paw: either the edge lies in the triangle (pendant off any
+            # of its three vertices) or it is the pendant of a sampled
+            # triangle on u or on v (the index's count: sampled edges
+            # within N(u), N(v))
+            paw = c * (a + bb - 4) + sw + tri_get(u, 0) + tri_get(v, 0)
+            # diamond: the edge is the shared side of two triangles
+            # (pick 2 common neighbors) or a rim edge (one triangle plus
+            # a second one hanging off either of its sides)
+            dia = c * (c - 1) // 2 + rim
+            # K4: a sampled edge between two common neighbors, seen
+            # from both
+            k4 //= 2
+        elif na is not None or nb is not None:
+            # the same counts with one side empty: only the paths that
+            # go on two hops out of the other end, and the paws that
+            # hang the edge off a sampled triangle there
+            x, nx = (u, na) if nb is None else (v, nb)
+            path = sum(map(len, map(item, nx))) - len(nx)
+            paw = tri_get(x, 0)
+            c = c4 = dia = k4 = 0
+        else:
+            sample(state, edge)
+            continue
 
-    state.degrees[u] += 1
-    state.degrees[v] += 1
+        if c or path or c4 or paw or dia or k4:
+            # pk: probability that k given earlier edges are all in the
+            # sample, built factor by factor in the order of the
+            # reference detection_probability in tests/reference.py, so
+            # pk equals detection_probability(t, b, k) bit for bit
+            p2 = p3 = p4 = p5 = 1.0
+            if t - 1 > b:
+                p2 = b / (t - 1) * ((b - 1) / (t - 2))
+                p3 = p2 * ((b - 2) / (t - 3))
+                if dia or k4:
+                    p4 = p3 * ((b - 3) / (t - 4))
+                    p5 = p4 * ((b - 4) / (t - 5))
+            # triangle u-v-w: w adjacent to both endpoints
+            if c:
+                e_tri += c / p2
+            if path:
+                e_path += path / p2
+            # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
+            if c4:
+                e_c4 += c4 / p3
+            if paw:
+                e_paw += paw / p3
+            if dia:
+                e_dia += dia / p4
+            if k4:
+                e_k4 += k4 / p5
 
-    adj = state.adj
-    na = adj.get(u, _EMPTY)
-    nb = adj.get(v, _EMPTY)
-    a, bb = len(na), len(nb)
-    est = state.est
-
-    # One pass over x in N(u): sa = sum |N(x)|, c4 = sum |N(x) & N(v)|,
-    # and over the common neighbors w among them: c = their number,
-    # sw = sum |N(w)|, rim = sum |N(w) & N(u)| + |N(w) & N(v)|,
-    # k4 = sum |N(w) & N(u) & N(v)|.  With N(u) or N(v) empty only sa
-    # can be nonzero.  One pass over y in N(v): sb = sum |N(y)|.
-    c = c4 = sw = rim = k4 = 0
-    if na and nb:
-        sa = 0
-        for x in na:
-            nx = adj[x]
-            sa += len(nx)
-            xb = len(nx & nb)
-            c4 += xb
-            if x in nb:
-                c += 1
-                sw += len(nx)
-                nxa = nx & na
-                rim += len(nxa) + xb
-                k4 += len(nxa & nb)
-    else:
-        sa = sum(map(len, map(adj.__getitem__, na)))
-    sb = sum(map(len, map(adj.__getitem__, nb)))
-
-    # path on 4 vertices: edge in the middle (x-u-v-y, a*bb - c ways),
-    # or at an end, continuing two hops out of one endpoint
-    # (|N(x)| - 1 - [x in N(v)] ways for each x in N(u), and mirrored)
-    path = a * bb - 3 * c - a - bb + sa + sb
-    # paw: either the edge lies in the triangle (pendant off any of its
-    # three vertices) or it is the pendant of a sampled triangle on u
-    # or on v (the index's count: sampled edges within N(u), N(v))
-    tri = state.tri
-    paw = c * (a + bb - 4) + sw + tri.get(u, 0) + tri.get(v, 0)
-    # diamond: the edge is the shared side of two triangles (pick 2
-    # common neighbors) or a rim edge (one triangle plus a second one
-    # hanging off either of its sides)
-    dia = c * (c - 1) // 2 + rim
-    # K4: a sampled edge between two common neighbors, seen from both
-    k4 //= 2
-
-    if c or path or c4 or paw or dia or k4:
-        # pk: probability that k given earlier edges are all in the
-        # sample, built factor by factor in the order of the reference
-        # detection_probability in tests/reference.py, so pk equals
-        # detection_probability(t, b, k) bit for bit
-        p2 = p3 = p4 = p5 = 1.0
-        if t - 1 > b:
-            p2 = b / (t - 1) * ((b - 1) / (t - 2))
-            p3 = p2 * ((b - 2) / (t - 3))
-            p4 = p3 * ((b - 3) / (t - 4))
-            p5 = p4 * ((b - 4) / (t - 5))
-        # triangle u-v-w: w adjacent to both endpoints
-        if c:
-            est[PatternId.TRIANGLE] += c / p2
-        if path:
-            est[PatternId.PATH_4] += path / p2
-        # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
-        if c4:
-            est[PatternId.CYCLE_4] += c4 / p3
-        if paw:
-            est[PatternId.PAW] += paw / p3
-        if dia:
-            est[PatternId.DIAMOND] += dia / p4
-        if k4:
-            est[PatternId.K4] += k4 / p5
-
-    maybe_sample(state, edge)
+        sample(state, edge)
+    state.est.update(zip(STREAM_ESTIMATED, (e_tri, e_path, e_c4, e_paw, e_dia, e_k4)))
     return state
+
+
+def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:
+    """gabe_process_edges for one edge."""
+    return gabe_process_edges(state, (edge,))
 
 
 def gabe_finalize(state: GabeState) -> Descriptor:

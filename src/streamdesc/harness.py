@@ -10,7 +10,10 @@ assembly is not linear in the counts.  Estimators of one stream and
 budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
 there is built once, in one batch from the prefix graph
-(State.from_prefix), and forked per seed (_run_seeds).
+(State.from_prefix), and forked per seed (_run_seeds).  The rest of the
+stream is read a block of BLOCK_EDGES edges at a time, and each block
+is handed to every replica's block step in turn, so the pass holds
+O(BLOCK_EDGES) edges besides the samples.
 """
 
 from __future__ import annotations
@@ -29,15 +32,16 @@ import numpy as np
 from .datasets import Dataset
 from .descriptors import Descriptor, canberra, canberra_matrix
 from .errors import BudgetTooSmallError
-from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edge
+from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edges
 from .graph import EdgeStream, build_graph, derive_seed
-from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edge
+from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edges
 from .reservoir import StreamState
 
 
 @dataclass(frozen=True)
 class Method:
-    """One estimator's protocol; exact(graph) is its oracle."""
+    """One estimator's protocol: step(state, edges) takes a block of
+    edges; exact(graph) is the oracle."""
 
     state: type[StreamState]
     step: Callable
@@ -46,9 +50,13 @@ class Method:
 
 
 METHODS = {
-    "gabe": Method(GabeState, gabe_process_edge, gabe_finalize, exact_gabe_descriptor),
-    "maeve": Method(MaeveState, maeve_process_edge, maeve_finalize, exact_maeve_descriptor),
+    "gabe": Method(GabeState, gabe_process_edges, gabe_finalize, exact_gabe_descriptor),
+    "maeve": Method(MaeveState, maeve_process_edges, maeve_finalize, exact_maeve_descriptor),
 }
+
+# _run_seeds reads the suffix after the prefix this many edges at a
+# time and steps every state through one block before reading the next.
+BLOCK_EDGES = 4096
 
 
 def _method(name: str) -> Method:
@@ -98,8 +106,9 @@ def _run_seeds(stream: EdgeStream, spec: Method, b: int,
     """One estimator per seed, in seed order, fed by one pass over the
     stream.  The first min(b, m) edges draw no random number, so they
     are read into a list and built into the first seed's state in one
-    batch (from_prefix), which is then forked for the others; each
-    state steps the rest edge by edge with its own random numbers."""
+    batch (from_prefix), which is then forked for the others.  The rest
+    is read BLOCK_EDGES edges at a time, and each block is handed to
+    every state in turn, which steps it with its own random numbers."""
     step = spec.step
     edges = iter(stream)
     # islice refuses a stop above sys.maxsize, which a budget fraction
@@ -107,9 +116,9 @@ def _run_seeds(stream: EdgeStream, spec: Method, b: int,
     prefix = list(islice(edges, min(b, sys.maxsize)))
     first = spec.state.from_prefix(prefix, b, seeds[0], stream.n_hint)
     states = [first, *(first.fork(s) for s in seeds[1:])]
-    for edge in edges:
+    while block := list(islice(edges, BLOCK_EDGES)):
         for state in states:
-            step(state, edge)
+            step(state, block)
     return states
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import exact_vertex_features
-from .reservoir import _EMPTY, StreamState, maybe_sample
+from .reservoir import StreamState, maybe_sample
 
 # A triangle's two prior edges must fit in the sample.
 MIN_MAEVE_BUDGET = 2
@@ -89,26 +90,26 @@ class MaeveState(StreamState):
         return state
 
 
-def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
-    """Credit the arriving edge's triangle and three-path completions to
-    the vertices involved, then offer the edge to the reservoir.
+def maeve_process_edges(state: MaeveState, edges) -> MaeveState:
+    """Step a block of stream edges (a sequence, read twice): count the
+    block's degrees, then per edge credit its triangle and three-path
+    completions to the vertices involved and offer it to the reservoir.
 
     A common sampled neighbor w closes a triangle on u, v, and w.  A
     sampled neighbor w of u extends the edge to the three-path v-u-w,
     whose endpoints are v and w; symmetrically for neighbors of v.
     """
-    u, v = edge
-    t = state.t + 1
-    b = state.budget
-
-    state.degrees[u] += 1
-    state.degrees[v] += 1
-
-    adj = state.adj
-    na = adj.get(u, _EMPTY)
-    nb = adj.get(v, _EMPTY)
-
-    if na or nb:
+    adj, tri, path, b = state.adj, state.tri, state.path, state.budget
+    get, sample = adj.get, maybe_sample
+    state.degrees.update(chain.from_iterable(edges))
+    # maybe_sample moves state.t on by one per edge
+    for t, edge in enumerate(edges, state.t + 1):
+        u, v = edge
+        na = get(u)  # the index holds no empty set
+        nb = get(v)
+        if na is None and nb is None:
+            sample(state, edge)
+            continue
         # pk: probability that k given earlier edges are all in the
         # sample, built factor by factor in the order of the reference
         # detection_probability in tests/reference.py, so pk equals
@@ -117,25 +118,30 @@ def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
         if t - 1 > b:
             p1 = b / (t - 1)
             p2 = p1 * ((b - 1) / (t - 2))
-        common = na & nb
-        if common:
-            w1 = 1.0 / p2
-            tri = state.tri
-            for w in common:
-                tri[u] += w1
-                tri[v] += w1
-                tri[w] += w1
         w2 = 1.0 / p1
-        path = state.path
-        for w in na:
-            path[w] += w2
-        for w in nb:
-            path[w] += w2
-        path[v] += w2 * len(na)
-        path[u] += w2 * len(nb)
-
-    maybe_sample(state, edge)
+        if na is not None:
+            if nb is not None:
+                common = na & nb
+                if common:
+                    w1 = 1.0 / p2
+                    for w in common:
+                        tri[u] += w1
+                        tri[v] += w1
+                        tri[w] += w1
+            for w in na:
+                path[w] += w2
+            path[v] += w2 * len(na)
+        if nb is not None:
+            for w in nb:
+                path[w] += w2
+            path[u] += w2 * len(nb)
+        sample(state, edge)
     return state
+
+
+def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
+    """maeve_process_edges for one edge."""
+    return maeve_process_edges(state, (edge,))
 
 
 def features_from_counts(degree, triangles, paths) -> VertexFeatures:

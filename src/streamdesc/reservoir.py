@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import copy
 import random
-from collections import defaultdict
+from collections import Counter
 
 from .errors import BudgetTooSmallError
 from .graph import Edge, vertex_count
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 def maybe_sample(state: StreamState, edge: Edge) -> None:
@@ -48,9 +46,10 @@ class StreamState:
 
     The estimator protocol: State(budget, seed, n_hint);
     State.from_prefix(edges, budget, seed, n_hint), the state stepping
-    those first edges leaves, built in one batch; a per-edge step
-    that reads the pre-arrival sample (t, budget, adj), updates the
-    degrees inline, counts, then calls maybe_sample(state, edge);
+    those first edges leaves, built in one batch; a block step that
+    takes a sequence of edges, counts their degrees in one
+    Counter.update, then per edge reads the pre-arrival sample (t,
+    budget, adj), counts, and calls maybe_sample(state, edge);
     fork(seed) to start another seed's run from this state while t <=
     budget; merge(others) to average replicas of one stream into this
     state; a finalize function that returns a Descriptor, with m = t.
@@ -90,7 +89,7 @@ class StreamState:
         self.edges: list[Edge] = []
         self.adj: dict[int, set[int]] = {}
         self.peak_stored = 0
-        self.degrees: dict[int, int] = defaultdict(int)
+        self.degrees: Counter[int] = Counter()
 
     @classmethod
     def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
@@ -112,7 +111,8 @@ class StreamState:
             adj.setdefault(v, set()).add(u)
         state.edges = edges
         state.t = state.peak_stored = len(edges)
-        state.degrees.update((v, len(nbrs)) for v, nbrs in adj.items())
+        # a Counter from a dict takes its values as the counts
+        state.degrees = Counter({v: len(nbrs) for v, nbrs in adj.items()})
         return state
 
     def _link(self, u: int, v: int):

@@ -251,21 +251,32 @@ def test_jsonl_non_object_reports_line(tmp_path, line):
 
 
 def test_csv_and_jsonl_rows_report_the_same_errors(tmp_path):
-    # one row loop builds both formats, so a bad field reads alike in each
-    values = [0.5] * 17
-    header = "graph_id,method,b,seed,n,m," + ",".join(f"v{i}" for i in range(17))
-    csv_path = tmp_path / "bad.csv"
-    csv_path.write_text(header + "\n0,gabe,x,0,5,8," + ",".join(map(str, values)) + "\n")
-    jsonl_path = tmp_path / "bad.jsonl"
-    jsonl_path.write_text(json.dumps({
-        "graph_id": 0, "method": "gabe", "b": "x", "seed": 0, "n": 5, "m": 8,
-        "values": values}) + "\n")
-    messages = []
-    for path, format, lineno in ((csv_path, "csv", 2), (jsonl_path, "jsonl", 1)):
-        with pytest.raises(DataFormatError, match=rf"bad\.{format}:{lineno}: ") as info:
-            load_descriptors(path, format=format)
-        messages.append(str(info.value).split(": ", 1)[1])
-    assert messages[0] == messages[1]
+    # one row loop builds both formats, from the JSON text of a number,
+    # bool or null, so a bad field reads alike in each: a float or a bool
+    # is no integer field, a bool or null no value
+    columns = ["graph_id", "method", "b", "seed", "n", "m", *(f"v{i}" for i in range(17))]
+    meta = (0, "gabe", 4, 0, 5, 8)
+    cases = [("b", "x", "x"), ("b", "2.7", 2.7), ("seed", "true", True),
+             ("graph_id", "1.0", 1.0), ("n", "false", False), ("m", "8.0", 8.0),
+             ("v3", "true", True), ("v16", "null", None)]
+    for column, cell, token in cases:
+        row = [*map(str, meta), *["0.5"] * 17]
+        row[columns.index(column)] = cell
+        record = dict(zip(columns, meta), values=[0.5] * 17)
+        if column.startswith("v"):
+            record["values"][int(column[1:])] = token
+        else:
+            record[column] = token
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
+        jsonl_path = tmp_path / "bad.jsonl"
+        jsonl_path.write_text(json.dumps(record) + "\n")
+        messages = []
+        for path, format, lineno in ((csv_path, "csv", 2), (jsonl_path, "jsonl", 1)):
+            with pytest.raises(DataFormatError, match=rf"bad\.{format}:{lineno}: ") as info:
+                load_descriptors(path, format=format)
+            messages.append(str(info.value).split(": ", 1)[1])
+        assert messages[0] == messages[1], column
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -38,7 +38,8 @@ from streamdesc import (
 )
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.graph import derive_seed
-from streamdesc.harness import graph_budgets
+from streamdesc import harness
+from streamdesc.harness import _run_seeds, graph_budgets
 from streamdesc.patterns import STREAM_ESTIMATED, PatternId
 
 from conftest import random_stream
@@ -139,7 +140,7 @@ def stepped_separately(stream, method, b, replicas, seed):
     for i in range(replicas):
         state = spec.state(b, seed + i, n_hint=stream.n_hint)
         for edge in stream:
-            spec.step(state, edge)
+            spec.step(state, [edge])
         states.append(state)
     if replicas > 1:
         states[0].merge(states[1:])
@@ -172,14 +173,13 @@ def test_fork_only_before_the_first_draw(method):
     stream = list(random_stream(12, 0.5, seed=56))
     b = 6
     state = spec.state(b, 1)
-    for edge in stream[:b]:
-        spec.step(state, edge)
+    spec.step(state, stream[:b])
     twin = state.fork(2)
     assert (twin.seed, twin.t) == (2, b)
     assert twin.edges == state.edges and twin.edges is not state.edges
     assert twin.adj == state.adj
     assert all(twin.adj[v] is not state.adj[v] for v in state.adj)
-    spec.step(state, stream[b])  # t = b + 1: the reservoir draws
+    spec.step(state, [stream[b]])  # t = b + 1: the reservoir draws
     with pytest.raises(RuntimeError, match="cannot fork"):
         state.fork(3)
 
@@ -196,12 +196,58 @@ def test_stepping_a_fork_leaves_the_parent_unchanged(method):
     fields = ("edges", "adj", "degrees", *RUN_FIELDS[method])
     before = copy.deepcopy({name: getattr(parent, name) for name in fields})
     twin = parent.fork(2)
-    for edge in stream[b:]:
-        spec.step(twin, edge)
+    spec.step(twin, stream[b:])
     assert parent.t == b and twin.t == len(stream)
     for name in fields:
         assert getattr(parent, name) == before[name], name
         assert getattr(twin, name) != before[name], name
+
+
+def run_fields(state, method):
+    """Every field one run's state steps, floats by their hex strings."""
+    def hexed(counts):
+        return {k: x.hex() if isinstance(x, float) else x for k, x in counts.items()}
+    return (state.t, state.peak_stored, state.edges, state.adj, dict(state.degrees),
+            state.rng.getstate(), *(hexed(getattr(state, name)) for name in RUN_FIELDS[method]))
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_block_size_does_not_change_a_run(method, monkeypatch):
+    # _run_seeds hands the suffix to every state a block at a time; any
+    # block size, one edge up to the whole stream, gives the same states
+    spec = METHODS[method]
+    stream = random_stream(20, 0.4, seed=58)
+    m = len(stream)
+    assert m > 3 * 7
+    for b in (spec.state.MIN_BUDGET, m // 3, m, m + 2):
+        for replicas in (1, 3):
+            seeds = [70 + i for i in range(replicas)]
+            runs = []
+            for block in (m + 1, 1, 2, 7):
+                monkeypatch.setattr(harness, "BLOCK_EDGES", block)
+                states = _run_seeds(stream, spec, b, seeds)
+                d = replicated(stream, method, b, replicas, 70)
+                runs.append(([run_fields(s, method) for s in states],
+                             [x.hex() for x in d.values], (d.n, d.m, d.b)))
+            assert all(run == runs[0] for run in runs), (b, replicas)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_block_step_equals_edge_steps(method):
+    spec = METHODS[method]
+    per_edge = {"gabe": gabe_process_edge, "maeve": maeve_process_edge}[method]
+    edges = list(random_stream(20, 0.4, seed=59))
+    b = 10
+    want = spec.state(b, 4)
+    for edge in edges:
+        per_edge(want, edge)
+    # cuts where blocks end: some blocks start before t = b and end after
+    # it, so the reservoir's first draw falls inside a block
+    for cuts in ([], [b], [3, b + 4], [b - 1, b + 1], [b - 2, b - 2, 2 * b], [5, 8, 11, 30]):
+        got = spec.state(b, 4)
+        for lo, hi in zip([0, *cuts], [*cuts, len(edges)]):
+            spec.step(got, edges[lo:hi])
+        assert run_fields(got, method) == run_fields(want, method), cuts
 
 
 # Two (field, key) slots merge averages, per method.
