@@ -32,9 +32,7 @@ from .gabe import (
     GabeState,
     MIN_GABE_BUDGET,
     exact_gabe_descriptor,
-    gabe_finalize,
     gabe_process_edge,
-    gabe_process_edges,
 )
 from .graph import (
     Edge,
@@ -62,9 +60,7 @@ from .maeve import (
     VertexFeatures,
     exact_maeve_descriptor,
     features_from_counts,
-    maeve_finalize,
     maeve_process_edge,
-    maeve_process_edges,
 )
 from .oracle import (
     edge_centric_induced_counts,

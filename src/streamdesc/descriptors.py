@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
+from .graph import text_lines
 
 DIMENSIONS = {"gabe": 17, "maeve": 20}
 # Graphs with fewer vertices have no pattern to count: all-zero values.
@@ -130,35 +131,35 @@ def load_descriptors(path, format: str = "csv") -> list[Descriptor]:
     """
     _check_format(format)
     out: list[Descriptor] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        if format == "csv":
-            rows, to_fields = _csv_rows(path, fh)
-        else:
-            rows = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
-            to_fields = _json_object
-        for lineno, row in rows:
-            try:
-                f = to_fields(row)
-                values = np.array([float(x) for x in f["values"]])
-                finite = np.isfinite(values)
-                if not finite.all():
-                    i = int(finite.argmin())
-                    raise ValueError(f"v{i} is {values[i]}, expected a finite number")
-                d = Descriptor(
-                    graph_id=int(f["graph_id"]), method=str(f["method"]), b=int(f["b"]),
-                    seed=int(f["seed"]), n=int(f["n"]), m=int(f["m"]), values=values)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if out and d.method != out[0].method:
-                raise DataFormatError(f"{path}:{lineno}: mixed method tags in one file")
-            out.append(d)
+    lines = text_lines(path, newline="")
+    if format == "csv":
+        rows, to_fields = _csv_rows(path, (line for _, line in lines))
+    else:
+        rows = ((i, line) for i, line in lines if line.strip())
+        to_fields = _json_object
+    for lineno, row in rows:
+        try:
+            f = to_fields(row)
+            values = np.array([float(x) for x in f["values"]])
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = int(finite.argmin())
+                raise ValueError(f"v{i} is {values[i]}, expected a finite number")
+            d = Descriptor(
+                graph_id=int(f["graph_id"]), method=str(f["method"]), b=int(f["b"]),
+                seed=int(f["seed"]), n=int(f["n"]), m=int(f["m"]), values=values)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if out and d.method != out[0].method:
+            raise DataFormatError(f"{path}:{lineno}: mixed method tags in one file")
+        out.append(d)
     return out
 
 
-def _csv_rows(path, fh):
+def _csv_rows(path, lines):
     """Check the header; return the (lineno, row) pairs of the data rows
     and the function that turns a row into its fields."""
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file, expected a header")
@@ -180,6 +181,8 @@ def _json_object(line):
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    if not isinstance(record.get("values", []), list):
+        raise ValueError(f"values must be a JSON array, got {type(record['values']).__name__}")
     return {key: list(map(_json_text, x)) if isinstance(x, list) else _json_text(x)
             for key, x in record.items()}
 

@@ -144,6 +144,21 @@ def build_graph(stream: EdgeStream) -> Graph:
     return Graph(n=n, adj=adj, m=m)
 
 
+def text_lines(path, newline=None):
+    """Yield (lineno, line) for each line of a UTF-8 text file; a byte
+    that is not UTF-8 raises DataFormatError starting with "path:lineno"."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the chunk the reader decoded, not the
+        # file; read again, each bad byte as a lone surrogate
+        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+            lineno = next(i for i, line in enumerate(fh, start=1)
+                          if any("\udc80" <= c <= "\udcff" for c in line))
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def int_rows(path, width: int):
     """Yield (lineno, row) for each data line of a text file of integers.
 
@@ -155,27 +170,26 @@ def int_rows(path, width: int):
     value outside the int64 range raises DataFormatError starting with
     "path:lineno".
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.replace(",", " ").split()
-            # Blank and comment lines fail one of the two checks below, so
-            # a data line pays for neither skip test.
-            if len(parts) != width:
-                if not parts or parts[0].startswith("#"):
-                    continue
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} fields, got {line.strip()!r}")
-            try:
-                row = tuple(map(int, parts))
-            except ValueError:
-                if parts[0].startswith("#"):
-                    continue
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-integer field in {line.strip()!r}") from None
-            if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
-                raise DataFormatError(
-                    f"{path}:{lineno}: integer outside the 64-bit range in {line.strip()!r}")
-            yield lineno, row
+    for lineno, line in text_lines(path):
+        parts = line.replace(",", " ").split()
+        # Blank and comment lines fail one of the two checks below, so
+        # a data line pays for neither skip test.
+        if len(parts) != width:
+            if not parts or parts[0].startswith("#"):
+                continue
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {width} fields, got {line.strip()!r}")
+        try:
+            row = tuple(map(int, parts))
+        except ValueError:
+            if parts[0].startswith("#"):
+                continue
+            raise DataFormatError(
+                f"{path}:{lineno}: non-integer field in {line.strip()!r}") from None
+        if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
+            raise DataFormatError(
+                f"{path}:{lineno}: integer outside the 64-bit range in {line.strip()!r}")
+        yield lineno, row
 
 
 def int_columns(path, width: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Batch descriptor computation, nearest-neighbour evaluation, and the
-approximation-error experiment.
+approximation-error experiment, for a method named in METHODS, whose
+class carries from_prefix, step, finalize and the exact oracle.
 
 Replica mode feeds W independent estimators from one pass over the
 stream and averages their raw sampled-count accumulators before
@@ -10,9 +11,9 @@ assembly is not linear in the counts.  Estimators of one stream and
 budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
 there is built once, in one batch from the prefix graph
-(State.from_prefix), and forked per seed (_run_seeds).  The rest of the
+(from_prefix), and forked per seed (_run_seeds).  The rest of the
 stream is read a block of BLOCK_EDGES edges at a time, and each block
-is handed to every replica's block step in turn, so the pass holds
+is handed to every replica's step in turn, so the pass holds
 O(BLOCK_EDGES) edges besides the samples.
 """
 
@@ -25,41 +26,25 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import ceil, inf
-from typing import Callable
 
 import numpy as np
 
 from .datasets import Dataset
 from .descriptors import Descriptor, canberra, canberra_matrix
 from .errors import BudgetTooSmallError
-from .gabe import GabeState, exact_gabe_descriptor, gabe_finalize, gabe_process_edges
+from .gabe import GabeState
 from .graph import EdgeStream, build_graph, derive_seed
-from .maeve import MaeveState, exact_maeve_descriptor, maeve_finalize, maeve_process_edges
+from .maeve import MaeveState
 from .reservoir import StreamState
 
-
-@dataclass(frozen=True)
-class Method:
-    """One estimator's protocol: step(state, edges) takes a block of
-    edges; exact(graph) is the oracle."""
-
-    state: type[StreamState]
-    step: Callable
-    finalize: Callable[..., Descriptor]
-    exact: Callable[..., Descriptor]
-
-
-METHODS = {
-    "gabe": Method(GabeState, gabe_process_edges, gabe_finalize, exact_gabe_descriptor),
-    "maeve": Method(MaeveState, maeve_process_edges, maeve_finalize, exact_maeve_descriptor),
-}
+METHODS: dict[str, type[StreamState]] = {"gabe": GabeState, "maeve": MaeveState}
 
 # _run_seeds reads the suffix after the prefix this many edges at a
 # time and steps every state through one block before reading the next.
 BLOCK_EDGES = 4096
 
 
-def _method(name: str) -> Method:
+def _method(name: str) -> type[StreamState]:
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}, expected one of {tuple(METHODS)}")
     return METHODS[name]
@@ -101,7 +86,7 @@ class BudgetSpec:
         return max(1, ceil(b))
 
 
-def _run_seeds(stream: EdgeStream, spec: Method, b: int,
+def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
                seeds: list[int]) -> list[StreamState]:
     """One estimator per seed, in seed order, fed by one pass over the
     stream.  The first min(b, m) edges draw no random number, so they
@@ -109,16 +94,15 @@ def _run_seeds(stream: EdgeStream, spec: Method, b: int,
     batch (from_prefix), which is then forked for the others.  The rest
     is read BLOCK_EDGES edges at a time, and each block is handed to
     every state in turn, which steps it with its own random numbers."""
-    step = spec.step
     edges = iter(stream)
     # islice refuses a stop above sys.maxsize, which a budget fraction
     # above 1 can resolve to
     prefix = list(islice(edges, min(b, sys.maxsize)))
-    first = spec.state.from_prefix(prefix, b, seeds[0], stream.n_hint)
+    first = cls.from_prefix(prefix, b, seeds[0], stream.n_hint)
     states = [first, *(first.fork(s) for s in seeds[1:])]
     while block := list(islice(edges, BLOCK_EDGES)):
         for state in states:
-            step(state, block)
+            state.step(block)
     return states
 
 
@@ -127,13 +111,13 @@ def replicated(stream: EdgeStream, method: str, b: int, replicas: int,
     """`replicas` independent estimators with seeds seed, seed + 1, ...
     fed by one pass over the stream, their raw accumulators averaged
     into the first before finalize."""
-    spec = _method(method)
+    cls = _method(method)
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    states = _run_seeds(stream, spec, b, [seed + i for i in range(replicas)])
+    states = _run_seeds(stream, cls, b, [seed + i for i in range(replicas)])
     if replicas > 1:
         states[0].merge(states[1:])
-    return spec.finalize(states[0])
+    return states[0].finalize()
 
 
 def gabe_descriptor(stream: EdgeStream, budget: int, seed: int = 0) -> Descriptor:
@@ -153,22 +137,22 @@ def graph_budgets(ds: Dataset, method: str,
     Raises BudgetTooSmallError when a nonempty dataset keeps no graph,
     which an absolute budget below the minimum always does.
     """
-    state = _method(method).state
+    cls = _method(method)
     budgets: list[int | None] = []
     reasons: list[str | None] = []
     for gi, stream in enumerate(ds.graphs):
         b = b_spec.resolve(len(stream))
-        kept = b >= state.MIN_BUDGET
+        kept = b >= cls.MIN_BUDGET
         budgets.append(b if kept else None)
         reasons.append(None if kept else (
             f"graph {gi}: budget fraction {b_spec.fraction} gives b = {b}; "
-            f"need at least {state.MIN_BUDGET} for {method}"))
+            f"need at least {cls.MIN_BUDGET} for {method}"))
     if ds.graphs and all(b is None for b in budgets):
         if b_spec.edges is not None:
-            state.check_budget(b_spec.edges)
+            cls.check_budget(b_spec.edges)
         raise BudgetTooSmallError(
             f"budget fraction {b_spec.fraction} gives every graph a budget "
-            f"below the minimum of {state.MIN_BUDGET} for {method}")
+            f"below the minimum of {cls.MIN_BUDGET} for {method}")
     return budgets, reasons
 
 
@@ -291,7 +275,7 @@ def error_vs_budget(
     trials of one graph and budget run as the replicas of replicated do,
     from one pass and one shared prefix, but are scored one by one.
     """
-    estimator = _method(method)
+    cls = _method(method)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not ds.graphs:
@@ -299,7 +283,7 @@ def error_vs_budget(
     resolved = [(fraction, graph_budgets(ds, method, BudgetSpec(fraction=fraction))[0])
                 for fraction in map(float, budgets)]
 
-    exact_vectors = [estimator.exact(build_graph(stream)).values
+    exact_vectors = [cls.exact(build_graph(stream)).values
                      for stream in ds.graphs]
 
     rows: list[tuple[float, float]] = []
@@ -310,8 +294,8 @@ def error_vs_budget(
                 continue
             seeds = [derive_seed(seed, "evb", method, fraction, gi, trial)
                      for trial in range(trials)]
-            for state in _run_seeds(stream, estimator, b, seeds):
-                total += canberra(estimator.finalize(state).values, exact_vectors[gi])
+            for state in _run_seeds(stream, cls, b, seeds):
+                total += canberra(state.finalize().values, exact_vectors[gi])
                 runs += 1
         rows.append((fraction, total / runs))
     return rows

@@ -53,97 +53,6 @@ class VertexFeatures:
         )
 
 
-class MaeveState(StreamState):
-    """Stream state plus per-vertex triangle and three-path estimates."""
-
-    __slots__ = ("tri", "path")
-    MERGED = __slots__
-
-    MIN_BUDGET = MIN_MAEVE_BUDGET
-    DETECTS = "triangles"
-
-    def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
-        super().__init__(budget, seed, n_hint)
-        self.tri: dict[int, float] = defaultdict(float)
-        self.path: dict[int, float] = defaultdict(float)
-
-    @classmethod
-    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None) -> MaeveState:
-        """StreamState.from_prefix, with tri[x] the prefix graph's
-        triangles on x (x is on T(x)/2 of the common neighbourhoods of
-        its edges) and path[x] = sum over y in N(x) of (d_y - 1).  Exact
-        integers as floats, so equal to the stepped counts bit for bit.
-        """
-        state = super().from_prefix(edges, budget, seed, n_hint)
-        adj, degrees = state.adj, state.degrees
-        tri2: dict[int, int] = {}
-        for u, v in edges:
-            c = len(adj[u] & adj[v])
-            if c:
-                tri2[u] = tri2.get(u, 0) + c
-                tri2[v] = tri2.get(v, 0) + c
-        state.tri.update((x, float(k // 2)) for x, k in tri2.items())
-        state.path.update(
-            (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
-            for x, nbrs in adj.items())
-        return state
-
-
-def maeve_process_edges(state: MaeveState, edges) -> MaeveState:
-    """Step a block of stream edges (a sequence, read twice): count the
-    block's degrees, then per edge credit its triangle and three-path
-    completions to the vertices involved and offer it to the reservoir.
-
-    A common sampled neighbor w closes a triangle on u, v, and w.  A
-    sampled neighbor w of u extends the edge to the three-path v-u-w,
-    whose endpoints are v and w; symmetrically for neighbors of v.
-    """
-    adj, tri, path, b = state.adj, state.tri, state.path, state.budget
-    get, sample = adj.get, maybe_sample
-    state.degrees.update(chain.from_iterable(edges))
-    # maybe_sample moves state.t on by one per edge
-    for t, edge in enumerate(edges, state.t + 1):
-        u, v = edge
-        na = get(u)  # the index holds no empty set
-        nb = get(v)
-        if na is None and nb is None:
-            sample(state, edge)
-            continue
-        # pk: probability that k given earlier edges are all in the
-        # sample, built factor by factor in the order of the reference
-        # detection_probability in tests/reference.py, so pk equals
-        # detection_probability(t, b, k) bit for bit
-        p1 = p2 = 1.0
-        if t - 1 > b:
-            p1 = b / (t - 1)
-            p2 = p1 * ((b - 1) / (t - 2))
-        w2 = 1.0 / p1
-        if na is not None:
-            if nb is not None:
-                common = na & nb
-                if common:
-                    w1 = 1.0 / p2
-                    for w in common:
-                        tri[u] += w1
-                        tri[v] += w1
-                        tri[w] += w1
-            for w in na:
-                path[w] += w2
-            path[v] += w2 * len(na)
-        if nb is not None:
-            for w in nb:
-                path[w] += w2
-            path[u] += w2 * len(nb)
-        sample(state, edge)
-    return state
-
-
-def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
-    """maeve_process_edges for one edge."""
-    return maeve_process_edges(state, (edge,))
-
-
 def features_from_counts(degree, triangles, paths) -> VertexFeatures:
     """The five features as functions of (degree, triangle count,
     endpoint three-path count), for one vertex (scalars) or many
@@ -205,27 +114,6 @@ def _moment_vector(table: np.ndarray) -> np.ndarray:
     return values.ravel()
 
 
-def maeve_finalize(state: MaeveState) -> Descriptor:
-    """Aggregate per-vertex features into the 20-value moment descriptor.
-
-    Every addressable vertex in [0, n) contributes a row, including
-    isolated ones declared only through n_hint.
-    """
-    n = state.n
-    values = np.zeros(20)
-    if n > 0:
-        columns = []
-        for counts in (state.degrees, state.tri, state.path):
-            column = np.zeros(n)
-            k = len(counts)
-            column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
-            columns.append(column)
-        values = _moment_vector(np.array(features_from_counts(*columns).as_tuple()))
-    return Descriptor(
-        graph_id=0, method="maeve", b=state.budget, seed=state.seed,
-        n=n, m=state.t, values=values)
-
-
 def exact_maeve_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor from explicit egonet features."""
     values = np.zeros(20)
@@ -234,3 +122,114 @@ def exact_maeve_descriptor(g: Graph) -> Descriptor:
         values = _moment_vector(np.ascontiguousarray(rows.T))
     return Descriptor(
         graph_id=0, method="maeve", b=g.m, seed=0, n=g.n, m=g.m, values=values)
+
+
+class MaeveState(StreamState):
+    """Stream state plus per-vertex triangle and three-path estimates."""
+
+    __slots__ = ("tri", "path")
+    MERGED = __slots__
+
+    MIN_BUDGET = MIN_MAEVE_BUDGET
+    DETECTS = "triangles"
+    exact = staticmethod(exact_maeve_descriptor)
+
+    def __init__(self, budget: int, seed: int = 0, n_hint: int | None = None):
+        super().__init__(budget, seed, n_hint)
+        self.tri: dict[int, float] = defaultdict(float)
+        self.path: dict[int, float] = defaultdict(float)
+
+    @classmethod
+    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
+                    n_hint: int | None = None) -> MaeveState:
+        """StreamState.from_prefix, with tri[x] the prefix graph's
+        triangles on x (x is on T(x)/2 of the common neighbourhoods of
+        its edges) and path[x] = sum over y in N(x) of (d_y - 1).  Exact
+        integers as floats, so equal to the stepped counts bit for bit.
+        """
+        state = super().from_prefix(edges, budget, seed, n_hint)
+        adj, degrees = state.adj, state.degrees
+        tri2: dict[int, int] = {}
+        for u, v in edges:
+            c = len(adj[u] & adj[v])
+            if c:
+                tri2[u] = tri2.get(u, 0) + c
+                tri2[v] = tri2.get(v, 0) + c
+        state.tri.update((x, float(k // 2)) for x, k in tri2.items())
+        state.path.update(
+            (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
+            for x, nbrs in adj.items())
+        return state
+
+    def step(self, edges) -> MaeveState:
+        """Step a block of stream edges (a sequence, read twice): count the
+        block's degrees, then per edge credit its triangle and three-path
+        completions to the vertices involved and offer it to the reservoir.
+
+        A common sampled neighbor w closes a triangle on u, v, and w.  A
+        sampled neighbor w of u extends the edge to the three-path v-u-w,
+        whose endpoints are v and w; symmetrically for neighbors of v.
+        """
+        adj, tri, path, b = self.adj, self.tri, self.path, self.budget
+        get, sample = adj.get, maybe_sample
+        self.degrees.update(chain.from_iterable(edges))
+        # maybe_sample moves self.t on by one per edge
+        for t, edge in enumerate(edges, self.t + 1):
+            u, v = edge
+            na = get(u)  # the index holds no empty set
+            nb = get(v)
+            if na is None and nb is None:
+                sample(self, edge)
+                continue
+            # pk: probability that k given earlier edges are all in the
+            # sample, built factor by factor in the order of the reference
+            # detection_probability in tests/reference.py, so pk equals
+            # detection_probability(t, b, k) bit for bit
+            p1 = p2 = 1.0
+            if t - 1 > b:
+                p1 = b / (t - 1)
+                p2 = p1 * ((b - 1) / (t - 2))
+            w2 = 1.0 / p1
+            if na is not None:
+                if nb is not None:
+                    common = na & nb
+                    if common:
+                        w1 = 1.0 / p2
+                        for w in common:
+                            tri[u] += w1
+                            tri[v] += w1
+                            tri[w] += w1
+                for w in na:
+                    path[w] += w2
+                path[v] += w2 * len(na)
+            if nb is not None:
+                for w in nb:
+                    path[w] += w2
+                path[u] += w2 * len(nb)
+            sample(self, edge)
+        return self
+
+    def finalize(self) -> Descriptor:
+        """Aggregate per-vertex features into the 20-value moment descriptor.
+
+        Every addressable vertex in [0, n) contributes a row, including
+        isolated ones declared only through n_hint.
+        """
+        n = self.n
+        values = np.zeros(20)
+        if n > 0:
+            columns = []
+            for counts in (self.degrees, self.tri, self.path):
+                column = np.zeros(n)
+                k = len(counts)
+                column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
+                columns.append(column)
+            values = _moment_vector(np.array(features_from_counts(*columns).as_tuple()))
+        return Descriptor(
+            graph_id=0, method="maeve", b=self.budget, seed=self.seed,
+            n=n, m=self.t, values=values)
+
+
+def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:
+    """MaeveState.step for one edge."""
+    return state.step((edge,))

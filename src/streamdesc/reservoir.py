@@ -46,22 +46,22 @@ class StreamState:
 
     The estimator protocol: State(budget, seed, n_hint);
     State.from_prefix(edges, budget, seed, n_hint), the state stepping
-    those first edges leaves, built in one batch; a block step that
-    takes a sequence of edges, counts their degrees in one
-    Counter.update, then per edge reads the pre-arrival sample (t,
-    budget, adj), counts, and calls maybe_sample(state, edge);
-    fork(seed) to start another seed's run from this state while t <=
-    budget; merge(others) to average replicas of one stream into this
-    state; a finalize function that returns a Descriptor, with m = t.
+    those first edges leaves, built in one batch; step(edges), which
+    counts a sequence of edges' degrees in one Counter.update, then per
+    edge reads the pre-arrival sample (t, budget, adj), counts, and
+    calls maybe_sample(state, edge); fork(seed) to start another seed's
+    run from this state while t <= budget; merge(others) to average
+    replicas of one stream into this state; finalize(), which returns a
+    Descriptor with m = t; State.exact(graph), the oracle descriptor.
 
     Single-writer: exactly one stream drives maybe_sample.  t counts the
     edges offered so far; peak_stored records the largest sample ever
-    held, for memory-bound checks.  A subclass sets MIN_BUDGET and
-    DETECTS (what a smaller budget cannot detect), declares its per-run
-    fields in __slots__ (dicts, which fork copies) and names in MERGED
-    those that merge averages.  One that keeps an extra index over the
-    sample overrides _link and _unlink, which maybe_sample calls as
-    edges enter and leave.
+    held, for memory-bound checks.  A subclass defines step, finalize
+    and exact, sets MIN_BUDGET and DETECTS (what a smaller budget cannot
+    detect), declares its per-run fields in __slots__ (dicts, which fork
+    copies) and names in MERGED those that merge averages.  One that
+    keeps an extra index over the sample overrides _link and _unlink,
+    which maybe_sample calls as edges enter and leave.
     """
 
     __slots__ = ("budget", "seed", "n_hint", "t", "rng", "edges", "adj",

@@ -2,8 +2,8 @@
 
 No command, harness path or estimator calls these: the capped C(n,4)
 enumerator and the helpers built on it, and the one-call forms of what
-gabe_finalize, maeve's _moment_vector and the inline detection weights
-compute bit for bit.
+GabeState.finalize, maeve's _moment_vector and the inline detection
+weights compute bit for bit.
 """
 
 from __future__ import annotations

@@ -328,6 +328,49 @@ def test_distance_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+# ------------------------------------------------------- non-UTF-8 input
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("lines_before", [1, 3000], ids=["short", "past-first-chunk"])
+def test_edge_list_not_utf8_exits_two_naming_the_line(tmp_path, capsys, end, lines_before):
+    # the text reader decodes in chunks of a few KB; the line is counted
+    # from the start of the file, with each line end as text mode reads it
+    path = tmp_path / "latin.txt"
+    path.write_bytes(f"0 1{end}".encode() * lines_before + b"\xff\xfe 2" + end.encode())
+    assert main(["exact", "--method", "gabe", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"latin.txt:{lines_before + 1}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, line", [("TOY_A.txt", 4), ("TOY_graph_indicator.txt", 2)])
+def test_bundle_file_not_utf8_exits_two_naming_the_line(tmp_path, capsys, name, line):
+    bundle = Path(classify_bundle(tmp_path))
+    path = bundle / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+    assert main(["exact", "--method", "maeve", "--dataset", str(bundle)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{line}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_distance_file_not_utf8_exits_two_naming_the_line(tmp_path, capsys, format):
+    path = tmp_path / f"a.{format}"
+    save_descriptors(
+        [Descriptor(graph_id=g, method="gabe", b=5, seed=0, n=4, m=3,
+                    values=np.ones(17)) for g in range(3)], path, format=format)
+    text = path.read_bytes().replace(b'gabe', b'g\xe9be')
+    path.write_bytes(text)
+    assert main(["distance", str(path), str(path), "--format", format]) == 2
+    err = capsys.readouterr().err
+    assert f"a.{format}:{2 if format == 'csv' else 1}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- classify
 
 

@@ -250,6 +250,19 @@ def test_jsonl_non_object_reports_line(tmp_path, line):
         load_descriptors(path, format="jsonl")
 
 
+@pytest.mark.parametrize("values", ['"12345678901234567"', "17", '{"v0": 1}'],
+                         ids=["digit-string", "number", "object"])
+def test_jsonl_values_not_an_array_reports_line(tmp_path, values):
+    # a string of 17 digits once loaded as the descriptor [1, 2, ..., 7]
+    path = tmp_path / "out.jsonl"
+    save_descriptors([make_descriptor(0)], path, format="jsonl")
+    record = json.loads(path.read_text())
+    line = json.dumps(record).replace(json.dumps(record["values"]), values)
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(DataFormatError, match=r"out\.jsonl:2: values must be a JSON array"):
+        load_descriptors(path, format="jsonl")
+
+
 def test_csv_and_jsonl_rows_report_the_same_errors(tmp_path):
     # one row loop builds both formats, from the JSON text of a number,
     # bool or null, so a bad field reads alike in each: a float or a bool

@@ -17,7 +17,6 @@ from streamdesc import (
     build_graph,
     exact_gabe_descriptor,
     gabe_descriptor,
-    gabe_finalize,
     gabe_process_edge,
 )
 from streamdesc.errors import BudgetTooSmallError
@@ -167,7 +166,7 @@ def test_negative_induced_estimates_kept_raw():
     # inflated triangle noise must push some induced estimate negative
     state = run_state(K4_EDGES, budget=6)
     state.est[PatternId.TRIANGLE] = 40.0
-    d = gabe_finalize(state)
+    d = state.finalize()
     assert d.values.min() < 0
     for k in (3, 4):
         assert d.values[ORDER_SLICES[k]].sum() == pytest.approx(1, abs=1e-9)
@@ -192,7 +191,7 @@ def test_degenerate_descriptor():
     # every closed form is 0 and every C(n, k) block is zeroed: +0.0
     # in all 17 coordinates, from the estimator and from the oracle
     for n in (0, 1):
-        d = gabe_finalize(run_state([], budget=5, n_hint=n))
+        d = run_state([], budget=5, n_hint=n).finalize()
         exact = exact_gabe_descriptor(build_graph(EdgeStream([], n_hint=n)))
         for desc in (d, exact):
             assert desc.degenerate

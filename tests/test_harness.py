@@ -2,7 +2,6 @@
 error-versus-budget experiment."""
 
 import copy
-import dataclasses
 import itertools
 import random
 import re
@@ -29,10 +28,8 @@ from streamdesc import (
     exact_gabe_descriptor,
     exact_maeve_descriptor,
     gabe_descriptor,
-    gabe_finalize,
     gabe_process_edge,
     maeve_descriptor,
-    maeve_finalize,
     maeve_process_edge,
     replicated,
 )
@@ -135,16 +132,15 @@ def test_replicas_share_one_pass(method):
 def stepped_separately(stream, method, b, replicas, seed):
     """replicated's contract, one full pass per replica: W states built
     from scratch and stepped edge by edge, merged into the first."""
-    spec = METHODS[method]
     states = []
     for i in range(replicas):
-        state = spec.state(b, seed + i, n_hint=stream.n_hint)
+        state = METHODS[method](b, seed + i, n_hint=stream.n_hint)
         for edge in stream:
-            spec.step(state, [edge])
+            state.step([edge])
         states.append(state)
     if replicas > 1:
         states[0].merge(states[1:])
-    return spec.finalize(states[0])
+    return states[0].finalize()
 
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
@@ -152,7 +148,7 @@ def test_forked_prefix_matches_separate_runs(method):
     # replicated steps the first b edges once and forks the state per
     # seed; every replica must still end where its own run from scratch
     # ends, for budgets below, at and above the stream's length
-    minimum = METHODS[method].state.MIN_BUDGET
+    minimum = METHODS[method].MIN_BUDGET
     streams = [random_stream(14, 0.35, seed=54), random_stream(9, 0.6, seed=55),
                EdgeStream([(0, 1), (1, 2)], n_hint=4), EdgeStream([], n_hint=3)]
     for stream in streams:
@@ -169,17 +165,16 @@ def test_forked_prefix_matches_separate_runs(method):
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_fork_only_before_the_first_draw(method):
-    spec = METHODS[method]
     stream = list(random_stream(12, 0.5, seed=56))
     b = 6
-    state = spec.state(b, 1)
-    spec.step(state, stream[:b])
+    state = METHODS[method](b, 1)
+    state.step(stream[:b])
     twin = state.fork(2)
     assert (twin.seed, twin.t) == (2, b)
     assert twin.edges == state.edges and twin.edges is not state.edges
     assert twin.adj == state.adj
     assert all(twin.adj[v] is not state.adj[v] for v in state.adj)
-    spec.step(state, [stream[b]])  # t = b + 1: the reservoir draws
+    state.step([stream[b]])  # t = b + 1: the reservoir draws
     with pytest.raises(RuntimeError, match="cannot fork"):
         state.fork(3)
 
@@ -189,14 +184,13 @@ RUN_FIELDS = {"gabe": ("est", "tri"), "maeve": ("tri", "path")}
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_stepping_a_fork_leaves_the_parent_unchanged(method):
-    spec = METHODS[method]
     stream = list(random_stream(14, 0.6, seed=57))
     b = 12
-    parent = spec.state.from_prefix(stream[:b], b, 1)
+    parent = METHODS[method].from_prefix(stream[:b], b, 1)
     fields = ("edges", "adj", "degrees", *RUN_FIELDS[method])
     before = copy.deepcopy({name: getattr(parent, name) for name in fields})
     twin = parent.fork(2)
-    spec.step(twin, stream[b:])
+    twin.step(stream[b:])
     assert parent.t == b and twin.t == len(stream)
     for name in fields:
         assert getattr(parent, name) == before[name], name
@@ -215,17 +209,17 @@ def run_fields(state, method):
 def test_block_size_does_not_change_a_run(method, monkeypatch):
     # _run_seeds hands the suffix to every state a block at a time; any
     # block size, one edge up to the whole stream, gives the same states
-    spec = METHODS[method]
+    cls = METHODS[method]
     stream = random_stream(20, 0.4, seed=58)
     m = len(stream)
     assert m > 3 * 7
-    for b in (spec.state.MIN_BUDGET, m // 3, m, m + 2):
+    for b in (cls.MIN_BUDGET, m // 3, m, m + 2):
         for replicas in (1, 3):
             seeds = [70 + i for i in range(replicas)]
             runs = []
             for block in (m + 1, 1, 2, 7):
                 monkeypatch.setattr(harness, "BLOCK_EDGES", block)
-                states = _run_seeds(stream, spec, b, seeds)
+                states = _run_seeds(stream, cls, b, seeds)
                 d = replicated(stream, method, b, replicas, 70)
                 runs.append(([run_fields(s, method) for s in states],
                              [x.hex() for x in d.values], (d.n, d.m, d.b)))
@@ -234,19 +228,19 @@ def test_block_size_does_not_change_a_run(method, monkeypatch):
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_block_step_equals_edge_steps(method):
-    spec = METHODS[method]
+    cls = METHODS[method]
     per_edge = {"gabe": gabe_process_edge, "maeve": maeve_process_edge}[method]
     edges = list(random_stream(20, 0.4, seed=59))
     b = 10
-    want = spec.state(b, 4)
+    want = cls(b, 4)
     for edge in edges:
         per_edge(want, edge)
     # cuts where blocks end: some blocks start before t = b and end after
     # it, so the reservoir's first draw falls inside a block
     for cuts in ([], [b], [3, b + 4], [b - 1, b + 1], [b - 2, b - 2, 2 * b], [5, 8, 11, 30]):
-        got = spec.state(b, 4)
+        got = cls(b, 4)
         for lo, hi in zip([0, *cuts], [*cuts, len(edges)]):
-            spec.step(got, edges[lo:hi])
+            got.step(edges[lo:hi])
         assert run_fields(got, method) == run_fields(want, method), cuts
 
 
@@ -260,8 +254,8 @@ def test_merge_adds_replicas_left_to_right(method):
     # Left to right, 1e16 + 1.0 rounds back to 1e16, so the three values
     # sum to 0.0; a compensated sum (the builtin sum() from Python 3.12
     # on) would give 1.0 and an average of 1/3.
-    spec = METHODS[method]
-    states = [spec.state(spec.state.MIN_BUDGET, seed) for seed in range(3)]
+    cls = METHODS[method]
+    states = [cls(cls.MIN_BUDGET, seed) for seed in range(3)]
     (field, key), (other, other_key) = MERGED_SLOTS[method]
     for state, x in zip(states, (1e16, 1.0, -1e16)):
         getattr(state, field)[key] = x
@@ -280,7 +274,7 @@ def reference_error_vs_budget(ds, method, budgets, trials, seed):
         total, runs = 0.0, 0
         for gi, stream in enumerate(ds.graphs):
             b = BudgetSpec(fraction=fraction).resolve(len(stream))
-            if b < METHODS[method].state.MIN_BUDGET:
+            if b < METHODS[method].MIN_BUDGET:
                 continue
             for trial in range(trials):
                 run_seed = derive_seed(seed, "evb", method, fraction, gi, trial)
@@ -327,7 +321,7 @@ def test_gabe_replicas_average_raw_estimates():
         states.append(s)
     states[0].est = {pid: (states[0].est[pid] + states[1].est[pid]) / 2
                      for pid in STREAM_ESTIMATED}
-    expected = gabe_finalize(states[0])
+    expected = states[0].finalize()
     got = replicated(stream, "gabe", b, 2, base)
     assert np.array_equal(got.values, expected.values)
 
@@ -349,7 +343,7 @@ def test_maeve_replicas_average_vertex_counts():
         for v, x in s.path.items():
             path[v] = path.get(v, 0.0) + x / 2
     states[0].tri, states[0].path = tri, path
-    expected = maeve_finalize(states[0])
+    expected = states[0].finalize()
     got = replicated(stream, "maeve", b, 2, base)
     assert np.array_equal(got.values, expected.values)
 
@@ -357,7 +351,7 @@ def test_maeve_replicas_average_vertex_counts():
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_estimators_refuse_labels_outside_range(method):
     # the estimators apply build_graph's vertex-count rule, at finalize
-    b = METHODS[method].state.MIN_BUDGET
+    b = METHODS[method].MIN_BUDGET
     too_high = EdgeStream([(0, 1), (1, 5), (0, 5)], n_hint=3)
     message = "n_hint=3 is below max vertex label 5"
     with pytest.raises(ValueError, match=message):
@@ -389,7 +383,7 @@ def small_streams(draw):
 @settings(max_examples=200)
 def test_replicated_on_small_streams(stream, method, extra, replicas, seed):
     # empty streams, n < 4 and isolated vertices known only through n_hint
-    b = METHODS[method].state.MIN_BUDGET + extra
+    b = METHODS[method].MIN_BUDGET + extra
     d = replicated(stream, method, b, replicas, seed)
     assert (d.n, d.m, d.b) == (stream.n_hint, len(stream), b)
     assert np.all(np.isfinite(d.values))
@@ -658,8 +652,8 @@ def test_error_vs_budget_rejects_small_budget_before_oracle(monkeypatch, method,
     def no_oracle(*args, **kwargs):
         raise AssertionError("oracle ran before the budget check")
 
-    for name, spec in list(METHODS.items()):
-        monkeypatch.setitem(METHODS, name, dataclasses.replace(spec, exact=no_oracle))
+    for cls in METHODS.values():
+        monkeypatch.setattr(cls, "exact", staticmethod(no_oracle))
     ds = evb_dataset()
     b = BudgetSpec(fraction=fraction).resolve(len(ds.graphs[0]))
     minimum = 5 if method == "gabe" else 2

@@ -15,7 +15,6 @@ from streamdesc import (
     exact_maeve_descriptor,
     exact_vertex_features,
     maeve_descriptor,
-    maeve_finalize,
     maeve_process_edge,
 )
 from streamdesc.errors import BudgetTooSmallError
@@ -255,7 +254,7 @@ def test_isolated_vertices_contribute_zero_rows():
 
 
 def test_degenerate_descriptor():
-    d = maeve_finalize(run_state([], budget=2))
+    d = run_state([], budget=2).finalize()
     assert d.degenerate
     assert np.all(d.values == 0)
 

@@ -19,10 +19,9 @@ from conftest import brute_force_counts, random_stream, triangles_per_vertex
 
 
 def stepped(method, edges, budget, seed, n_hint):
-    spec = METHODS[method]
-    state = spec.state(budget, seed, n_hint)
+    state = METHODS[method](budget, seed, n_hint)
     for edge in edges:
-        spec.step(state, [edge])
+        state.step([edge])
     return state
 
 
@@ -49,28 +48,28 @@ def fields(state, method):
 def test_batch_state_equals_stepped_state(n, p, seed, isolated, data):
     stream = random_stream(n, p, seed)
     edges, m, n_hint = stream.edges, len(stream), n + isolated
-    for method, spec in METHODS.items():
-        minimum = spec.state.MIN_BUDGET
+    for method, cls in METHODS.items():
+        minimum = cls.MIN_BUDGET
         budgets = {minimum, m, m + 3}
         if data is not None and m - 1 >= minimum:
             budgets.add(data.draw(st.integers(minimum, m - 1), label=f"{method} b"))
         for b in sorted(x for x in budgets if x >= minimum):
             prefix = edges[:b]
-            batch = spec.state.from_prefix(list(prefix), b, seed, n_hint)
+            batch = cls.from_prefix(list(prefix), b, seed, n_hint)
             step = stepped(method, prefix, b, seed, n_hint)
             assert fields(batch, method) == fields(step, method), (method, b)
             # both go on from the fork point to the same bits
             for other in (seed + 1, seed + 2):
                 a, z = batch.fork(other), step.fork(other)
-                spec.step(a, edges[b:])
-                spec.step(z, edges[b:])
-                da, dz = spec.finalize(a), spec.finalize(z)
+                a.step(edges[b:])
+                z.step(edges[b:])
+                da, dz = a.finalize(), z.finalize()
                 assert (da.n, da.m, da.b) == (dz.n, dz.m, dz.b)
                 assert [x.hex() for x in da.values] == [x.hex() for x in dz.values]
 
 
 def test_batch_counts_match_brute_force(small_corpus):
-    gabe, maeve = METHODS["gabe"].state, METHODS["maeve"].state
+    gabe, maeve = METHODS["gabe"], METHODS["maeve"]
     for stream in small_corpus:
         m = len(stream)
         sub, _ = brute_force_counts(build_graph(stream))
@@ -100,7 +99,7 @@ def test_batch_memory_follows_the_prefix_not_n(method, edges):
     m = len(edges)
     tracemalloc.start()
     try:
-        state = METHODS[method].state.from_prefix(edges, m, 0, n_hint=TOP + 1)
+        state = METHODS[method].from_prefix(edges, m, 0, n_hint=TOP + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -179,7 +178,7 @@ def test_full_budget_matches_oracle_above_the_cutoff(raw):
 
 def test_from_prefix_refuses_a_prefix_above_the_budget():
     with pytest.raises(ValueError, match="does not fit"):
-        METHODS["maeve"].state.from_prefix([(0, 1), (1, 2), (0, 2)], 2)
+        METHODS["maeve"].from_prefix([(0, 1), (1, 2), (0, 2)], 2)
 
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
