@@ -20,7 +20,7 @@ from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
     PatternId, STREAM_ESTIMATED, cycles4, plain_counts, subgraph_to_induced)
-from .reservoir import StreamState, maybe_sample
+from .reservoir import StreamState
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
@@ -116,9 +116,9 @@ class GabeState(StreamState):
 
     def step(self, edges) -> GabeState:
         """Step a block of stream edges (a sequence, read twice): count the
-        block's degrees, then per edge every tracked pattern copy it
-        completes against the current sample, then offer it to the
-        reservoir.
+        block's degrees and draw the reservoir's decisions for all of
+        it, then per edge count every tracked pattern copy it completes
+        against the current sample, then store it if it was kept.
 
         Where both endpoints have sampled neighbours, one pass over N(u)
         and one over N(v) (sampled neighborhoods) gather every sum the six
@@ -129,12 +129,14 @@ class GabeState(StreamState):
         duplicates).
         """
         adj, tri, b = self.adj, self.tri, self.budget
-        get, item, tri_get, sample = adj.get, adj.__getitem__, tri.get, maybe_sample
+        get, item, tri_get, store = adj.get, adj.__getitem__, tri.get, self._store
         # the estimates stay in locals until the block ends: no step reads them
         e_tri, e_path, e_c4, e_paw, e_dia, e_k4 = map(self.est.__getitem__, STREAM_ESTIMATED)
         self.degrees.update(chain.from_iterable(edges))
-        # maybe_sample moves self.t on by one per edge
-        for t, edge in enumerate(edges, self.t + 1):
+        # _draw moves self.t on past the block; t is each edge's arrival
+        start = self.t + 1
+        kept = self._draw(len(edges)).get
+        for t, edge in enumerate(edges, start):
             u, v = edge
             na = get(u)  # the index holds no empty set
             nb = get(v)
@@ -184,8 +186,7 @@ class GabeState(StreamState):
                 paw = tri_get(x, 0)
                 c = c4 = dia = k4 = 0
             else:
-                sample(self, edge)
-                continue
+                c = path = c4 = paw = dia = k4 = 0
 
             if c or path or c4 or paw or dia or k4:
                 # pk: probability that k given earlier edges are all in the
@@ -214,7 +215,9 @@ class GabeState(StreamState):
                 if k4:
                     e_k4 += k4 / p5
 
-            sample(self, edge)
+            slot = kept(t)
+            if slot is not None:
+                store(edge, slot)
         self.est.update(zip(STREAM_ESTIMATED, (e_tri, e_path, e_c4, e_paw, e_dia, e_k4)))
         return self
 
@@ -233,26 +236,38 @@ class GabeState(StreamState):
             graph_id=0, method="gabe", b=self.budget, seed=self.seed,
             n=n, m=self.t, values=phi)
 
-    def _add_triangles(self, u: int, v: int, sign: int):
-        nu = self.adj.get(u)
-        nv = self.adj.get(v)
-        if nu and nv:
+    def _link(self, u: int, v: int):
+        adj = self.adj
+        nu, nv = adj.get(u), adj.get(v)
+        if nu is not None and nv is not None:
             common = nu & nv
             if common:
                 tri = self.tri
-                k = sign * len(common)
+                k = len(common)
                 tri[u] = tri.get(u, 0) + k
                 tri[v] = tri.get(v, 0) + k
                 for w in common:
-                    tri[w] = tri.get(w, 0) + sign
-
-    def _link(self, u: int, v: int):
-        self._add_triangles(u, v, 1)
-        super()._link(u, v)
+                    tri[w] = tri.get(w, 0) + 1
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
 
     def _unlink(self, u: int, v: int):
-        super()._unlink(u, v)
-        self._add_triangles(u, v, -1)
+        adj = self.adj
+        nu, nv = adj[u], adj[v]
+        nu.discard(v)
+        nv.discard(u)
+        common = nu & nv
+        if common:
+            tri = self.tri
+            k = len(common)
+            tri[u] -= k
+            tri[v] -= k
+            for w in common:
+                tri[w] -= 1
+        if not nu:
+            del adj[u]
+        if not nv:
+            del adj[v]
 
 
 def _ranked_keys(edges: list[Edge]) -> tuple[np.ndarray, int]:

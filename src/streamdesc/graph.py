@@ -145,15 +145,17 @@ def build_graph(stream: EdgeStream) -> Graph:
 
 
 def text_lines(path, newline=None):
-    """Yield (lineno, line) for each line of a UTF-8 text file; a byte
-    that is not UTF-8 raises DataFormatError starting with "path:lineno"."""
+    """Yield (lineno, line) for each line of a UTF-8 text file, without
+    the byte-order mark it may start with; a byte that is not UTF-8
+    raises DataFormatError starting with "path:lineno"."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         # exc.start counts from the chunk the reader decoded, not the
         # file; read again, each bad byte as a lone surrogate
-        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape",
+                  newline=newline) as fh:
             lineno = next(i for i, line in enumerate(fh, start=1)
                           if any("\udc80" <= c <= "\udcff" for c in line))
         raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
@@ -205,8 +207,9 @@ def int_columns(path, width: int) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # Text mode, so line ends are the universal newlines of int_rows.
-            with open(path, encoding="utf-8") as fh:
+            # Text mode, so line ends are the universal newlines of int_rows,
+            # and a leading byte-order mark is dropped as text_lines drops it.
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read().replace(",", " ")
             rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
         if rows.shape[1] == width:

@@ -19,7 +19,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import exact_vertex_features
-from .reservoir import StreamState, maybe_sample
+from .reservoir import StreamState
 
 # A triangle's two prior edges must fit in the sample.
 MIN_MAEVE_BUDGET = 2
@@ -90,27 +90,32 @@ def _moment_vector(table: np.ndarray) -> np.ndarray:
     the steps the one-sample moments() in tests/reference.py takes
     on each row, in place in the row and one n-sized buffer, so
     every value has the bits moments(table[j]) gives.  (Reducing strided
-    columns of an (n, 5) table instead sums in another order.)  The
+    columns of an (n, 5) table instead sums in another order.)  Each
+    mean is np.add.reduce(x) / n: ndarray.mean computes exactly that,
+    the same pairwise sum divided once by the count, so the bits are
+    the same, without the Python wrapper .mean() goes through.  The
     rest is not vectorized over all five rows because that needs a
     second (5, n) buffer, and on graphs with thousands of vertices the
     extra large temporaries raised the process's peak RSS.
     """
-    mean = table.mean(axis=1)
+    n = table.shape[1]
+    add, multiply = np.add.reduce, np.multiply
+    mean = add(table, axis=1) / n
     table -= mean[:, None]
     values = np.zeros((5, 4))
     values[:, 0] = mean
-    sq = np.empty(table.shape[1])
+    sq = np.empty(n)
     for dev, out in zip(table, values):
-        std = sqrt(np.multiply(dev, dev, out=sq).mean())
+        std = sqrt(add(multiply(dev, dev, out=sq)) / n)
         if std == 0.0:
             continue
         out[1] = std
         # standardize before raising to powers: std**4 can underflow
         # to zero for tiny spreads even though std itself is positive
         z = np.divide(dev, std, out=dev)
-        z2 = np.multiply(z, z, out=sq)
-        out[2] = np.multiply(z2, z, out=z).mean()
-        out[3] = np.multiply(z2, z2, out=z2).mean()
+        z2 = multiply(z, z, out=sq)
+        out[2] = add(multiply(z2, z, out=z)) / n
+        out[3] = add(multiply(z2, z2, out=z2)) / n
     return values.ravel()
 
 
@@ -163,50 +168,53 @@ class MaeveState(StreamState):
 
     def step(self, edges) -> MaeveState:
         """Step a block of stream edges (a sequence, read twice): count the
-        block's degrees, then per edge credit its triangle and three-path
-        completions to the vertices involved and offer it to the reservoir.
+        block's degrees and draw the reservoir's decisions for all of it,
+        then per edge credit its triangle and three-path completions to
+        the vertices involved and store it if it was kept.
 
         A common sampled neighbor w closes a triangle on u, v, and w.  A
         sampled neighbor w of u extends the edge to the three-path v-u-w,
         whose endpoints are v and w; symmetrically for neighbors of v.
         """
         adj, tri, path, b = self.adj, self.tri, self.path, self.budget
-        get, sample = adj.get, maybe_sample
+        get, store = adj.get, self._store
         self.degrees.update(chain.from_iterable(edges))
-        # maybe_sample moves self.t on by one per edge
-        for t, edge in enumerate(edges, self.t + 1):
+        # _draw moves self.t on past the block; t is each edge's arrival
+        start = self.t + 1
+        kept = self._draw(len(edges)).get
+        for t, edge in enumerate(edges, start):
             u, v = edge
             na = get(u)  # the index holds no empty set
             nb = get(v)
-            if na is None and nb is None:
-                sample(self, edge)
-                continue
-            # pk: probability that k given earlier edges are all in the
-            # sample, built factor by factor in the order of the reference
-            # detection_probability in tests/reference.py, so pk equals
-            # detection_probability(t, b, k) bit for bit
-            p1 = p2 = 1.0
-            if t - 1 > b:
-                p1 = b / (t - 1)
-                p2 = p1 * ((b - 1) / (t - 2))
-            w2 = 1.0 / p1
-            if na is not None:
+            if na is not None or nb is not None:
+                # pk: probability that k given earlier edges are all in the
+                # sample, built factor by factor in the order of the
+                # reference detection_probability in tests/reference.py, so
+                # pk equals detection_probability(t, b, k) bit for bit
+                p1 = p2 = 1.0
+                if t - 1 > b:
+                    p1 = b / (t - 1)
+                    p2 = p1 * ((b - 1) / (t - 2))
+                w2 = 1.0 / p1
+                if na is not None:
+                    if nb is not None:
+                        common = na & nb
+                        if common:
+                            w1 = 1.0 / p2
+                            for w in common:
+                                tri[u] += w1
+                                tri[v] += w1
+                                tri[w] += w1
+                    for w in na:
+                        path[w] += w2
+                    path[v] += w2 * len(na)
                 if nb is not None:
-                    common = na & nb
-                    if common:
-                        w1 = 1.0 / p2
-                        for w in common:
-                            tri[u] += w1
-                            tri[v] += w1
-                            tri[w] += w1
-                for w in na:
-                    path[w] += w2
-                path[v] += w2 * len(na)
-            if nb is not None:
-                for w in nb:
-                    path[w] += w2
-                path[u] += w2 * len(nb)
-            sample(self, edge)
+                    for w in nb:
+                        path[w] += w2
+                    path[u] += w2 * len(nb)
+            slot = kept(t)
+            if slot is not None:
+                store(edge, slot)
         return self
 
     def finalize(self) -> Descriptor:

@@ -3,7 +3,11 @@ estimators build on, and a variance bound for the estimates.
 
 The reservoir keeps the first b edges, then replaces a uniformly chosen
 stored edge with probability b/t, which gives every prefix edge the same
-b/t inclusion probability.  A per-vertex adjacency index over the stored
+b/t inclusion probability.  Whether arrival t is kept, and which slot
+it takes, depend on t, b and the random numbers alone, never on the
+edge, so StreamState._draw decides a whole block of arrivals in one
+loop before any of them is counted, and the step stores each kept edge
+once it has been counted.  A per-vertex adjacency index over the stored
 edges supports the neighborhood probes the estimators run on every
 arrival.  An estimator's state is one object, a StreamState: the
 reservoir, the exact trackers, and in each method's subclass its
@@ -21,22 +25,15 @@ from .graph import Edge, vertex_count
 
 
 def maybe_sample(state: StreamState, edge: Edge) -> None:
-    """Reservoir step for the next stream edge: append it while the
-    sample has room, else let it replace a uniformly chosen stored edge
-    with probability b/t.  Must be called exactly once per stream edge,
-    after any counting that inspects the pre-arrival sample.
+    """Reservoir step for the next stream edge, the one-edge case of a
+    block step's reservoir work: append it while the sample has room,
+    else let it replace a uniformly chosen stored edge with probability
+    b/t.  Must be called exactly once per stream edge, after any
+    counting that inspects the pre-arrival sample.
     """
-    state.t += 1
-    if state.t <= state.budget:
-        state.edges.append(edge)
-        state._link(*edge)
-        if len(state.edges) > state.peak_stored:
-            state.peak_stored = len(state.edges)
-    elif state.rng.random() < state.budget / state.t:
-        slot = state.rng.randrange(state.budget)
-        state._unlink(*state.edges[slot])
-        state.edges[slot] = edge
-        state._link(*edge)
+    slot = state._draw(1).get(state.t)
+    if slot is not None:
+        state._store(edge, slot)
 
 
 class StreamState:
@@ -47,25 +44,29 @@ class StreamState:
     The estimator protocol: State(budget, seed, n_hint);
     State.from_prefix(edges, budget, seed, n_hint), the state stepping
     those first edges leaves, built in one batch; step(edges), which
-    counts a sequence of edges' degrees in one Counter.update, then per
-    edge reads the pre-arrival sample (t, budget, adj), counts, and
-    calls maybe_sample(state, edge); fork(seed) to start another seed's
-    run from this state while t <= budget; merge(others) to average
-    replicas of one stream into this state; finalize(), which returns a
-    Descriptor with m = t; State.exact(graph), the oracle descriptor.
+    counts a sequence of edges' degrees in one Counter.update, draws the
+    reservoir's decisions for all of them with _draw, then per edge
+    reads the pre-arrival sample (t, budget, adj), counts, and stores
+    the edge with _store if it was kept; fork(seed) to start another
+    seed's run from this state while t <= budget; merge(others) to
+    average replicas of one stream into this state; finalize(), which
+    returns a Descriptor with m = t; State.exact(graph), the oracle
+    descriptor.
 
-    Single-writer: exactly one stream drives maybe_sample.  t counts the
-    edges offered so far; peak_stored records the largest sample ever
-    held, for memory-bound checks.  A subclass defines step, finalize
-    and exact, sets MIN_BUDGET and DETECTS (what a smaller budget cannot
-    detect), declares its per-run fields in __slots__ (dicts, which fork
-    copies) and names in MERGED those that merge averages.  One that
-    keeps an extra index over the sample overrides _link and _unlink,
-    which maybe_sample calls as edges enter and leave.
+    Single-writer: exactly one stream drives the reservoir.  t counts
+    the edges offered so far; peak_stored records the largest sample
+    ever held, for memory-bound checks, and evictions the stored edges
+    replaced so far, so the sample has taken evictions + len(edges)
+    inserts.  A subclass defines step, finalize and exact, sets
+    MIN_BUDGET and DETECTS (what a smaller budget cannot detect),
+    declares its per-run fields in __slots__ (dicts, which fork copies)
+    and names in MERGED those that merge averages.  One that keeps an
+    extra index over the sample overrides _link and _unlink, which
+    _store calls as edges enter and leave.
     """
 
     __slots__ = ("budget", "seed", "n_hint", "t", "rng", "edges", "adj",
-                 "peak_stored", "degrees")
+                 "peak_stored", "evictions", "degrees")
 
     MIN_BUDGET: int
     DETECTS: str
@@ -88,7 +89,7 @@ class StreamState:
         self.rng = random.Random(seed)
         self.edges: list[Edge] = []
         self.adj: dict[int, set[int]] = {}
-        self.peak_stored = 0
+        self.peak_stored = self.evictions = 0
         self.degrees: Counter[int] = Counter()
 
     @classmethod
@@ -115,16 +116,50 @@ class StreamState:
         state.degrees = Counter({v: len(nbrs) for v, nbrs in adj.items()})
         return state
 
+    def _draw(self, k: int) -> dict[int, int]:
+        """Move t on by k arrivals and return {t: slot} for those the
+        reservoir keeps: while the sample has room, arrival t takes slot
+        t - 1, the end of the sample; past the budget, one random() per
+        arrival decides, with probability b/t, and a kept one takes the
+        slot randrange(b) draws right after it.  The draws are those a
+        step per edge makes, in the same order.
+        """
+        b, start = self.budget, self.t
+        self.t = end = start + k
+        slots = {t: t - 1 for t in range(start + 1, min(end, b) + 1)}
+        random, randrange = self.rng.random, self.rng.randrange
+        for t in range(max(start, b) + 1, end + 1):
+            if random() < b / t:
+                slots[t] = randrange(b)
+        return slots
+
+    def _store(self, edge: Edge, slot: int):
+        """Put a kept edge in its slot: append it at slot len(edges), else
+        replace the stored edge there."""
+        edges = self.edges
+        if slot == len(edges):
+            edges.append(edge)
+            # the sample never shrinks, so it is at its peak
+            self.peak_stored = slot + 1
+        else:
+            self._unlink(*edges[slot])
+            edges[slot] = edge
+            self.evictions += 1
+        self._link(*edge)
+
     def _link(self, u: int, v: int):
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
 
     def _unlink(self, u: int, v: int):
-        for a, b in ((u, v), (v, u)):
-            nbrs = self.adj[a]
-            nbrs.discard(b)
-            if not nbrs:
-                del self.adj[a]
+        adj = self.adj
+        nu, nv = adj[u], adj[v]
+        nu.discard(v)
+        nv.discard(u)
+        if not nu:
+            del adj[u]
+        if not nv:
+            del adj[v]
 
     def fork(self, seed: int) -> StreamState:
         """A copy of this state for another seed, to go on with the same

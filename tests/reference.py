@@ -1,14 +1,16 @@
 """Reference implementations the tests check the package against.
 
 No command, harness path or estimator calls these: the capped C(n,4)
-enumerator and the helpers built on it, and the one-call forms of what
+enumerator and the helpers built on it, the one-call forms of what
 GabeState.finalize, maeve's _moment_vector and the inline detection
-weights compute bit for bit.
+weights compute bit for bit, and the reservoir stepped one edge at a
+time that the block steps' draws and stores must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb, sqrt
 
 import numpy as np
@@ -173,3 +175,49 @@ def detection_probability(t: int, b: int, m: int) -> float:
     for i in range(m):
         p *= (b - i) / (t - 1 - i)
     return p
+
+
+class ReferenceReservoir:
+    """The reservoir alone, with its adjacency in a plain dict of sets,
+    for maybe_sample below to step one edge at a time.  Each _unlink is
+    one replacement of a stored edge, counted in replacements."""
+
+    def __init__(self, budget: int, seed: int = 0):
+        self.budget = budget
+        self.t = 0
+        self.rng = random.Random(seed)
+        self.edges: list[tuple[int, int]] = []
+        self.adj: dict[int, set[int]] = {}
+        self.peak_stored = 0
+        self.replacements = 0
+
+    def _link(self, u: int, v: int):
+        self.adj.setdefault(u, set()).add(v)
+        self.adj.setdefault(v, set()).add(u)
+
+    def _unlink(self, u: int, v: int):
+        self.replacements += 1
+        for a, b in ((u, v), (v, u)):
+            nbrs = self.adj[a]
+            nbrs.discard(b)
+            if not nbrs:
+                del self.adj[a]
+
+
+def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
+    """Reservoir step for the next stream edge: append it while the
+    sample has room, else let it replace a uniformly chosen stored edge
+    with probability b/t.  Must be called exactly once per stream edge,
+    after any counting that inspects the pre-arrival sample.
+    """
+    state.t += 1
+    if state.t <= state.budget:
+        state.edges.append(edge)
+        state._link(*edge)
+        if len(state.edges) > state.peak_stored:
+            state.peak_stored = len(state.edges)
+    elif state.rng.random() < state.budget / state.t:
+        slot = state.rng.randrange(state.budget)
+        state._unlink(*state.edges[slot])
+        state.edges[slot] = edge
+        state._link(*edge)

@@ -16,6 +16,10 @@ from streamdesc.datasets import gnp_edges
 from streamdesc.cli import main
 
 
+# the UTF-8 byte-order mark some editors write at the start of a file
+BOM = "\ufeff".encode()
+
+
 def edge_file(tmp_path, name, edges):
     path = tmp_path / name
     path.write_text("".join(f"{u} {v}\n" for u, v in edges))
@@ -196,18 +200,18 @@ def test_descriptor_malformed_input(tmp_path, capsys):
 
 def test_descriptor_same_for_either_parser_path(tmp_path, capsys):
     # a clean file takes the numpy path; comments, CRLF and commas the
-    # int_rows fallback
+    # int_rows fallback; on either, a leading byte-order mark is not data
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u * v) % 3]
-    plain = tmp_path / "plain.txt"
-    plain.write_text("".join(f"{u} {v}\n" for u, v in edges))
-    other = tmp_path / "other.txt"
-    other.write_bytes(("# header\r\n" + "".join(f"{u},{v}\r\n" for u, v in edges)).encode())
+    plain = "".join(f"{u} {v}\n" for u, v in edges).encode()
+    other = ("# header\r\n" + "".join(f"{u},{v}\r\n" for u, v in edges)).encode()
     outputs = []
-    for path in (plain, other):
+    for i, data in enumerate((plain, other, BOM + plain, BOM + other)):
+        path = tmp_path / f"edges{i}.txt"
+        path.write_bytes(data)
         assert main(["descriptor", "--method", "maeve", "--budget-abs", "2",
                      "--input", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+    assert outputs == outputs[:1] * 4 and outputs[0].count("\n") == 2
 
 
 # -------------------------------------------------------------------- exact
@@ -357,6 +361,19 @@ def test_bundle_file_not_utf8_exits_two_naming_the_line(tmp_path, capsys, name, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name", ["TOY_A.txt", "TOY_graph_indicator.txt", "TOY_graph_labels.txt"])
+def test_bundle_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, name):
+    bundle = Path(classify_bundle(tmp_path))
+    argv = ["exact", "--method", "maeve", "--dataset", str(bundle)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = bundle / name
+    path.write_bytes(BOM + path.read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want and want.count("\n") == 7
+
+
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_distance_file_not_utf8_exits_two_naming_the_line(tmp_path, capsys, format):
     path = tmp_path / f"a.{format}"
@@ -369,6 +386,20 @@ def test_distance_file_not_utf8_exits_two_naming_the_line(tmp_path, capsys, form
     err = capsys.readouterr().err
     assert f"a.{format}:{2 if format == 'csv' else 1}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_distance_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, format):
+    plain, bom = tmp_path / f"plain.{format}", tmp_path / f"bom.{format}"
+    save_descriptors(
+        [Descriptor(graph_id=g, method="gabe", b=5, seed=0, n=4, m=3,
+                    values=np.arange(17.0) + g) for g in range(3)], plain, format=format)
+    bom.write_bytes(BOM + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        assert main(["distance", str(path), str(plain), "--format", format]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 1 + 3 * 3
 
 
 # ----------------------------------------------------------------- classify

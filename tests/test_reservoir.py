@@ -1,9 +1,11 @@
 """Reservoir sampling, detection probabilities, and the variance bound.
 
 The reservoir is driven through MaeveState, the state class with the
-smallest minimum budget, by maybe_sample alone."""
+smallest minimum budget, by maybe_sample alone, and through both
+methods' block steps against the reference reservoir."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,14 @@ from streamdesc import (
     maybe_sample,
     variance_bound,
 )
+from streamdesc import harness
+from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 from streamdesc.errors import BudgetTooSmallError
+from streamdesc.graph import preprocess
+from streamdesc.harness import METHODS, _run_seeds
 
-from reference import detection_probability
+import reference
+from reference import ReferenceReservoir, detection_probability
 
 
 def drive(state, edges):
@@ -110,6 +117,52 @@ def test_acceptance_probability_at_arrival():
     p = b / t
     sigma = math.sqrt(p * (1 - p) / runs)
     assert abs(accepted / runs - p) < 3 * sigma
+
+
+@st.composite
+def gnp_or_pa_streams(draw):
+    """A preprocessed G(n, p) or preferential-attachment stream."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        edges = gnp_edges(draw(st.integers(2, 24)), draw(st.floats(0.05, 0.9)), rng)
+    else:
+        attach = draw(st.integers(1, 4))
+        edges = preferential_attachment_edges(draw(st.integers(attach + 1, 30)), attach, rng)
+    return preprocess(edges, seed=draw(st.integers(0, 99)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+@given(stream=gnp_or_pa_streams(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_steps_keep_the_reference_reservoir(method, block, stream, data):
+    # from_prefix and steps of `block` edges, each drawing its block's
+    # decisions in one loop, leave every replica's reservoir as the
+    # reference stepped one edge at a time with the same seed leaves it;
+    # so do steps from an empty state, whose blocks also append and may
+    # cross t = budget
+    cls = METHODS[method]
+    m = len(stream)
+    budget = data.draw(st.integers(cls.MIN_BUDGET, max(cls.MIN_BUDGET, m + 2)), "budget")
+    seeds = [data.draw(st.integers(0, 2 ** 32), "seed")]
+    seeds.append(seeds[0] + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "BLOCK_EDGES", block)
+        states = _run_seeds(stream, cls, budget, seeds)
+    stepped = cls(budget, seeds[0])
+    for i in range(0, m, block):
+        stepped.step(stream.edges[i:i + block])
+    states.append(stepped)
+    seeds.append(seeds[0])
+    for state, seed in zip(states, seeds):
+        want = ReferenceReservoir(budget, seed)
+        for edge in stream:
+            reference.maybe_sample(want, edge)
+        assert state.edges == want.edges
+        assert state.adj == want.adj
+        assert state.rng.getstate() == want.rng.getstate()
+        assert (state.t, state.peak_stored) == (want.t, want.peak_stored) == (m, min(m, budget))
+        assert state.evictions == want.replacements
 
 
 def test_detection_probability_examples():
