@@ -273,7 +273,11 @@ def error_vs_budget(
     estimated descriptor is computed: a row's mean is over the trials of
     the graphs it keeps, and a fraction that keeps none raises.  The
     trials of one graph and budget run as the replicas of replicated do,
-    from one pass and one shared prefix, but are scored one by one.
+    from one pass and one shared prefix, but are scored one by one.  At
+    b >= m no arrival draws a random number (StreamState._draw draws
+    only for t > b), so every trial is the same run: it is finalized and
+    scored once, and its error added `trials` times, in trial order, so
+    the row's sum has the bits of scoring each trial.
     """
     cls = _method(method)
     if trials < 1:
@@ -292,10 +296,13 @@ def error_vs_budget(
         for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
             if b is None:
                 continue
+            shared = b >= len(stream)
             seeds = [derive_seed(seed, "evb", method, fraction, gi, trial)
-                     for trial in range(trials)]
+                     for trial in range(1 if shared else trials)]
             for state in _run_seeds(stream, cls, b, seeds):
-                total += canberra(state.finalize().values, exact_vectors[gi])
-                runs += 1
+                error = canberra(state.finalize().values, exact_vectors[gi])
+                for _ in range(trials if shared else 1):
+                    total += error
+            runs += trials
         rows.append((fraction, total / runs))
     return rows

@@ -53,7 +53,7 @@ class VertexFeatures:
         )
 
 
-def features_from_counts(degree, triangles, paths) -> VertexFeatures:
+def features_from_counts(degree, triangles, paths, out=None) -> VertexFeatures:
     """The five features as functions of (degree, triangle count,
     endpoint three-path count), for one vertex (scalars) or many
     (equal-length arrays, one entry per vertex).
@@ -61,23 +61,30 @@ def features_from_counts(degree, triangles, paths) -> VertexFeatures:
     Conventions for the undefined corners: clustering is 0 when
     degree < 2, average neighbor degree is 0 when degree = 0.  A vertex
     of degree 0 is on no triangle or path, so all its features are 0.
+
+    The features are written into the rows of out, a zero-filled float
+    array of shape (5, *degree's shape) that must not hold the inputs,
+    in FEATURE_NAMES order; without one a fresh one is made.  The
+    returned fields are views of its rows (scalars for scalar inputs).
     """
     d = np.asarray(degree, dtype=float)
     tri = np.asarray(triangles, dtype=float)
     paths = np.asarray(paths, dtype=float)
-    clustering = np.divide(tri, d * (d - 1) / 2, out=np.zeros_like(d), where=d >= 2)
+    if out is None:
+        out = np.zeros((5, *d.shape))
+    # out[j, ...] is a view even when the rows are 0-d
+    rows = [out[j, ...] for j in range(5)]
+    deg, clustering, avg_neighbor_degree, egonet_edges, egonet_boundary = rows
+    np.copyto(deg, d)
+    np.divide(tri, d * (d - 1) / 2, out=clustering, where=d >= 2)
     # (d + paths) / d rather than 1 + paths/d: on exact inputs the
     # numerator equals the integer sum of neighbor degrees, so the
     # division result matches the egonet oracle bit for bit.
-    avg_neighbor_degree = np.divide(d + paths, d, out=np.zeros_like(d), where=d > 0)
-    # [()] turns a 0-d result into a scalar and leaves arrays as they are
-    return VertexFeatures(
-        degree=d[()],
-        clustering=clustering[()],
-        avg_neighbor_degree=avg_neighbor_degree[()],
-        egonet_edges=(d + tri)[()],
-        egonet_boundary=(paths - 2.0 * tri)[()],
-    )
+    np.divide(d + paths, d, out=avg_neighbor_degree, where=d > 0)
+    np.add(d, tri, out=egonet_edges)
+    np.subtract(paths, np.multiply(tri, 2.0, out=egonet_boundary), out=egonet_boundary)
+    # [()] turns a 0-d row into a scalar and leaves arrays as they are
+    return VertexFeatures(*(row[()] for row in rows))
 
 
 def _moment_vector(table: np.ndarray) -> np.ndarray:
@@ -232,7 +239,9 @@ class MaeveState(StreamState):
                 k = len(counts)
                 column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
                 columns.append(column)
-            values = _moment_vector(np.array(features_from_counts(*columns).as_tuple()))
+            table = np.zeros((5, n))
+            features_from_counts(*columns, out=table)
+            values = _moment_vector(table)
         return Descriptor(
             graph_id=0, method="maeve", b=self.budget, seed=self.seed,
             n=n, m=self.t, values=values)

@@ -193,6 +193,11 @@ def _build_overlap_matrix() -> np.ndarray:
 _OVERLAP = _build_overlap_matrix()
 
 
+# Float copies of each overlap row right of the diagonal, each its own
+# contiguous array: the operands subgraph_to_induced's dot products read.
+_ROW_TAILS = tuple(_OVERLAP[i, i + 1:].astype(float) for i in range(N_PATTERNS))
+
+
 def overlap_matrix() -> np.ndarray:
     """17x17 integer matrix O with O[i-1, j-1] = number of spanning
     subgraphs of pattern j isomorphic to pattern i (same order only).
@@ -206,9 +211,13 @@ def overlap_matrix() -> np.ndarray:
 
 
 def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
-    """Solve O x = counts by back-substitution (O is unit upper triangular)."""
-    o = _OVERLAP
-    x = np.asarray(counts, dtype=float).copy()
+    """Solve O x = counts by back-substitution (O is unit upper triangular).
+
+    Row i's dot product reads _ROW_TAILS[i], built at import: the same
+    contiguous float operand a cast of the integer row would build, so
+    the same bits, with no cast per call.
+    """
+    x = np.array(counts, dtype=float)
     for i in range(N_PATTERNS - 1, -1, -1):
-        x[i] -= o[i, i + 1:] @ x[i + 1:]
+        x[i] -= _ROW_TAILS[i] @ x[i + 1:]
     return x

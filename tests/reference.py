@@ -3,8 +3,11 @@
 No command, harness path or estimator calls these: the capped C(n,4)
 enumerator and the helpers built on it, the one-call forms of what
 GabeState.finalize, maeve's _moment_vector and the inline detection
-weights compute bit for bit, and the reservoir stepped one edge at a
-time that the block steps' draws and stores must reproduce.
+weights compute bit for bit, both finalizes as they were before they
+stopped re-copying rows (the per-call cast of each overlap row and
+maeve's stack of separate feature arrays), and the reservoir stepped
+one edge at a time that the block steps' draws and stores must
+reproduce.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.gabe import GabeState
 from streamdesc.graph import Graph
+from streamdesc.maeve import MaeveState, _moment_vector
+from streamdesc.oracle import phi_from_induced
 from streamdesc.patterns import (
     _BY_DEGSEQ, N_PATTERNS, STREAM_ESTIMATED, PatternCounts, PatternId, overlap_matrix,
     plain_counts)
@@ -99,6 +104,42 @@ def exact_induced_counts(g: Graph) -> PatternCounts:
     for k, hist in ((3, hist3), (4, hist4)):
         values += np.bincount(_LUT[k], weights=hist, minlength=N_PATTERNS)
     return PatternCounts(values=values)
+
+
+def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
+    """Back-substitution through O that casts each integer row tail to
+    float on every call."""
+    x = np.asarray(counts, dtype=float).copy()
+    for i in range(N_PATTERNS - 1, -1, -1):
+        x[i] -= _OVERLAP[i, i + 1:] @ x[i + 1:]
+    return x
+
+
+def gabe_finalize_values(state: GabeState) -> np.ndarray:
+    """GabeState.finalize's values, solved by subgraph_to_induced above."""
+    counts = np.array(plain_counts(
+        state.n, state.t, state.degrees.values(),
+        [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
+    return phi_from_induced(subgraph_to_induced(counts), state.n)
+
+
+def maeve_finalize_values(state: MaeveState) -> np.ndarray:
+    """MaeveState.finalize's values from three dense columns, the five
+    features as separate arrays, and a stacked copy of them."""
+    n = state.n
+    if n == 0:
+        return np.zeros(20)
+    columns = []
+    for counts in (state.degrees, state.tri, state.path):
+        column = np.zeros(n)
+        k = len(counts)
+        column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
+        columns.append(column)
+    d, tri, paths = columns
+    clustering = np.divide(tri, d * (d - 1) / 2, out=np.zeros_like(d), where=d >= 2)
+    avg_neighbor_degree = np.divide(d + paths, d, out=np.zeros_like(d), where=d > 0)
+    return _moment_vector(np.array(
+        [d, clustering, avg_neighbor_degree, d + tri, paths - 2.0 * tri]))
 
 
 def exact_subgraph_counts(g: Graph) -> PatternCounts:

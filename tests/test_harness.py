@@ -9,7 +9,7 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
@@ -40,7 +40,9 @@ from streamdesc.harness import _run_seeds, graph_budgets
 from streamdesc.patterns import STREAM_ESTIMATED, PatternId
 
 from conftest import random_stream
-from reference import ORACLE_LIMIT
+from reference import ORACLE_LIMIT, gabe_finalize_values, maeve_finalize_values
+
+FINALIZE_REFERENCE = {"gabe": gabe_finalize_values, "maeve": maeve_finalize_values}
 
 
 # ---------------------------------------------------------------- budgets
@@ -288,10 +290,68 @@ def reference_error_vs_budget(ds, method, budgets, trials, seed):
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_error_vs_budget_trials_match_separate_runs(method):
     ds = evb_dataset()
+    # m = 18, 22, 13: at 0.95 the first and last get b = m, the middle
+    # one b = 21; 1.0 and 1.5 give every graph b >= m
+    sizes = graph_budgets(ds, method, BudgetSpec(fraction=0.95))[0]
+    full = [b >= len(stream) for stream, b in zip(ds.graphs, sizes)]
+    assert any(full) and not all(full)
     for trials in (1, 4):
-        budgets = [0.4, 0.7, 1.0]
+        budgets = [0.4, 0.7, 0.95, 1.0, 1.5]
         assert error_vs_budget(ds, method, budgets, trials, seed=6) == \
             reference_error_vs_budget(ds, method, budgets, trials, seed=6)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_error_vs_budget_finalizes_one_run_at_full_budget(monkeypatch, method):
+    # below b = m every trial is finalized; at or above it the trials
+    # are one run, finalized once but still counted `trials` times.  A
+    # run at b >= m scores 0, so the error is stubbed to a nonzero value
+    # per graph for that weighting to show in the mean.
+    cls = METHODS[method]
+    finalized = []
+    finalize = cls.finalize
+
+    def counted(state):
+        finalized.append(state)
+        return finalize(state)
+
+    monkeypatch.setattr(cls, "finalize", counted)
+    monkeypatch.setattr(harness, "canberra", lambda estimated, exact: exact[0])
+    ds = evb_dataset()
+    assert [len(stream) for stream in ds.graphs] == [18, 22, 13]
+    errors = [cls.exact(build_graph(stream)).values[0] for stream in ds.graphs]
+    assert 0 < min(errors) and len(set(errors)) == 3
+    total = 0.0
+    for error in errors:
+        for _ in range(3):
+            total += error
+    for fraction, calls in ((0.5, 3 + 3 + 3), (0.95, 1 + 3 + 1), (1.0, 1 + 1 + 1),
+                            (1.5, 1 + 1 + 1)):
+        finalized.clear()
+        assert error_vs_budget(ds, method, [fraction], 3, seed=1) == [(fraction, total / 9)]
+        assert len(finalized) == calls, fraction
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+@given(n=st.integers(0, 12), p=st.sampled_from([0.2, 0.5, 0.9]), seed=st.integers(0, 2 ** 16),
+       isolated=st.integers(0, 3), replicas=st.integers(1, 3), data=st.data())
+@example(n=1, p=0.5, seed=0, isolated=0, replicas=1, data=None)
+@example(n=0, p=0.5, seed=0, isolated=1, replicas=2, data=None)
+@settings(max_examples=60)
+def test_finalize_keeps_the_reference_bits(method, n, p, seed, isolated, replicas, data):
+    # states with `isolated` vertices known only through n_hint, and with
+    # replicas averaged into non-integer estimates
+    cls = METHODS[method]
+    stream = random_stream(n, p, seed)
+    stream.n_hint = n + isolated
+    budget = cls.MIN_BUDGET
+    if data is not None:
+        budget = data.draw(st.integers(budget, max(budget, len(stream) + 2)), "budget")
+    states = _run_seeds(stream, cls, budget, [seed + i for i in range(replicas)])
+    if replicas > 1:
+        states[0].merge(states[1:])
+    want = FINALIZE_REFERENCE[method](states[0])
+    assert [x.hex() for x in states[0].finalize().values] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("method, budgets", [

@@ -1,6 +1,7 @@
 """Per-vertex estimates, feature derivation, moments, and the 20-dim descriptor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from streamdesc.errors import BudgetTooSmallError
 from streamdesc.maeve import FEATURE_NAMES, MOMENT_NAMES, _moment_vector, features_from_counts
 
 from conftest import random_stream
-from reference import exact_subgraph_counts, exact_vertex_triangle_path_counts, moments
+from reference import (
+    exact_subgraph_counts, exact_vertex_triangle_path_counts, maeve_finalize_values, moments)
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
 
@@ -279,3 +281,22 @@ def test_tri_sum_unbiased_small():
     var = sum((x - mean) ** 2 for x in sums) / (len(sums) - 1)
     se = math.sqrt(var / len(sums))
     assert abs(mean - truth) < 4 * se
+
+
+def test_finalize_peak_memory_not_above_the_stacked_form():
+    # the size of finalize's temporaries moves the peak RSS of a run
+    n = 20_000
+    rng = np.random.default_rng(3)
+    state = MaeveState(2, n_hint=n)
+    state.degrees.update(dict(enumerate(rng.integers(1, 50, n).tolist())))
+    state.tri.update(enumerate(rng.uniform(0, 100, n).tolist()))
+    state.path.update(enumerate(rng.uniform(0, 1000, n).tolist()))
+    peaks = []
+    for finalize in (MaeveState.finalize, maeve_finalize_values):
+        tracemalloc.start()
+        try:
+            finalize(state)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamdesc import (
     N_PATTERNS,
@@ -14,6 +16,7 @@ from streamdesc import (
 )
 from streamdesc.patterns import DEGREE_SEQUENCE
 
+import reference
 from reference import classify_degree_sequence, induced_to_subgraph
 
 
@@ -151,6 +154,13 @@ def test_solve_round_trip():
         h = rng.uniform(0, 50, size=17)
         induced = subgraph_to_induced(h)
         assert np.allclose(induced_to_subgraph(induced), h, atol=1e-9)
+
+
+@given(st.lists(st.floats(-1e15, 1e15) | st.integers(0, 10 ** 9), min_size=17, max_size=17))
+@settings(max_examples=200)
+def test_solve_keeps_the_bits_of_casting_each_row(counts):
+    want = reference.subgraph_to_induced(counts)
+    assert [x.hex() for x in subgraph_to_induced(counts)] == [x.hex() for x in want]
 
 
 def test_overlap_matrix_copy_does_not_leak_into_conversions():
