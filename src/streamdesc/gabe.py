@@ -19,22 +19,12 @@ from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
-    PatternId, STREAM_ESTIMATED, cycles4, plain_counts, subgraph_to_induced)
+    NUMPY_PREFIX_EDGES, PatternId, STREAM_ESTIMATED, cycles4, cycles4_wedges,
+    plain_counts, ranked_keys, subgraph_to_induced, triangle_wedges)
 from .reservoir import StreamState
 
 # K4 detection needs its 5 other edges resident in the sample.
 MIN_GABE_BUDGET = 5
-
-# A prefix of at least this many edges counts its 4-cycles with
-# _cycles4_wedges, a smaller one with patterns.cycles4, the Python pass
-# the oracle also runs.  On a 2-vCPU host the numpy pass wins from
-# about 100-130 edges when called alone, but only from about 300-400
-# inside compute_descriptors' thread pool, where each numpy call costs
-# more; rounded up to a power of two.
-NUMPY_CYCLES4_EDGES = 512
-# About this many wedges are counted at once by _cycles4_wedges.
-WEDGE_CHUNK = 2 ** 15
-
 
 def exact_gabe_descriptor(g: Graph) -> Descriptor:
     """Ground-truth descriptor from the edge-centric induced counts, for
@@ -73,43 +63,69 @@ class GabeState(StreamState):
         graph's exact subgraph count and the index to its triangles per
         vertex.
 
-        One pass over the edges' common neighbourhoods C gives, with d
-        the degree: triangles T(x) on each vertex (x is on T(x)/2 of the
-        C's of its edges), path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw =
-        sum T(x)(d_x - 2), diamond = sum C(|C|, 2), and K4 from the
-        edges inside C (each K4 has 6 edges, each seeing the opposite
-        one from both its ends).  4-cycles come from _cycles4_wedges
-        on a prefix of NUMPY_CYCLES4_EDGES or more, before the
-        adjacency is built, so the two never hold memory at once; from
-        patterns.cycles4 on a smaller one.  Both count exactly, and the
-        sums are Python ints, so each estimate equals the stepped one
-        bit for bit while partial sums stay below 2**53.
+        With d the degree, T(x) the triangles on vertex x and c those on
+        an edge: path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw = sum T(x)
+        (d_x - 2), diamond = sum C(c, 2), and K4 from the edges inside
+        each edge's common neighbourhood C (each K4 has 6 edges, each
+        seeing the opposite one from both its ends), which only edges
+        with c >= 2 have.
+
+        A prefix of NUMPY_PREFIX_EDGES or more builds
+        patterns.ranked_keys once and takes T, c and the 4-cycles from
+        triangle_wedges and cycles4_wedges, before the adjacency is
+        built, so the two never hold memory at once; it intersects
+        neighbourhoods only on the edges with c >= 2, for K4.  A smaller
+        prefix intersects N(u) & N(v) on every edge (x is on T(x)/2 of
+        the C's of its edges) and runs patterns.cycles4.  All of them
+        count exactly, and the sums are Python ints, so each estimate
+        equals the stepped one bit for bit while partial sums stay
+        below 2**53.
 
         Besides the prefix's adjacency and per-vertex counts, the batch
         holds O(len(edges)) int64 arrays and one chunk of wedges while
-        _cycles4_wedges runs, nothing over all n vertices.
+        the numpy passes run, nothing over all n vertices.
         """
-        c4 = _cycles4_wedges(edges) if len(edges) >= NUMPY_CYCLES4_EDGES else None
+        numpy_pass = len(edges) >= NUMPY_PREFIX_EDGES
+        if numpy_pass:
+            keys, labels = ranked_keys(edges)
+            n = len(labels)
+            c4 = cycles4_wedges(keys, n)
+            tri, c = triangle_wedges(keys, n)
+            on = np.flatnonzero(tri)
+            tri = dict(zip(labels[on].tolist(), tri[on].tolist()))
+            multi = np.flatnonzero(c > 1)  # the edges on two triangles or more
+            c = c[multi]
+            diamond = int((c * (c - 1)).sum()) // 2
+            u, v = np.divmod(keys[multi], n)
+            multi = list(zip(labels[u].tolist(), labels[v].tolist()))
+            del keys, labels
         state = super().from_prefix(edges, budget, seed, n_hint)
         adj = state.adj
-        tri2: dict[int, int] = {}
-        path = diamond = k4x12 = 0
-        for u, v in edges:
-            nu, nv = adj[u], adj[v]
-            path += (len(nu) - 1) * (len(nv) - 1)
-            common = nu & nv
-            if common:
-                c = len(common)
-                tri2[u] = tri2.get(u, 0) + c
-                tri2[v] = tri2.get(v, 0) + c
-                if c > 1:
-                    diamond += c * (c - 1) // 2
-                    k4x12 += sum([len(adj[x] & common) for x in common])
-        tri = state.tri = {x: k // 2 for x, k in tri2.items()}
+        path = k4x12 = 0
+        if numpy_pass:
+            path = sum((len(adj[u]) - 1) * (len(adj[v]) - 1) for u, v in edges)
+            for u, v in multi:
+                common = adj[u] & adj[v]
+                k4x12 += sum([len(adj[x] & common) for x in common])
+        else:
+            tri2: dict[int, int] = {}
+            diamond = 0
+            for u, v in edges:
+                nu, nv = adj[u], adj[v]
+                path += (len(nu) - 1) * (len(nv) - 1)
+                common = nu & nv
+                if common:
+                    c = len(common)
+                    tri2[u] = tri2.get(u, 0) + c
+                    tri2[v] = tri2.get(v, 0) + c
+                    if c > 1:
+                        diamond += c * (c - 1) // 2
+                        k4x12 += sum([len(adj[x] & common) for x in common])
+            tri = {x: k // 2 for x, k in tri2.items()}
+            c4 = cycles4(adj)
+        state.tri = tri
         triangles = sum(tri.values()) // 3
         paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
-        if c4 is None:
-            c4 = cycles4(adj)
         counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4x12 // 12)
         state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
         return state
@@ -268,70 +284,6 @@ class GabeState(StreamState):
             del adj[u]
         if not nv:
             del adj[v]
-
-
-def _ranked_keys(edges: list[Edge]) -> tuple[np.ndarray, int]:
-    """(keys, n) for the edges between vertices of degree > 1: one key
-    rank_x * n + rank_y per direction of each, sorted, with the n
-    vertices ranked by (degree, label) as patterns.cycles4 ranks them.
-
-    np.unique makes the labels dense first (any ints, negative ones
-    too), so each array is O(len(edges)) whatever the labels.
-    """
-    try:
-        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-    except OverflowError:  # a label beyond int64: sort the Python ints
-        flat = np.array(edges, dtype=object).ravel()
-    ends = np.unique(flat, return_inverse=True)[1]
-    del flat
-    deg = np.bincount(ends)
-    n = len(deg)
-    rank = deg.argsort(kind="stable").argsort()
-    a, b = ends[0::2], ends[1::2]
-    core = (deg[a] > 1) & (deg[b] > 1)
-    a, b = rank[a[core]], rank[b[core]]
-    keys = np.concatenate([a * n + b, b * n + a])
-    keys.sort()
-    return keys, n
-
-
-def _cycles4_wedges(edges: list[Edge]) -> int:
-    """patterns.cycles4 of the graph an edge list holds, by the same
-    ranking and wedges in numpy, counted in chunks of about WEDGE_CHUNK.
-
-    The sorted keys of _ranked_keys are a CSR of the ranked graph: row
-    x lists x's neighbours in rank order, and those below r end where
-    x * n + r sorts, which for a neighbour r is its own key.  So for
-    each edge from u down to mid, the wedges u-mid-w with w below u
-    are the start of mid's row.  These edges come in order of u, and a
-    chunk takes whole rows of u, so the count c of each (u, w) is
-    complete in one chunk.  Arrays are freed once used; the peak, about
-    12 int64 values per edge, is np.unique's in _ranked_keys.
-    """
-    keys, n = _ranked_keys(edges)
-    row, nbr = np.divmod(keys, n)
-    down = nbr < row
-    u, mid = row[down], nbr[down]
-    del row, down
-    if not len(u):
-        return 0
-    start = np.searchsorted(keys, np.arange(n) * n)
-    count = np.searchsorted(keys, mid * n + u) - start[mid]
-    del keys
-    end = np.cumsum(count)
-    shift = start[mid] - end + count  # wedge g of an edge is nbr[shift + g]
-    del mid
-    last = np.flatnonzero(np.diff(u, append=-1))  # each u's last edge
-    cuts = last[np.searchsorted(end[last], np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))]
-    pairs = i = 0
-    for j in [*(cuts + 1).tolist(), len(u)]:
-        if j > i:  # a u with over WEDGE_CHUNK wedges ends several cuts
-            c = count[i:j]
-            w = nbr[np.repeat(shift[i:j], c) + np.arange(end[i] - c[0], end[j - 1])]
-            k = np.unique(np.repeat(u[i:j], c) * n + w, return_counts=True)[1]
-            pairs += int((k * (k - 1)).sum())
-            i = j
-    return pairs // 2
 
 
 def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:

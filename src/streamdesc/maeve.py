@@ -19,6 +19,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, Graph
 from .oracle import exact_vertex_features
+from .patterns import NUMPY_PREFIX_EDGES, ranked_keys, triangle_wedges
 from .reservoir import StreamState
 
 # A triangle's two prior edges must fit in the sample.
@@ -155,19 +156,33 @@ class MaeveState(StreamState):
     def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
                     n_hint: int | None = None) -> MaeveState:
         """StreamState.from_prefix, with tri[x] the prefix graph's
-        triangles on x (x is on T(x)/2 of the common neighbourhoods of
-        its edges) and path[x] = sum over y in N(x) of (d_y - 1).  Exact
-        integers as floats, so equal to the stepped counts bit for bit.
+        triangles on x and path[x] = sum over y in N(x) of (d_y - 1).
+        Exact integers as floats, so equal to the stepped counts bit for
+        bit.
+
+        A prefix of NUMPY_PREFIX_EDGES or more takes the triangles from
+        patterns.triangle_wedges, before the adjacency is built; a
+        smaller one intersects N(u) & N(v) on each edge (x is on T(x)/2
+        of the common neighbourhoods of its edges).
         """
+        numpy_pass = len(edges) >= NUMPY_PREFIX_EDGES
+        if numpy_pass:
+            keys, labels = ranked_keys(edges)
+            tri = triangle_wedges(keys, len(labels))[0]
+            on = np.flatnonzero(tri)
+            tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
+            del keys, labels
         state = super().from_prefix(edges, budget, seed, n_hint)
         adj, degrees = state.adj, state.degrees
-        tri2: dict[int, int] = {}
-        for u, v in edges:
-            c = len(adj[u] & adj[v])
-            if c:
-                tri2[u] = tri2.get(u, 0) + c
-                tri2[v] = tri2.get(v, 0) + c
-        state.tri.update((x, float(k // 2)) for x, k in tri2.items())
+        if not numpy_pass:
+            tri2: dict[int, int] = {}
+            for u, v in edges:
+                c = len(adj[u] & adj[v])
+                if c:
+                    tri2[u] = tri2.get(u, 0) + c
+                    tri2[v] = tri2.get(v, 0) + c
+            tri = ((x, float(k // 2)) for x, k in tri2.items())
+        state.tri.update(tri)
         state.path.update(
             (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
             for x, nbrs in adj.items())

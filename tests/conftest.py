@@ -152,3 +152,17 @@ def triangles_per_vertex(edges):
         if y in adj[x] and z in adj[x] and z in adj[y]:
             tri.update((x, y, z))
     return tri
+
+
+def triangles_per_edge(edges):
+    """Edge (a frozenset of its ends) -> number of triangles on it, for
+    the edges on any, by enumerating vertex triples."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    tri = Counter()
+    for x, y, z in itertools.combinations(sorted(adj), 3):
+        if y in adj[x] and z in adj[x] and z in adj[y]:
+            tri.update([frozenset((x, y)), frozenset((x, z)), frozenset((y, z))])
+    return dict(tri)

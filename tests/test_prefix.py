@@ -4,18 +4,21 @@ per-edge step and against the brute-force oracle in conftest."""
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
     STREAM_ESTIMATED, BudgetSpec, PatternId, build_graph, exact_gabe_descriptor,
-    gnp_edges, preferential_attachment_edges, preprocess, replicated)
-from streamdesc import gabe
+    exact_maeve_descriptor, gnp_edges, preferential_attachment_edges, preprocess,
+    replicated)
+from streamdesc import gabe, maeve, patterns
 from streamdesc.harness import METHODS, _run_seeds
 from streamdesc.patterns import cycles4
 
-from conftest import brute_force_counts, random_stream, triangles_per_vertex
+from conftest import (
+    brute_force_counts, random_stream, triangles_per_edge, triangles_per_vertex)
 
 
 def stepped(method, edges, budget, seed, n_hint):
@@ -85,7 +88,7 @@ def test_batch_counts_match_brute_force(small_corpus):
 TOP = 10 ** 6
 SMALL_PREFIX = [(TOP - 4, TOP - 3), (TOP - 3, TOP - 2), (TOP - 4, TOP - 2),
                 (TOP - 2, TOP - 1), (TOP - 1, TOP)]
-# above gabe.NUMPY_CYCLES4_EDGES, so gabe takes the numpy 4-cycle pass
+# above patterns.NUMPY_PREFIX_EDGES, so both methods take the numpy passes
 LARGE_PREFIX = [(TOP - u, TOP - v) for u, v in random_stream(100, 0.12, seed=5).edges]
 
 
@@ -94,7 +97,7 @@ LARGE_PREFIX = [(TOP - u, TOP - v) for u, v in random_stream(100, 0.12, seed=5).
     ("gabe", LARGE_PREFIX), ("maeve", LARGE_PREFIX),
 ], ids=["gabe", "maeve", "gabe-large", "maeve-large"])
 def test_batch_memory_follows_the_prefix_not_n(method, edges):
-    assert len(LARGE_PREFIX) >= gabe.NUMPY_CYCLES4_EDGES
+    assert len(LARGE_PREFIX) >= patterns.NUMPY_PREFIX_EDGES
     # a per-vertex list over range(n) would take ~8 MB here
     m = len(edges)
     tracemalloc.start()
@@ -125,41 +128,116 @@ LABELS = {
 }
 
 
+def labelled(stream, labels, seed):
+    """The stream's edges under one of LABELS, each in a seeded
+    orientation, as a raw prefix may hold it."""
+    label = LABELS[labels]
+    flip = random.Random(seed)
+    return [(label(u), label(v)) if flip.random() < 0.5 else (label(v), label(u))
+            for u, v in stream.edges]
+
+
+def label_pairs(keys, labels):
+    """The (row, neighbour) labels of each of ranked_keys' keys."""
+    rows, nbrs = np.divmod(keys, len(labels))
+    return zip(labels[rows].tolist(), labels[nbrs].tolist())
+
+
+CHUNKS = [1, 2, 3, 7, patterns.WEDGE_CHUNK]
+
+
 @settings(max_examples=150)
 @given(n=st.integers(0, 11), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
        seed=st.integers(0, 2 ** 16), labels=st.sampled_from(sorted(LABELS)),
-       chunk=st.sampled_from([1, 2, 3, 7, gabe.WEDGE_CHUNK]))
+       chunk=st.sampled_from(CHUNKS))
 def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
     stream = random_stream(n, p, seed)
     brute = brute_force_counts(build_graph(stream))[0][PatternId.CYCLE_4 - 1]
-    label = LABELS[labels]
-    # each edge in a seeded orientation, as a raw prefix may hold it
-    flip = random.Random(seed)
-    edges = [(label(u), label(v)) if flip.random() < 0.5 else (label(v), label(u))
-             for u, v in stream.edges]
+    edges = labelled(stream, labels, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gabe, "WEDGE_CHUNK", chunk)
-        assert gabe._cycles4_wedges(edges) == cycles4(adjacency(edges)) == brute
+        mp.setattr(patterns, "WEDGE_CHUNK", chunk)
+        keys, names = patterns.ranked_keys(edges)
+        assert patterns.cycles4_wedges(keys, len(names)) == cycles4(adjacency(edges)) == brute
+
+
+@settings(max_examples=150)
+@given(n=st.integers(0, 11), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 2 ** 16), labels=st.sampled_from(sorted(LABELS)),
+       chunk=st.sampled_from(CHUNKS))
+# over 64 ranks, so the per-rank masks pass pairs that close no triangle
+@example(n=90, p=0.5, seed=3, labels="negative", chunk=7)
+@example(n=90, p=0.2, seed=4, labels="beyond int64", chunk=CHUNKS[-1])
+def test_triangle_pass_agrees_with_brute_force(n, p, seed, labels, chunk):
+    edges = labelled(random_stream(n, p, seed), labels, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "WEDGE_CHUNK", chunk)
+        keys, names = patterns.ranked_keys(edges)
+        tri, c = patterns.triangle_wedges(keys, len(names))
+    assert len(tri) == len(names) and len(c) == len(keys)
+    per_vertex = {x: k for x, k in zip(names.tolist(), tri.tolist()) if k}
+    assert per_vertex == dict(triangles_per_vertex(edges))
+    per_edge = {frozenset(e): k for e, k in zip(label_pairs(keys, names), c.tolist()) if k}
+    assert per_edge == triangles_per_edge(edges)
+    # one direction of each edge holds its count: both sums are 3 per triangle
+    assert c.sum() == tri.sum()
+
+
+def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
+    # a dense graph, with dozens of wedges per edge: one int64 array over
+    # all of them would pass the bound below on its own
+    edges = random_stream(240, 0.7, seed=91).edges
+    keys, names = patterns.ranked_keys(edges)
+    n = len(names)
+    row, nbr = np.divmod(keys, n)
+    up = np.bincount(row[nbr > row], minlength=n)  # higher-ranked neighbours
+    wedges = int((up * (up - 1) // 2).sum())
+    expected = patterns.triangle_wedges(keys, n)
+    for chunk in (2 ** 10, 2 ** 12):
+        # int64 values: a few per key, and a few per wedge of one chunk,
+        # which ends within one up key's n wedges of the chunk size
+        bound = 8 * (8 * len(keys) + 16 * (chunk + n))
+        assert 8 * wedges > 2 * bound
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "WEDGE_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                got = patterns.triangle_wedges(keys, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < bound, (chunk, peak, bound)
+        assert all((a == b).all() for a, b in zip(got, expected))
+
+
+NUMPY_PASSES = {
+    "gabe": (gabe, ["ranked_keys", "cycles4_wedges", "triangle_wedges"], ["cycles4"]),
+    "maeve": (maeve, ["ranked_keys", "triangle_wedges"], []),
+}
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
-    m = gabe.NUMPY_CYCLES4_EDGES + offset
+    m = patterns.NUMPY_PREFIX_EDGES + offset
     stream = random_stream(100, 0.12, seed=71)
     prefix = stream.edges[:m]
-    calls = []
-    for name in ("cycles4", "_cycles4_wedges"):
-        def spy(arg, name=name, real=getattr(gabe, name)):
-            calls.append(name)
-            return real(arg)
-        monkeypatch.setattr(gabe, name, spy)
-    batch = gabe.GabeState.from_prefix(list(prefix), m, 3, 100)
-    assert calls == ["cycles4" if offset < 0 else "_cycles4_wedges"]
-    # each side of the cutoff against the other pass
-    monkeypatch.undo()
-    assert batch.est[PatternId.CYCLE_4] == gabe._cycles4_wedges(prefix) == cycles4(
-        adjacency(prefix))
-    assert fields(batch, "gabe") == fields(stepped("gabe", prefix, m, 3, 100), "gabe")
+    batches = {}
+    for method, (module, above, below) in NUMPY_PASSES.items():
+        calls = []
+        for name in ("cycles4", *above):
+            if hasattr(module, name):
+                def spy(*args, name=name, real=getattr(module, name)):
+                    calls.append(name)
+                    return real(*args)
+                monkeypatch.setattr(module, name, spy)
+        batch = batches[method] = METHODS[method].from_prefix(list(prefix), m, 3, 100)
+        assert calls == (below if offset < 0 else above), method
+        monkeypatch.undo()
+        # each side of the cutoff against the stepped state, field by field
+        assert fields(batch, method) == fields(stepped(method, prefix, m, 3, 100), method)
+    # and gabe's 4-cycles against the other pass
+    keys, names = patterns.ranked_keys(prefix)
+    assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
+        keys, len(names)) == cycles4(adjacency(prefix))
 
 
 @pytest.mark.parametrize("raw", [
@@ -170,10 +248,11 @@ def test_full_budget_matches_oracle_above_the_cutoff(raw):
     # criterion 02's graphs have at most 10 vertices, all below the cutoff
     stream = preprocess(raw, seed=83)
     m = len(stream)
-    assert m > gabe.NUMPY_CYCLES4_EDGES
-    est = replicated(stream, "gabe", m, 1, 84)
-    exact = exact_gabe_descriptor(build_graph(stream))
-    assert [x.hex() for x in est.values] == [x.hex() for x in exact.values]
+    assert m > patterns.NUMPY_PREFIX_EDGES
+    graph = build_graph(stream)
+    for method, exact in (("gabe", exact_gabe_descriptor), ("maeve", exact_maeve_descriptor)):
+        est = replicated(stream, method, m, 1, 84)
+        assert [x.hex() for x in est.values] == [x.hex() for x in exact(graph).values], method
 
 
 def test_from_prefix_refuses_a_prefix_above_the_budget():
