@@ -264,8 +264,16 @@ class GabeState(StreamState):
                 tri[v] = tri.get(v, 0) + k
                 for w in common:
                     tri[w] = tri.get(w, 0) + 1
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        # StreamState._link inline, on the sets already looked up: a
+        # super() call would cost more than the link itself
+        if nu is None:
+            adj[u] = {v}
+        else:
+            nu.add(v)
+        if nv is None:
+            adj[v] = {u}
+        else:
+            nv.add(u)
 
     def _unlink(self, u: int, v: int):
         adj = self.adj

@@ -80,6 +80,24 @@ def _label_pairs(raw_edges) -> np.ndarray:
     return pairs.astype(np.int64).reshape(len(raw_edges), 2)
 
 
+def dense_ends(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, ends) for a 1-D array of vertex labels: labels[ends] is
+    flat, and each end indexes labels, which is sorted.
+
+    Labels that already lie in [0, 2 * len(flat)) are their own ends,
+    over labels = arange(max + 1), found with no sort; a label in that
+    range that flat lacks is then an index no end takes.  Any others
+    (negative ones, larger ones, Python ints in an object array) are
+    made dense by np.unique, so no array outgrows O(len(flat)) whatever
+    the labels.
+    """
+    if flat.dtype == np.int64 and len(flat):
+        high = int(flat.max())
+        if high < 2 * len(flat) and flat.min() >= 0:
+            return np.arange(high + 1), flat
+    return np.unique(flat, return_inverse=True)
+
+
 def preprocess(raw_edges, seed: int) -> EdgeStream:
     """Clean raw (u, v) pairs, a list of pairs or an (m, 2) integer
     array such as read_edge_list returns, into a stream ready for the
@@ -91,22 +109,38 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     permutation.  An input that is empty after cleaning yields an empty
     stream, not an error.  A label that is not an integer in [0, 2**63)
     raises ValueError naming its pair as given.
+
+    The labels go through dense_ends; then each vertex's first position
+    comes from direct addressing (np.minimum.at), and marking those
+    positions lists the vertices in first-appearance order, with no
+    sort.  One sort of the edge keys lo * n + hi finds duplicates; only
+    when there is one does the stable np.unique that keeps first
+    occurrences run.
     """
     pairs = _label_pairs(raw_edges)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    ends = dense_ends(pairs[pairs[:, 0] != pairs[:, 1]].ravel())[1]
+    size = len(ends)
     # A duplicate's endpoints already have their labels, so labelling
     # every surviving pair by first appearance before the dedupe gives
     # the same labels as labelling only the kept edges.
-    _, first, inverse = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
-    n = len(first)
-    rank = first.argsort().argsort()  # each vertex's place in first-appearance order
-    ends = rank[inverse].reshape(-1, 2)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    kept = np.zeros(len(lo), dtype=bool)
-    kept[np.unique(lo * n + hi, return_index=True)[1]] = True
+    first = np.full(ends.max(initial=-1) + 1, size)
+    np.minimum.at(first, ends, np.arange(size))
+    opens = np.zeros(size, dtype=bool)  # the positions of first appearances
+    opens[first[first < size]] = True
+    n = int(opens.sum())
+    rank = np.empty_like(first)  # each vertex's place in first-appearance order
+    rank[ends[opens]] = np.arange(n)
+    u, v = rank[ends[0::2]], rank[ends[1::2]]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    key_sorted = np.sort(key)
+    if (key_sorted[1:] == key_sorted[:-1]).any():
+        kept = np.zeros(len(key), dtype=bool)
+        kept[np.unique(key, return_index=True)[1]] = True
+        lo, hi = lo[kept], hi[kept]
     # One shared int object per vertex, as a relabelling dict would give.
     labels = np.array(range(n), dtype=object)
-    edges = list(zip(labels[lo[kept]].tolist(), labels[hi[kept]].tolist()))
+    edges = list(zip(labels[lo].tolist(), labels[hi].tolist()))
     random.Random(seed).shuffle(edges)
     return EdgeStream(edges)
 

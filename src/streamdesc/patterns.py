@@ -19,6 +19,8 @@ from math import comb
 
 import numpy as np
 
+from .graph import dense_ends
+
 N_PATTERNS = 17
 
 
@@ -134,12 +136,16 @@ def cycles4(adj) -> int:
 # A batch prefix of at least this many edges counts its triangles with
 # triangle_wedges and, for gabe, its 4-cycles with cycles4_wedges; a
 # smaller one loops in Python over its adjacency (per-edge intersections
-# and cycles4).  Timed alone on a 2-vCPU host, on sparse G(n, p) and
-# preferential-attachment prefixes, gabe's numpy prefix wins from about
-# 200-250 edges and maeve's, which has no 4-cycles to save, only from
-# about 500-750 (dense graphs cross earlier).  One cutoff serves both:
-# at 512 gabe gains 15-35 % and maeve loses at most ~40 µs, and every
-# graph of a 30-60 vertex bundle (at most ~200 edges) stays in Python.
+# and cycles4).  Timed alone on a 2-vCPU host (median process time) on
+# preprocessed sparse G(n, 8/n) and preferential-attachment prefixes,
+# whose labels ranked_keys indexes with no sort, gabe's numpy prefix
+# wins from under 250 edges and maeve's, which has no 4-cycles to save,
+# from about 500: numpy against Python, maeve takes 161 against 149 µs
+# on 507 G(n, p) edges, 162 against 164 µs on 496 PA edges, and 228
+# against 228 and 230 against 255 µs at ~750 (dense graphs cross
+# earlier).  One cutoff serves both: at 512 gabe's prefix takes about
+# half the time and maeve's at most ~10 µs more, and every graph of a
+# 30-60 vertex bundle (at most ~200 edges) stays in Python.
 NUMPY_PREFIX_EDGES = 512
 # About this many wedges are looked up at once by the two numpy passes.
 WEDGE_CHUNK = 2 ** 15
@@ -152,17 +158,20 @@ def ranked_keys(edges) -> tuple[np.ndarray, np.ndarray]:
     labels[r] the label of rank r (an object array if a label does not
     fit in int64).
 
-    np.unique makes the labels dense first (any ints, negative ones
-    too), so each array is O(len(edges)) whatever the labels.  The
-    sorted keys are a CSR of the ranked graph: row x lists x's
-    neighbours in rank order, and those below r end where x * n + r
-    sorts, which for a neighbour r is its own key.
+    graph.dense_ends indexes the vertices (any ints, negative ones
+    too), so each array is O(len(edges)) whatever the labels.  Labels
+    that already lie in [0, 4 * len(edges)), as those of a long prefix
+    of a preprocessed stream do, index themselves with no sort; a label
+    there that no edge holds ranks first, with degree 0, and owns no
+    key.  The sorted keys are a CSR of the ranked graph: row x lists
+    x's neighbours in rank order, and those below r end where
+    x * n + r sorts, which for a neighbour r is its own key.
     """
     try:
         flat = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
     except OverflowError:  # a label beyond int64: sort the Python ints
         flat = np.array(edges, dtype=object).ravel()
-    labels, ends = np.unique(flat, return_inverse=True)
+    labels, ends = dense_ends(flat)
     del flat
     deg = np.bincount(ends)
     n = len(deg)

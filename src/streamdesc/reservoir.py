@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .errors import BudgetTooSmallError
 from .graph import Edge, vertex_count
@@ -106,10 +106,11 @@ class StreamState:
             raise ValueError(
                 f"a prefix of {len(edges)} edges does not fit budget {budget}")
         state = cls(budget, seed, n_hint)
-        adj = state.adj
+        adj: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        state.adj = adj = dict(adj)
         state.edges = edges
         state.t = state.peak_stored = len(edges)
         # a Counter from a dict takes its values as the counts
@@ -148,8 +149,17 @@ class StreamState:
         self._link(*edge)
 
     def _link(self, u: int, v: int):
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
+        # a set is made only for a vertex new to the sample
+        adj = self.adj
+        nu, nv = adj.get(u), adj.get(v)
+        if nu is None:
+            adj[u] = {v}
+        else:
+            nu.add(v)
+        if nv is None:
+            adj[v] = {u}
+        else:
+            nv.add(u)
 
     def _unlink(self, u: int, v: int):
         adj = self.adj

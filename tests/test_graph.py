@@ -2,10 +2,11 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
@@ -52,16 +53,37 @@ def reference_preprocess_edges(raw_edges):
     return edges
 
 
-raw_labels = st.integers(0, 12) | st.integers(2 ** 63 - 4, 2 ** 63 - 1)
+# Maps from small ids to raw labels that reach each branch of preprocess:
+# labels below twice the endpoint count index themselves ("dense", and
+# "gappy" with labels no edge holds, once there are enough edges), the
+# others are compacted by np.unique first ("sparse" up to 2**63 - 1, and
+# "mixed").  Small ids give self-loops and duplicates in both
+# orientations.
+LABEL_MAPS = {
+    "dense": lambda x: x,
+    "gappy": lambda x: 3 * x + 1,
+    "sparse": lambda x: 2 ** 63 - 1 - 2 ** 58 * x,
+    "mixed": lambda x: x if x % 2 else 2 ** 63 - 1 - x,
+}
 
 
-@given(st.lists(st.tuples(raw_labels, raw_labels), max_size=40), st.integers(0, 3))
-@example([], 0)
-@example([(3, 3), (0, 0), (3, 3)], 1)
-@settings(max_examples=200)
-def test_preprocess_matches_reference(raw, seed):
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       st.sampled_from(sorted(LABEL_MAPS)), st.integers(0, 3))
+@example([], "dense", 0)  # empty
+@example([(3, 3), (0, 0), (3, 3)], "sparse", 1)  # empty after cleaning
+@example([(0, 1), (2, 1), (1, 0), (2, 2)], "dense", 2)  # dense, duplicate
+@example([(0, 1), (1, 2), (2, 0)], "gappy", 3)  # dense with gaps, no duplicate
+@example([(4, 1), (1, 2), (2, 4), (2, 1)], "sparse", 3)  # compacted, duplicate
+@example([(1, 2), (2, 3), (4, 5)], "mixed", 0)  # compacted, no duplicate
+@settings(max_examples=300)
+def test_preprocess_matches_reference(ids, labels, seed):
     # labelling before the duplicate check must not change any label
+    label = LABEL_MAPS[labels]
+    raw = [(label(a), label(b)) for a, b in ids]
     expected = reference_preprocess_edges(raw)
+    ends = [x for a, b in raw if a != b for x in (a, b)]
+    event("dense labels" if ends and max(ends) < 2 * len(ends) else "compacted labels")
+    event("duplicates" if 2 * len(expected) < len(ends) else "no duplicates")
     random.Random(seed).shuffle(expected)
     as_array = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
     for pairs in (raw, as_array):
@@ -72,13 +94,30 @@ def test_preprocess_matches_reference(raw, seed):
 
 def test_preprocess_labels_share_one_int_per_vertex():
     # every occurrence of a vertex is one int object, also above the small
-    # ints CPython caches
-    raw = [(5000, 20000 + i) for i in range(400)] + [(20000 + i, 9) for i in range(400)]
-    ids = {}
-    for edge in preprocess(raw, seed=0).edges:
-        for x in edge:
-            ids.setdefault(x, set()).add(id(x))
-    assert max(ids) > 256 and all(len(s) == 1 for s in ids.values())
+    # ints CPython caches, whether the labels are compacted (far above the
+    # endpoint count) or index themselves (0..800)
+    for raw in ([(5000, 20000 + i) for i in range(400)] + [(20000 + i, 9) for i in range(400)],
+                [(800, i) for i in range(400)] + [(400 + i, i) for i in range(400)]):
+        ids = {}
+        for edge in preprocess(raw, seed=0).edges:
+            for x in edge:
+                ids.setdefault(x, set()).add(id(x))
+        assert max(ids) > 256 and all(len(s) == 1 for s in ids.values())
+
+
+def test_preprocess_memory_follows_the_edges_not_the_labels():
+    # labels near 2**62 are compacted first, so no array spans them
+    rng = np.random.default_rng(5)
+    dense = rng.integers(0, 3000, size=(10 ** 4, 2))
+    peaks = []
+    for raw in (dense, dense + 2 ** 62, dense * 2 ** 50 + 2 ** 62):
+        tracemalloc.start()
+        try:
+            preprocess(raw, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * peaks[0], peaks
 
 
 def test_preprocess_rejects_negative_labels():

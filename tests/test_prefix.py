@@ -121,6 +121,7 @@ def adjacency(edges):
 
 LABELS = {
     "dense": lambda x: x,
+    "gappy": lambda x: 3 * x,
     "sparse": lambda x: 97 * x + 5,
     "huge": lambda x: 10 ** 12 + 10 ** 9 * x,
     "negative": lambda x: 3 - 10 ** 12 * x,
@@ -180,6 +181,31 @@ def test_triangle_pass_agrees_with_brute_force(n, p, seed, labels, chunk):
     assert per_edge == triangles_per_edge(edges)
     # one direction of each edge holds its count: both sums are 3 per triangle
     assert c.sum() == tri.sum()
+
+
+def wedge_counts(keys, names):
+    """triangle_wedges' nonzero counts per label in rank order and per
+    edge in key order, and cycles4_wedges, for ranked_keys' output."""
+    tri, c = patterns.triangle_wedges(keys, len(names))
+    return ([(x, k) for x, k in zip(names.tolist(), tri.tolist()) if k],
+            [(e, k) for e, k in zip(label_pairs(keys, names), c.tolist()) if k],
+            patterns.cycles4_wedges(keys, len(names)))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(0, 11), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 2 ** 16), labels=st.sampled_from(sorted(LABELS)))
+@example(n=11, p=1.0, seed=0, labels="dense")
+@example(n=11, p=0.8, seed=1, labels="gappy")
+def test_ranked_keys_indexes_dense_labels_as_np_unique_would(n, p, seed, labels):
+    # labels below 4 * len(edges) index themselves, others go through
+    # np.unique; forcing np.unique on every input must not move a count,
+    # nor the order of the vertices and edges that have one
+    edges = labelled(random_stream(n, p, seed), labels, seed)
+    got = wedge_counts(*patterns.ranked_keys(edges))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "dense_ends", lambda flat: np.unique(flat, return_inverse=True))
+        assert wedge_counts(*patterns.ranked_keys(edges)) == got
 
 
 def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
