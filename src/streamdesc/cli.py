@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .datasets import Dataset, load_benchmark_dataset
-from .descriptors import canberra, load_descriptors, save_descriptors, write_descriptors
+from .descriptors import canberra_matrix, load_descriptors, save_descriptors, write_descriptors
 from .errors import BudgetTooSmallError, DataFormatError
 from .graph import build_graph, derive_seed, preprocess, read_edge_list
 from .harness import (
@@ -214,10 +214,11 @@ def _cmd_distance(args) -> int:
         raise DataFormatError(
             f"descriptor files use different methods: {sorted(methods)}")
     rows = []
-    for da in side_a:
-        for db in side_b:
-            rows.append((da.graph_id, db.graph_id,
-                         repr(canberra(da.values, db.values))))
+    if side_a and side_b:
+        dist = canberra_matrix([d.values for d in side_a], [d.values for d in side_b])
+        rows = [(da.graph_id, db.graph_id, repr(x))
+                for da, dists in zip(side_a, dist.tolist())
+                for db, x in zip(side_b, dists)]
     _emit_rows("graph_id_a,graph_id_b,distance", rows, args.output)
     return EXIT_OK
 

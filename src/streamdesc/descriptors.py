@@ -17,6 +17,11 @@ MIN_ORDER = {"gabe": 2, "maeve": 1}
 
 _META_FIELDS = ("graph_id", "method", "b", "seed", "n", "m")
 
+# canberra_matrix's temporaries hold this many (row, column, coordinate)
+# terms at a time: 128 KiB per float array, whatever the stacks' sizes.
+# Blocks this small time no slower than one broadcast over all pairs.
+CANBERRA_BLOCK_TERMS = 1 << 14
+
 
 @dataclass
 class Descriptor:
@@ -64,15 +69,27 @@ def canberra(x, y) -> float:
 
 
 def canberra_matrix(xs, ys) -> np.ndarray:
-    """All-pairs Canberra distances between two stacks of row vectors."""
+    """All-pairs Canberra distances between two stacks of row vectors.
+
+    The result is filled a block of rows of xs at a time, so the
+    temporaries hold about CANBERRA_BLOCK_TERMS terms, or one row's
+    len(ys) * dim when that is more.  Each entry is the same sum over
+    its dim terms that canberra takes, whatever the block.
+    """
     a = np.asarray(xs, dtype=float)
     b = np.asarray(ys, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible shapes: {a.shape} vs {b.shape}")
-    num = np.abs(a[:, None, :] - b[None, :, :])
-    den = np.abs(a)[:, None, :] + np.abs(b)[None, :, :]
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return terms.sum(axis=2)
+    out = np.empty((len(a), len(b)))
+    abs_b = np.abs(b)
+    step = max(1, CANBERRA_BLOCK_TERMS // max(1, b.size))
+    for i in range(0, len(a), step):
+        block = a[i:i + step, None, :]
+        num = np.abs(block - b)
+        den = np.abs(block) + abs_b
+        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        out[i:i + step] = terms.sum(axis=2)
+    return out
 
 
 def _check_single_method(descriptors) -> None:

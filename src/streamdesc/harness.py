@@ -15,6 +15,11 @@ there is built once, in one batch from the prefix graph
 stream is read a block of BLOCK_EDGES edges at a time, and each block
 is handed to every replica's step in turn, so the pass holds
 O(BLOCK_EDGES) edges besides the samples.
+
+compute_descriptors runs the graphs one after another on the calling
+thread and starts no thread: the estimators are Python code, which
+threads cannot overlap under the interpreter lock, and glibc gives a
+new thread a malloc arena of its own, which keeps the memory it frees.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import operator
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import ceil, inf
@@ -169,8 +173,10 @@ def compute_descriptors(
     Returns (descriptors, errors), both aligned with ds.graphs.  A graph
     that graph_budgets skips gets None and its reason; a budget that
     skips every graph raises BudgetTooSmallError before any graph runs.
-    Results depend only on (method, b_spec, workers, seed), not on
-    thread scheduling.
+    Every graph runs on the calling thread, one after another; results
+    depend only on (method, b_spec, workers, seed).  max_threads is
+    unused: it stays only because perfbench/loop.py's traced replay
+    passes max_threads=1, and goes together with that replay.
     """
     budgets, reasons = graph_budgets(ds, method, b_spec)
     if workers < 1:
@@ -184,9 +190,7 @@ def compute_descriptors(
         d.graph_id = idx
         return d
 
-    pool_size = min(max_threads, max(1, len(ds.graphs)))
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(one, range(len(ds.graphs)))), reasons
+    return [one(idx) for idx in range(len(ds.graphs))], reasons
 
 
 @dataclass

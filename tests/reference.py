@@ -5,9 +5,10 @@ enumerator and the helpers built on it, the one-call forms of what
 GabeState.finalize, maeve's _moment_vector and the inline detection
 weights compute bit for bit, both finalizes as they were before they
 stopped re-copying rows (the per-call cast of each overlap row and
-maeve's stack of separate feature arrays), and the reservoir stepped
-one edge at a time that the block steps' draws and stores must
-reproduce.
+maeve's stack of separate feature arrays), the reservoir stepped one
+edge at a time that the block steps' draws and stores must reproduce,
+and canberra_matrix as one broadcast over all pairs, as it was before it
+filled its result a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -262,3 +263,13 @@ def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
         state._unlink(*state.edges[slot])
         state.edges[slot] = edge
         state._link(*edge)
+
+
+def canberra_matrix(xs, ys) -> np.ndarray:
+    """All-pairs Canberra distances from one (rows, cols, dim) broadcast."""
+    a = np.asarray(xs, dtype=float)
+    b = np.asarray(ys, dtype=float)
+    num = np.abs(a[:, None, :] - b[None, :, :])
+    den = np.abs(a)[:, None, :] + np.abs(b)[None, :, :]
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return terms.sum(axis=2)

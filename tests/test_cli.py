@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamdesc import Descriptor, load_descriptors, save_descriptors
+from streamdesc import Descriptor, canberra, load_descriptors, save_descriptors
 from streamdesc.datasets import gnp_edges
 from streamdesc.cli import main
 
@@ -290,6 +290,26 @@ def test_distance_cross_product(tmp_path, capsys):
     assert first[:2] == ["0", "0"]
     assert float(first[2]) == 0.0  # identical vectors
     assert all(float(line.split(",")[2]) >= 0 for line in lines[1:])
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_distance_rows_equal_the_per_pair_canberra(tmp_path, capsys, method):
+    rng = np.random.default_rng(5)
+    paths, sides = [], []
+    for name, ids in (("a", [3, 0, 1]), ("b", [2, 5, 4, 0]), ("none", [])):
+        values = rng.normal(size=(len(ids), 17 if method == "gabe" else 20))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        paths.append(str(tmp_path / f"{name}.csv"))
+        save_descriptors([Descriptor(graph_id=g, method=method, b=5, seed=0, n=4, m=3,
+                                     values=v) for g, v in zip(ids, values)], paths[-1])
+        sides.append(load_descriptors(paths[-1]))
+    assert main(["distance", paths[0], paths[1]]) == 0
+    assert capsys.readouterr().out == "graph_id_a,graph_id_b,distance\n" + "".join(
+        f"{da.graph_id},{db.graph_id},{canberra(da.values, db.values)!r}\n"
+        for da in sides[0] for db in sides[1])
+    for pair in ([paths[0], paths[2]], [paths[2], paths[1]]):
+        assert main(["distance", *pair]) == 0
+        assert capsys.readouterr().out == "graph_id_a,graph_id_b,distance\n"
 
 
 def test_distance_rejects_mixed_methods(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Canberra distance and descriptor persistence."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from streamdesc import (
     load_descriptors,
     save_descriptors,
 )
+from streamdesc import descriptors
 from streamdesc.errors import DataFormatError
+
+import reference
 
 finite = st.floats(min_value=-1e6, max_value=1e6)
 
@@ -81,6 +86,40 @@ def test_canberra_matrix_matches_pairwise_loop():
     for i in range(2):
         for j in range(3):
             assert mat[i, j] == pytest.approx(canberra(xs[i], ys[j]), abs=1e-12)
+
+
+coordinate = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def vector_stacks(draw):
+    dim = draw(st.integers(1, 25))
+    rows = st.lists(st.lists(coordinate, min_size=dim, max_size=dim), max_size=9)
+    return tuple(np.array(draw(rows), dtype=float).reshape(-1, dim) for _ in range(2))
+
+
+@given(vector_stacks(), st.integers(1, 300))
+@settings(max_examples=150)
+def test_canberra_matrix_blocks_keep_the_bits(stacks, block_terms):
+    xs, ys = stacks
+    with mock.patch.object(descriptors, "CANBERRA_BLOCK_TERMS", block_terms):
+        mat = canberra_matrix(xs, ys)
+    assert mat.tobytes() == reference.canberra_matrix(xs, ys).tobytes()
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert mat[i, j] == canberra(x, y)
+
+
+def test_canberra_matrix_memory_is_bounded():
+    # one broadcast over all 400 x 400 x 20 terms peaked at 80 MB
+    vectors = np.random.default_rng(3).normal(size=(400, 20))
+    tracemalloc.start()
+    try:
+        canberra_matrix(vectors, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # the 1.28 MB result and a few blocks
 
 
 def test_descriptor_validation():

@@ -5,6 +5,7 @@ import copy
 import itertools
 import random
 import re
+import threading
 from math import ceil
 
 import numpy as np
@@ -523,14 +524,25 @@ def test_graph_budgets_skips_below_the_minimum_and_refuses_all_skipped():
     assert graph_budgets(empty, "gabe", BudgetSpec(edges=1)) == ([], [])
 
 
-def test_compute_descriptors_thread_count_does_not_change_results():
+def test_compute_descriptors_runs_every_graph_on_the_calling_thread(monkeypatch):
     ds = small_dataset()
     spec = BudgetSpec(edges=8)
-    serial, _ = compute_descriptors(
+    seen = []
+    run = harness.replicated
+
+    def recording(*args, **kwargs):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "replicated", recording)
+    before = threading.active_count()
+    # max_threads=1 is the call perfbench's traced replay makes
+    replay, _ = compute_descriptors(
         ds, "gabe", spec, workers=2, seed=9, max_threads=1)
-    parallel, _ = compute_descriptors(
-        ds, "gabe", spec, workers=2, seed=9, max_threads=8)
-    for a, c in zip(serial, parallel):
+    default, _ = compute_descriptors(ds, "gabe", spec, workers=2, seed=9)
+    assert seen == [(threading.get_ident(), before)] * (2 * len(ds.graphs))
+    assert threading.active_count() == before
+    for a, c in zip(replay, default):
         assert np.array_equal(a.values, c.values)
 
 
