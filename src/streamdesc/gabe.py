@@ -40,8 +40,8 @@ class GabeState(StreamState):
     may be absent or hold 0).
 
     A sampled edge u-v closes one triangle with each common sampled
-    neighbor w, so linking or unlinking it moves u's and v's counts by
-    |N(u) & N(v)| and each such w's count by 1.
+    neighbor w, so storing or evicting it moves u's and v's counts by
+    |N(u) & N(v)| and each such w's count by 1 (_tally).
     """
 
     __slots__ = ("est", "tri")
@@ -252,46 +252,17 @@ class GabeState(StreamState):
             graph_id=0, method="gabe", b=self.budget, seed=self.seed,
             n=n, m=self.t, values=phi)
 
-    def _link(self, u: int, v: int):
-        adj = self.adj
-        nu, nv = adj.get(u), adj.get(v)
-        if nu is not None and nv is not None:
-            common = nu & nv
-            if common:
-                tri = self.tri
-                k = len(common)
-                tri[u] = tri.get(u, 0) + k
-                tri[v] = tri.get(v, 0) + k
-                for w in common:
-                    tri[w] = tri.get(w, 0) + 1
-        # StreamState._link inline, on the sets already looked up: a
-        # super() call would cost more than the link itself
-        if nu is None:
-            adj[u] = {v}
-        else:
-            nu.add(v)
-        if nv is None:
-            adj[v] = {u}
-        else:
-            nv.add(u)
-
-    def _unlink(self, u: int, v: int):
-        adj = self.adj
-        nu, nv = adj[u], adj[v]
-        nu.discard(v)
-        nv.discard(u)
+    def _tally(self, u: int, v: int, nu: set[int], nv: set[int], sign: int):
+        """Move the triangle index by the sampled edge u-v entering (sign
+        +1) or leaving (-1) the sample, as StreamState._store says."""
         common = nu & nv
         if common:
             tri = self.tri
-            k = len(common)
-            tri[u] -= k
-            tri[v] -= k
+            k = sign * len(common)
+            tri[u] = tri.get(u, 0) + k
+            tri[v] = tri.get(v, 0) + k
             for w in common:
-                tri[w] -= 1
-        if not nu:
-            del adj[u]
-        if not nv:
-            del adj[v]
+                tri[w] = tri.get(w, 0) + sign
 
 
 def gabe_process_edge(state: GabeState, edge: Edge) -> GabeState:

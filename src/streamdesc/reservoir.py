@@ -53,24 +53,25 @@ class StreamState:
     returns a Descriptor with m = t; State.exact(graph), the oracle
     descriptor.
 
-    Single-writer: exactly one stream drives the reservoir.  t counts
-    the edges offered so far; peak_stored records the largest sample
-    ever held, for memory-bound checks, and evictions the stored edges
-    replaced so far, so the sample has taken evictions + len(edges)
-    inserts.  A subclass defines step, finalize and exact, sets
-    MIN_BUDGET and DETECTS (what a smaller budget cannot detect),
-    declares its per-run fields in __slots__ (dicts, which fork copies)
-    and names in MERGED those that merge averages.  One that keeps an
-    extra index over the sample overrides _link and _unlink, which
-    _store calls as edges enter and leave.
+    Single-writer: exactly one stream drives the reservoir, and after
+    from_prefix and fork only _store writes edges and adj.  t counts the
+    edges offered so far; peak_stored, the largest sample ever held, is
+    len(edges), and evictions counts the stored edges replaced so far,
+    so the sample has taken evictions + len(edges) inserts.  A subclass
+    defines step, finalize and exact, sets MIN_BUDGET and DETECTS (what
+    a smaller budget cannot detect), declares its per-run fields in
+    __slots__ (dicts, which fork copies) and names in MERGED those that
+    merge averages.  One that keeps an extra index over the sample
+    defines _tally, which _store calls as edges enter and leave.
     """
 
     __slots__ = ("budget", "seed", "n_hint", "t", "rng", "edges", "adj",
-                 "peak_stored", "evictions", "degrees")
+                 "evictions", "degrees")
 
     MIN_BUDGET: int
     DETECTS: str
     MERGED: tuple[str, ...]
+    _tally = None  # no index over the sample to keep
 
     @classmethod
     def check_budget(cls, budget: int) -> None:
@@ -89,7 +90,7 @@ class StreamState:
         self.rng = random.Random(seed)
         self.edges: list[Edge] = []
         self.adj: dict[int, set[int]] = {}
-        self.peak_stored = self.evictions = 0
+        self.evictions = 0
         self.degrees: Counter[int] = Counter()
 
     @classmethod
@@ -112,7 +113,7 @@ class StreamState:
             adj[v].add(u)
         state.adj = adj = dict(adj)
         state.edges = edges
-        state.t = state.peak_stored = len(edges)
+        state.t = len(edges)
         # a Counter from a dict takes its values as the counts
         state.degrees = Counter({v: len(nbrs) for v, nbrs in adj.items()})
         return state
@@ -135,41 +136,52 @@ class StreamState:
         return slots
 
     def _store(self, edge: Edge, slot: int):
-        """Put a kept edge in its slot: append it at slot len(edges), else
-        replace the stored edge there."""
-        edges = self.edges
+        """Put a kept edge in its slot, the one write to edges and adj
+        after from_prefix and fork: append it at slot len(edges), else
+        replace the stored edge there and take that one out of adj.
+
+        A subclass that keeps an index over the sample defines
+        _tally(u, v, nu, nv, sign), which _store calls while the edge u-v
+        is out of adj, with nu and nv the sets of u and v: with sign -1
+        for an evicted edge, after both discards and before an emptied
+        set is deleted, and with sign +1 for a new edge whose endpoints
+        both have sets, before the adds.
+        """
+        edges, adj, tally = self.edges, self.adj, self._tally
         if slot == len(edges):
             edges.append(edge)
-            # the sample never shrinks, so it is at its peak
-            self.peak_stored = slot + 1
         else:
-            self._unlink(*edges[slot])
+            x, y = edges[slot]
             edges[slot] = edge
             self.evictions += 1
-        self._link(*edge)
-
-    def _link(self, u: int, v: int):
+            nx, ny = adj[x], adj[y]
+            nx.discard(y)
+            ny.discard(x)
+            if tally is not None:
+                tally(x, y, nx, ny, -1)
+            if not nx:
+                del adj[x]
+            if not ny:
+                del adj[y]
         # a set is made only for a vertex new to the sample
-        adj = self.adj
+        u, v = edge
         nu, nv = adj.get(u), adj.get(v)
         if nu is None:
             adj[u] = {v}
         else:
+            if nv is not None and tally is not None:
+                tally(u, v, nu, nv, 1)
             nu.add(v)
         if nv is None:
             adj[v] = {u}
         else:
             nv.add(u)
 
-    def _unlink(self, u: int, v: int):
-        adj = self.adj
-        nu, nv = adj[u], adj[v]
-        nu.discard(v)
-        nv.discard(u)
-        if not nu:
-            del adj[u]
-        if not nv:
-            del adj[v]
+    @property
+    def peak_stored(self) -> int:
+        """The largest sample ever held, for memory-bound checks: the
+        sample never shrinks, so that is its size now."""
+        return len(self.edges)
 
     def fork(self, seed: int) -> StreamState:
         """A copy of this state for another seed, to go on with the same

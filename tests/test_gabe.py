@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ from streamdesc import (
     exact_gabe_descriptor,
     gabe_descriptor,
     gabe_process_edge,
+    preferential_attachment_edges,
+    preprocess,
 )
+from streamdesc import harness, patterns
 from streamdesc.errors import BudgetTooSmallError
+from streamdesc.harness import _run_seeds
 
 from conftest import completed_copies, random_stream, triangles_per_vertex
 from reference import closed_form_counts, detection_probability, exact_subgraph_counts
@@ -230,6 +235,26 @@ def test_triangle_index_tracks_sample(case):
         gabe_process_edge(state, e)
         index = {x: k for x, k in state.tri.items() if k}
         assert index == dict(triangles_per_vertex(state.edges))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_triangle_index_tracks_sample_from_a_prefix(block, monkeypatch):
+    # _run_seeds builds the index in from_prefix, forks it, and the
+    # block steps' stores move it; the PA stream's prefix is long enough
+    # for from_prefix to take the triangles from the numpy pass
+    pa = preprocess(preferential_attachment_edges(400, 4, random.Random(4)), seed=4)
+    cases = [(pa, math.ceil(0.6 * len(pa)))]
+    assert cases[0][1] >= patterns.NUMPY_PREFIX_EDGES
+    for n, p, seed in ((9, 0.6, 31), (14, 0.4, 32), (20, 0.3, 33)):
+        stream = random_stream(n, p, seed)
+        cases += [(stream, b) for b in (5, len(stream) // 2, len(stream) - 1)]
+    monkeypatch.setattr(harness, "BLOCK_EDGES", block)
+    for stream, b in cases:
+        assert b < len(stream)
+        for state in _run_seeds(stream, GabeState, b, [3, 4, 5]):
+            index = {x: k for x, k in state.tri.items() if k}
+            assert index == dict(triangles_per_vertex(state.edges))
+            assert state.peak_stored == len(state.edges) == b
 
 
 # edges of each counted pattern minus the arriving one
