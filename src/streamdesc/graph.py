@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import hashlib
 import io
 import random
@@ -30,36 +31,75 @@ def vertex_count(low: int, high: int, n_hint: int | None) -> int:
     return n_hint
 
 
-def _label_range(edges) -> tuple[int, int]:
-    """(lowest, highest) endpoint label of an edge list; (0, -1) if empty."""
-    return min(map(min, edges), default=0), max(map(max, edges), default=-1)
-
-
-@dataclass
 class EdgeStream:
-    """An ordered sequence of normalized edges.
+    """An ordered sequence of edges, held as two int64 columns: edge i
+    is (labels[u[i]], labels[v[i]]), where labels is an object array of
+    one Python int per vertex, sorted.  That is 16 bytes per edge and
+    about 40 per vertex, where a list of tuples takes about 67 per edge.
 
-    n_hint overrides the vertex count for graphs whose trailing vertices
-    are isolated and therefore never appear in any edge.
+    pairs(start, stop) builds a slice of the stream as a list of tuples;
+    edges and iter() build the whole of it when read.  Every endpoint of
+    one vertex is the same int object, as a relabelling dict would give,
+    so the estimators' set and dict lookups take the identity shortcut.
+
+    EdgeStream(pairs) holds a sequence of (u, v) pairs as given, in
+    order, self-loops, duplicates and any labels included (build_graph
+    and the estimators refuse them); preprocess builds its columns
+    directly.  n_hint overrides the vertex count for graphs whose
+    trailing vertices are isolated and therefore never appear in any
+    edge.
     """
 
-    edges: list[Edge]
-    n_hint: int | None = None
+    __slots__ = ("labels", "u", "v", "n_hint")
+
+    def __init__(self, pairs, n_hint: int | None = None):
+        flat = np.asarray(pairs).reshape(-1)
+        labels, ends = dense_ends(flat)
+        self.labels = np.array(labels.tolist(), dtype=object)
+        self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
+        self.n_hint = n_hint
+
+    @classmethod
+    def from_columns(cls, labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> EdgeStream:
+        """The stream of edges (labels[u[i]], labels[v[i]]), with no copy."""
+        stream = cls.__new__(cls)
+        stream.labels, stream.u, stream.v, stream.n_hint = labels, u, v, None
+        return stream
+
+    def pairs(self, start: int, stop: int) -> list[Edge]:
+        """Edges start to stop - 1 (as a list slice clips them), as tuples."""
+        labels = self.labels
+        return list(zip(labels[self.u[start:stop]].tolist(),
+                        labels[self.v[start:stop]].tolist()))
+
+    @property
+    def edges(self) -> list[Edge]:
+        """Every edge, as a new list of tuples."""
+        return self.pairs(0, len(self))
 
     def __iter__(self):
         return iter(self.edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.u)
+
+    def _label_range(self) -> tuple[int, int]:
+        """(lowest, highest) endpoint label; (0, -1) if empty.  labels is
+        sorted, so these are the labels of the extreme indices."""
+        if not len(self):
+            return 0, -1
+        low = min(self.u.min(), self.v.min())
+        high = max(self.u.max(), self.v.max())
+        return self.labels[low], self.labels[high]
 
     @property
     def n(self) -> int:
         """Vertex count: n_hint when given, without a scan (build_graph
         and the estimators check the labels against it), else by
-        vertex_count over every endpoint (0 if empty)."""
+        vertex_count over the columns' label range (0 if empty)."""
         if self.n_hint is not None:
             return self.n_hint
-        return vertex_count(*_label_range(self.edges), None)
+        return vertex_count(*self._label_range(), None)
 
 
 def _label_pairs(raw_edges) -> np.ndarray:
@@ -98,27 +138,24 @@ def dense_ends(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(flat, return_inverse=True)
 
 
-def preprocess(raw_edges, seed: int) -> EdgeStream:
-    """Clean raw (u, v) pairs, a list of pairs or an (m, 2) integer
-    array such as read_edge_list returns, into a stream ready for the
-    estimators.
-
-    Self-loops are dropped, duplicates (in either orientation) keep the
-    first occurrence, labels are remapped to a contiguous 0-based range
-    in order of first appearance, and the result is shuffled by a seeded
-    permutation.  An input that is empty after cleaning yields an empty
-    stream, not an error.  A label that is not an integer in [0, 2**63)
-    raises ValueError naming its pair as given.
+def _simple_edges(raw_edges) -> tuple[np.ndarray, np.ndarray, int]:
+    """(lo, hi, n) for raw (u, v) pairs: the edges without self-loops
+    and with the first of each set of duplicates (in either
+    orientation), in input order, their labels remapped to 0..n-1 in
+    order of first appearance, lo[i] < hi[i].
 
     The labels go through dense_ends; then each vertex's first position
     comes from direct addressing (np.minimum.at), and marking those
     positions lists the vertices in first-appearance order, with no
     sort.  One sort of the edge keys lo * n + hi finds duplicates; only
     when there is one does the stable np.unique that keeps first
-    occurrences run.
+    occurrences run.  Each array is dropped once the next is built,
+    which keeps the peak near 50 bytes per edge above the input when
+    the labels index themselves.
     """
     pairs = _label_pairs(raw_edges)
     ends = dense_ends(pairs[pairs[:, 0] != pairs[:, 1]].ravel())[1]
+    del pairs
     size = len(ends)
     # A duplicate's endpoints already have their labels, so labelling
     # every surviving pair by first appearance before the dedupe gives
@@ -131,18 +168,40 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     rank = np.empty_like(first)  # each vertex's place in first-appearance order
     rank[ends[opens]] = np.arange(n)
     u, v = rank[ends[0::2]], rank[ends[1::2]]
+    del ends, opens
     lo, hi = np.minimum(u, v), np.maximum(u, v)
+    del u, v
     key = lo * n + hi
     key_sorted = np.sort(key)
     if (key_sorted[1:] == key_sorted[:-1]).any():
         kept = np.zeros(len(key), dtype=bool)
         kept[np.unique(key, return_index=True)[1]] = True
         lo, hi = lo[kept], hi[kept]
+    return lo, hi, n
+
+
+def preprocess(raw_edges, seed: int) -> EdgeStream:
+    """Clean raw (u, v) pairs, a list of pairs or an (m, 2) integer
+    array such as read_edge_list returns, into a stream ready for the
+    estimators.
+
+    Self-loops are dropped, duplicates (in either orientation) keep the
+    first occurrence, labels are remapped to a contiguous 0-based range
+    in order of first appearance (see _simple_edges), and the result is
+    shuffled by a seeded permutation.  An input that is empty after
+    cleaning yields an empty stream, not an error.  A label that is not
+    an integer in [0, 2**63) raises ValueError naming its pair as given.
+    """
+    lo, hi, n = _simple_edges(raw_edges)
+    # random.shuffle picks its swaps from the length and its random
+    # numbers alone, so shuffling positions and gathering the columns by
+    # them gives the order shuffling a list of the edges would.  An int64
+    # array shuffles about as fast as a list, with no int object per edge.
+    order = array.array("q", np.arange(len(lo), dtype=np.int64).tobytes())
+    random.Random(seed).shuffle(order)
+    order = np.frombuffer(order, dtype=np.int64)
     # One shared int object per vertex, as a relabelling dict would give.
-    labels = np.array(range(n), dtype=object)
-    edges = list(zip(labels[lo].tolist(), labels[hi].tolist()))
-    random.Random(seed).shuffle(edges)
-    return EdgeStream(edges)
+    return EdgeStream.from_columns(np.array(range(n), dtype=object), lo[order], hi[order])
 
 
 @dataclass
@@ -163,7 +222,7 @@ def build_graph(stream: EdgeStream) -> Graph:
     Self-loops, duplicate edges and labels outside [0, n) are rejected;
     run preprocess first on raw data.
     """
-    n = vertex_count(*_label_range(stream.edges), stream.n_hint)
+    n = vertex_count(*stream._label_range(), stream.n_hint)
     adj: list[set[int]] = [set() for _ in range(n)]
     m = 0
     for u, v in stream:

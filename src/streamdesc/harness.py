@@ -12,9 +12,10 @@ budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
 there is built once, in one batch from the prefix graph
 (from_prefix), and forked per seed (_run_seeds).  The rest of the
-stream is read a block of BLOCK_EDGES edges at a time, and each block
-is handed to every replica's step in turn, so the pass holds
-O(BLOCK_EDGES) edges besides the samples.
+stream is sliced from the stream's int64 columns a block of
+BLOCK_EDGES edges at a time, built as tuples, and handed to every
+replica's step in turn, so the pass holds O(BLOCK_EDGES) tuples besides
+the samples and the columns (16 bytes per edge).
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 import operator
 import random
-import sys
 from dataclasses import dataclass
-from itertools import islice
 from math import ceil, inf
 
 import numpy as np
@@ -94,17 +93,20 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
                seeds: list[int]) -> list[StreamState]:
     """One estimator per seed, in seed order, fed by one pass over the
     stream.  The first min(b, m) edges draw no random number, so they
-    are read into a list and built into the first seed's state in one
-    batch (from_prefix), which is then forked for the others.  The rest
-    is read BLOCK_EDGES edges at a time, and each block is handed to
-    every state in turn, which steps it with its own random numbers."""
-    edges = iter(stream)
-    # islice refuses a stop above sys.maxsize, which a budget fraction
-    # above 1 can resolve to
-    prefix = list(islice(edges, min(b, sys.maxsize)))
-    first = cls.from_prefix(prefix, b, seeds[0], stream.n_hint)
+    are sliced from the stream's columns as one list and built into the
+    first seed's state in one batch (from_prefix), which is then forked
+    for the others.  The rest is sliced BLOCK_EDGES edges at a time, and
+    each block is handed to every state in turn, which steps it with its
+    own random numbers.  Any other iterable of pairs with an n_hint is
+    read once, into an EdgeStream."""
+    if not isinstance(stream, EdgeStream):
+        stream = EdgeStream(list(stream), stream.n_hint)
+    m = len(stream)
+    start = min(b, m)
+    first = cls.from_prefix(stream.pairs(0, start), b, seeds[0], stream.n_hint)
     states = [first, *(first.fork(s) for s in seeds[1:])]
-    while block := list(islice(edges, BLOCK_EDGES)):
+    for i in range(start, m, BLOCK_EDGES):
+        block = stream.pairs(i, i + BLOCK_EDGES)
         for state in states:
             state.step(block)
     return states

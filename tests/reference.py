@@ -7,8 +7,9 @@ weights compute bit for bit, both finalizes as they were before they
 stopped re-copying rows (the per-call cast of each overlap row and
 maeve's stack of separate feature arrays), the reservoir stepped one
 edge at a time that the block steps' draws and stores must reproduce,
-and canberra_matrix as one broadcast over all pairs, as it was before it
-filled its result a block of rows at a time.
+canberra_matrix as one broadcast over all pairs, as it was before it
+filled its result a block of rows at a time, and preprocess as the list
+of tuples it built before a stream was held as columns.
 """
 
 from __future__ import annotations
@@ -263,6 +264,27 @@ def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
         state._unlink(*state.edges[slot])
         state.edges[slot] = edge
         state._link(*edge)
+
+
+def preprocess(raw_edges, seed: int) -> list[tuple[int, int]]:
+    """The edges graph.preprocess streams, in its order: each pair's
+    labels relabelled by first appearance with a dict, self-loops and
+    all but the first copy of a duplicate (in either orientation)
+    dropped, and the list of (low, high) tuples shuffled in place by
+    random.Random(seed)."""
+    seen, relabel, edges = set(), {}, []
+    for a, b in raw_edges:
+        a, b = int(a), int(b)
+        key = (min(a, b), max(a, b))
+        if a == b or key in seen:
+            continue
+        seen.add(key)
+        for x in (a, b):
+            relabel.setdefault(x, len(relabel))
+        ra, rb = relabel[a], relabel[b]
+        edges.append((min(ra, rb), max(ra, rb)))
+    random.Random(seed).shuffle(edges)
+    return edges
 
 
 def canberra_matrix(xs, ys) -> np.ndarray:

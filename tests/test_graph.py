@@ -16,8 +16,11 @@ from streamdesc import (
     preprocess,
     read_edge_list,
 )
+from streamdesc.datasets import preferential_attachment_edges
 from streamdesc.errors import DataFormatError
 from streamdesc.graph import int_columns, int_rows, vertex_count
+
+import reference
 
 
 def test_preprocess_drops_self_loops_and_duplicates():
@@ -36,21 +39,6 @@ def test_preprocess_relabels_by_first_appearance():
     # labels are minted only for surviving edges, in encounter order
     stream = preprocess([(10, 20), (20, 30)], seed=0)
     assert sorted(stream) == [(0, 1), (1, 2)]
-
-
-def reference_preprocess_edges(raw_edges):
-    """Dedupe on the raw labels, then label the kept edges in order."""
-    seen, relabel, edges = set(), {}, []
-    for a, b in raw_edges:
-        key = (min(a, b), max(a, b))
-        if a == b or key in seen:
-            continue
-        seen.add(key)
-        for x in (a, b):
-            relabel.setdefault(x, len(relabel))
-        ra, rb = relabel[a], relabel[b]
-        edges.append((min(ra, rb), max(ra, rb)))
-    return edges
 
 
 # Maps from small ids to raw labels that reach each branch of preprocess:
@@ -77,19 +65,60 @@ LABEL_MAPS = {
 @example([(1, 2), (2, 3), (4, 5)], "mixed", 0)  # compacted, no duplicate
 @settings(max_examples=300)
 def test_preprocess_matches_reference(ids, labels, seed):
-    # labelling before the duplicate check must not change any label
+    # labelling before the duplicate check must not change any label, and
+    # shuffling positions must give the order shuffling the tuples gave
     label = LABEL_MAPS[labels]
     raw = [(label(a), label(b)) for a, b in ids]
-    expected = reference_preprocess_edges(raw)
+    expected = reference.preprocess(raw, seed)
     ends = [x for a, b in raw if a != b for x in (a, b)]
     event("dense labels" if ends and max(ends) < 2 * len(ends) else "compacted labels")
     event("duplicates" if 2 * len(expected) < len(ends) else "no duplicates")
-    random.Random(seed).shuffle(expected)
     as_array = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
     for pairs in (raw, as_array):
-        edges = preprocess(pairs, seed=seed).edges
-        assert edges == expected
-        assert all(type(x) is int for edge in edges for x in edge)
+        stream = preprocess(pairs, seed=seed)
+        assert list(stream) == expected
+        assert stream.edges == expected
+        assert len(stream) == len(expected)
+        assert all(type(x) is int for edge in stream.edges for x in edge)
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       st.sampled_from(sorted(LABEL_MAPS)))
+def test_edge_stream_keeps_pairs_as_given(ids, labels):
+    # self-loops, duplicates, orientation and order stay; only the storage
+    # changes
+    label = LABEL_MAPS[labels]
+    raw = [(label(a), label(b)) for a, b in ids]
+    for pairs in (raw, np.array(raw, dtype=np.int64).reshape(len(raw), 2)):
+        stream = EdgeStream(pairs)
+        assert stream.edges == list(stream) == raw
+        assert len(stream) == len(raw)
+        assert stream.pairs(1, 4) == raw[1:4]
+    assert EdgeStream(raw).n == max((x for edge in raw for x in edge), default=-1) + 1
+
+
+def test_edge_stream_keeps_labels_outside_int64_indices():
+    for raw in ([(-3, 5), (5, -3), (2 ** 63 - 1, -2 ** 63)], [(2 ** 64, 1), (1, 1)]):
+        assert EdgeStream(raw).edges == raw
+
+
+def test_preprocess_keeps_the_stream_as_columns():
+    # the preprocessed stream is two int64 columns and one int per vertex,
+    # not a tuple per edge (about 67 bytes); building it stays below 100
+    # bytes per edge above the input, where a list of tuples took about 150
+    raw = preferential_attachment_edges(5_000, 5, random.Random(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stream = preprocess(raw, seed=1)
+        kept, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    m, n = len(stream), stream.n
+    assert (m, n) == (24_975, 5_000)
+    assert kept <= 24 * m + 40 * n, kept / m
+    assert peak <= 100 * m, peak / m
 
 
 def test_preprocess_labels_share_one_int_per_vertex():
