@@ -11,8 +11,6 @@ matrix and normalizes each order block by C(n, k).
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .descriptors import Descriptor
@@ -58,7 +56,8 @@ class GabeState(StreamState):
 
     @classmethod
     def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None) -> GabeState:
+                    n_hint: int | None = None,
+                    degrees: tuple[np.ndarray, np.ndarray] | None = None) -> GabeState:
         """StreamState.from_prefix, with each estimate set to the prefix
         graph's exact subgraph count and the index to its triangles per
         vertex.
@@ -99,7 +98,7 @@ class GabeState(StreamState):
             u, v = np.divmod(keys[multi], n)
             multi = list(zip(labels[u].tolist(), labels[v].tolist()))
             del keys, labels
-        state = super().from_prefix(edges, budget, seed, n_hint)
+        state = super().from_prefix(edges, budget, seed, n_hint, degrees)
         adj = state.adj
         path = k4x12 = 0
         if numpy_pass:
@@ -130,11 +129,12 @@ class GabeState(StreamState):
         state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
         return state
 
-    def step(self, edges) -> GabeState:
-        """Step a block of stream edges (a sequence, read twice): count the
-        block's degrees and draw the reservoir's decisions for all of
-        it, then per edge count every tracked pattern copy it completes
-        against the current sample, then store it if it was kept.
+    def step_ends(self, us: list[int], vs: list[int]) -> GabeState:
+        """Step the block of stream edges (us[i], vs[i]), whose degrees
+        the caller counts: draw the reservoir's decisions for all of it,
+        then per edge count every tracked pattern copy it completes
+        against the current sample, then store it, as a tuple, if it was
+        kept.
 
         Where both endpoints have sampled neighbours, one pass over N(u)
         and one over N(v) (sampled neighborhoods) gather every sum the six
@@ -148,12 +148,10 @@ class GabeState(StreamState):
         get, item, tri_get, store = adj.get, adj.__getitem__, tri.get, self._store
         # the estimates stay in locals until the block ends: no step reads them
         e_tri, e_path, e_c4, e_paw, e_dia, e_k4 = map(self.est.__getitem__, STREAM_ESTIMATED)
-        self.degrees.update(chain.from_iterable(edges))
         # _draw moves self.t on past the block; t is each edge's arrival
         start = self.t + 1
-        kept = self._draw(len(edges)).get
-        for t, edge in enumerate(edges, start):
-            u, v = edge
+        kept = self._draw(len(us)).get
+        for t, (u, v) in enumerate(zip(us, vs), start):
             na = get(u)  # the index holds no empty set
             nb = get(v)
             if na is not None and nb is not None:
@@ -233,7 +231,7 @@ class GabeState(StreamState):
 
             slot = kept(t)
             if slot is not None:
-                store(edge, slot)
+                store((u, v), slot)
         self.est.update(zip(STREAM_ESTIMATED, (e_tri, e_path, e_c4, e_paw, e_dia, e_k4)))
         return self
 
@@ -245,7 +243,7 @@ class GabeState(StreamState):
         """
         n = self.n
         counts = np.array(plain_counts(
-            n, self.t, self.degrees.values(),
+            n, self.t, self.vertex_degrees()[1],
             [self.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
         phi = phi_from_induced(subgraph_to_induced(counts), n)
         return Descriptor(

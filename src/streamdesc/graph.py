@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import array
+import codecs
 import hashlib
 import io
+import itertools
 import random
 import warnings
 from dataclasses import dataclass
@@ -14,6 +16,10 @@ import numpy as np
 from .errors import DataFormatError
 
 Edge = tuple[int, int]
+
+# int_columns reads a file this many bytes at a time (run on to a line
+# end), so it holds one chunk of the text, not the whole file.
+READ_CHUNK_BYTES = 1 << 21
 
 
 def vertex_count(low: int, high: int, n_hint: int | None) -> int:
@@ -193,15 +199,35 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     an integer in [0, 2**63) raises ValueError naming its pair as given.
     """
     lo, hi, n = _simple_edges(raw_edges)
-    # random.shuffle picks its swaps from the length and its random
-    # numbers alone, so shuffling positions and gathering the columns by
-    # them gives the order shuffling a list of the edges would.  An int64
+    # shuffle picks its swaps from the length and its random numbers
+    # alone, so shuffling positions and gathering the columns by them
+    # gives the order shuffling a list of the edges would.  An int64
     # array shuffles about as fast as a list, with no int object per edge.
     order = array.array("q", np.arange(len(lo), dtype=np.int64).tobytes())
-    random.Random(seed).shuffle(order)
+    shuffle(order, random.Random(seed))
     order = np.frombuffer(order, dtype=np.int64)
     # One shared int object per vertex, as a relabelling dict would give.
     return EdgeStream.from_columns(np.array(range(n), dtype=object), lo[order], hi[order])
+
+
+def shuffle(x, rng: random.Random) -> None:
+    """Shuffle the mutable sequence x in place: Fisher-Yates from the
+    end, each swap index below a bound drawn inline as getrandbits of
+    the bound's bit length, again while the value is not below it.
+
+    This loop, not the standard library, defines the order preprocess
+    gives every stream, on any interpreter.  On CPython 3.10-3.13 it is
+    rng.shuffle(x)'s, with the same getrandbits calls (what
+    Random._randbelow_with_getrandbits draws), and two Python calls per
+    element fewer."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 @dataclass
@@ -292,25 +318,45 @@ def int_columns(path, width: int) -> np.ndarray:
     (rows, width) int64 array.
 
     One np.loadtxt call parses a well-formed file, negative values
-    included: each caller checks its own range.  On anything else (an
-    exception or warning, a width mismatch, a '#' line) the file is
-    parsed again by int_rows, which raises its path:line error or
-    returns the rows without the comment lines.
+    included: each caller checks its own range.  It reads the lines of
+    _byte_lines, so the file is held a chunk of bytes at a time.  On
+    anything else (an exception or warning, a width mismatch, a '#'
+    line, a line ended by a lone carriage return) the file is parsed
+    again by int_rows, which raises its path:line error or returns the
+    rows without the comment lines.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # Text mode, so line ends are the universal newlines of int_rows,
-            # and a leading byte-order mark is dropped as text_lines drops it.
-            with open(path, encoding="utf-8-sig") as fh:
-                text = fh.read().replace(",", " ")
-            rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+            with open(path, "rb") as fh:
+                rows = np.loadtxt(_byte_lines(fh), dtype=np.int64, comments=None,
+                                  ndmin=2, encoding="utf-8")
         if rows.shape[1] == width:
             return rows
     except Exception:  # int_rows below raises the real error, if there is one
         pass
     rows = [row for _, row in int_rows(path, width)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _byte_lines(fh):
+    """The lines of a binary file as bytes, commas replaced by spaces,
+    without the UTF-8 byte-order mark it may start with (as text_lines
+    drops it).  The file is read READ_CHUNK_BYTES at a time, each chunk
+    run on to its line end, and the lines of each come from a BytesIO
+    over it, which neither copies it nor widens it to UCS-4, as a
+    StringIO of its text would."""
+    if fh.peek(3)[:3] == codecs.BOM_UTF8:
+        fh.read(3)
+
+    def chunks():
+        # peek finds the end: a read at the end would first allocate
+        # READ_CHUNK_BYTES, and freeing that raises glibc's mmap
+        # threshold, which moves where later large arrays live
+        while fh.peek(1):
+            yield io.BytesIO((fh.read(READ_CHUNK_BYTES) + fh.readline()).replace(b",", b" "))
+
+    return itertools.chain.from_iterable(chunks())
 
 
 def raise_first_fault(path, width: int, fault) -> None:

@@ -12,10 +12,13 @@ budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
 there is built once, in one batch from the prefix graph
 (from_prefix), and forked per seed (_run_seeds).  The rest of the
-stream is sliced from the stream's int64 columns a block of
-BLOCK_EDGES edges at a time, built as tuples, and handed to every
-replica's step in turn, so the pass holds O(BLOCK_EDGES) tuples besides
-the samples and the columns (16 bytes per edge).
+stream is sliced from the stream's int64 columns a block of BLOCK_EDGES
+edges at a time, as one list of each end's labels, and handed to every
+replica's step_ends in turn, so the pass holds O(BLOCK_EDGES) labels
+besides the samples and the columns (16 bytes per edge); a step builds
+a tuple only for an edge it stores.  The degrees are counted once per
+pass, by one np.bincount over the columns, into one int64 array that
+every replica shares.
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which
@@ -95,20 +98,28 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
     stream.  The first min(b, m) edges draw no random number, so they
     are sliced from the stream's columns as one list and built into the
     first seed's state in one batch (from_prefix), which is then forked
-    for the others.  The rest is sliced BLOCK_EDGES edges at a time, and
-    each block is handed to every state in turn, which steps it with its
-    own random numbers.  Any other iterable of pairs with an n_hint is
-    read once, into an EdgeStream."""
+    for the others.  Every state holds one shared pair of degrees (the
+    stream's labels, the degree of each label's index), counted before
+    the pass by np.bincount over both columns.  The rest is sliced
+    BLOCK_EDGES edges at a time into a list of u labels and one of v
+    labels, and each block is handed to every state's step_ends in
+    turn, which steps it with its own random numbers and counts no
+    degree.  Any other iterable of pairs with an n_hint is read once,
+    into an EdgeStream."""
     if not isinstance(stream, EdgeStream):
         stream = EdgeStream(list(stream), stream.n_hint)
     m = len(stream)
     start = min(b, m)
-    first = cls.from_prefix(stream.pairs(0, start), b, seeds[0], stream.n_hint)
+    labels, u, v = stream.labels, stream.u, stream.v
+    k = len(labels)
+    degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+    first = cls.from_prefix(stream.pairs(0, start), b, seeds[0], stream.n_hint, degrees)
     states = [first, *(first.fork(s) for s in seeds[1:])]
     for i in range(start, m, BLOCK_EDGES):
-        block = stream.pairs(i, i + BLOCK_EDGES)
+        us = labels[u[i:i + BLOCK_EDGES]].tolist()
+        vs = labels[v[i:i + BLOCK_EDGES]].tolist()
         for state in states:
-            state.step(block)
+            state.step_ends(us, vs)
     return states
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -154,7 +153,8 @@ class MaeveState(StreamState):
 
     @classmethod
     def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None) -> MaeveState:
+                    n_hint: int | None = None,
+                    degrees: tuple[np.ndarray, np.ndarray] | None = None) -> MaeveState:
         """StreamState.from_prefix, with tri[x] the prefix graph's
         triangles on x and path[x] = sum over y in N(x) of (d_y - 1).
         Exact integers as floats, so equal to the stepped counts bit for
@@ -172,8 +172,8 @@ class MaeveState(StreamState):
             on = np.flatnonzero(tri)
             tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
             del keys, labels
-        state = super().from_prefix(edges, budget, seed, n_hint)
-        adj, degrees = state.adj, state.degrees
+        state = super().from_prefix(edges, budget, seed, n_hint, degrees)
+        adj = state.adj
         if not numpy_pass:
             tri2: dict[int, int] = {}
             for u, v in edges:
@@ -183,16 +183,17 @@ class MaeveState(StreamState):
                     tri2[v] = tri2.get(v, 0) + c
             tri = ((x, float(k // 2)) for x, k in tri2.items())
         state.tri.update(tri)
+        # a prefix vertex's degree is its number of sampled neighbours
         state.path.update(
-            (x, float(sum(map(degrees.__getitem__, nbrs)) - len(nbrs)))
+            (x, float(sum(map(len, map(adj.__getitem__, nbrs))) - len(nbrs)))
             for x, nbrs in adj.items())
         return state
 
-    def step(self, edges) -> MaeveState:
-        """Step a block of stream edges (a sequence, read twice): count the
-        block's degrees and draw the reservoir's decisions for all of it,
+    def step_ends(self, us: list[int], vs: list[int]) -> MaeveState:
+        """Step the block of stream edges (us[i], vs[i]), whose degrees
+        the caller counts: draw the reservoir's decisions for all of it,
         then per edge credit its triangle and three-path completions to
-        the vertices involved and store it if it was kept.
+        the vertices involved and store it, as a tuple, if it was kept.
 
         A common sampled neighbor w closes a triangle on u, v, and w.  A
         sampled neighbor w of u extends the edge to the three-path v-u-w,
@@ -200,12 +201,10 @@ class MaeveState(StreamState):
         """
         adj, tri, path, b = self.adj, self.tri, self.path, self.budget
         get, store = adj.get, self._store
-        self.degrees.update(chain.from_iterable(edges))
         # _draw moves self.t on past the block; t is each edge's arrival
         start = self.t + 1
-        kept = self._draw(len(edges)).get
-        for t, edge in enumerate(edges, start):
-            u, v = edge
+        kept = self._draw(len(us)).get
+        for t, (u, v) in enumerate(zip(us, vs), start):
             na = get(u)  # the index holds no empty set
             nb = get(v)
             if na is not None or nb is not None:
@@ -236,7 +235,7 @@ class MaeveState(StreamState):
                     path[u] += w2 * len(nb)
             slot = kept(t)
             if slot is not None:
-                store(edge, slot)
+                store((u, v), slot)
         return self
 
     def finalize(self) -> Descriptor:
@@ -249,10 +248,11 @@ class MaeveState(StreamState):
         values = np.zeros(20)
         if n > 0:
             columns = []
-            for counts in (self.degrees, self.tri, self.path):
+            for labels, counts in (self.vertex_degrees(), (self.tri, self.tri.values()),
+                                   (self.path, self.path.values())):
                 column = np.zeros(n)
                 k = len(counts)
-                column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
+                column[np.fromiter(labels, int, k)] = np.fromiter(counts, float, k)
                 columns.append(column)
             table = np.zeros((5, n))
             features_from_counts(*columns, out=table)

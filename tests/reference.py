@@ -120,7 +120,7 @@ def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
 def gabe_finalize_values(state: GabeState) -> np.ndarray:
     """GabeState.finalize's values, solved by subgraph_to_induced above."""
     counts = np.array(plain_counts(
-        state.n, state.t, state.degrees.values(),
+        state.n, state.t, state.vertex_degrees()[1],
         [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
     return phi_from_induced(subgraph_to_induced(counts), state.n)
 
@@ -132,10 +132,11 @@ def maeve_finalize_values(state: MaeveState) -> np.ndarray:
     if n == 0:
         return np.zeros(20)
     columns = []
-    for counts in (state.degrees, state.tri, state.path):
+    for labels, counts in (state.vertex_degrees(), (state.tri, state.tri.values()),
+                           (state.path, state.path.values())):
         column = np.zeros(n)
         k = len(counts)
-        column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
+        column[np.fromiter(labels, int, k)] = np.fromiter(counts, float, k)
         columns.append(column)
     d, tri, paths = columns
     clustering = np.divide(tri, d * (d - 1) / 2, out=np.zeros_like(d), where=d >= 2)
@@ -167,7 +168,7 @@ def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
 
     Triangle-plus-isolated is the one entry built on an estimate.
     """
-    counts = plain_counts(state.n, state.t, state.degrees.values(),
+    counts = plain_counts(state.n, state.t, state.vertex_degrees()[1],
                           [state.est[pid] for pid in STREAM_ESTIMATED])
     return {pid: float(counts[pid - 1])
             for pid in PatternId if pid not in STREAM_ESTIMATED}
@@ -247,6 +248,27 @@ class ReferenceReservoir:
                 del self.adj[a]
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n): getrandbits of n's bit length, drawn
+    again while it is n or more.  The program's draws are defined by
+    this rejection, not by the standard library's randrange (which runs
+    it on CPython 3.10-3.13)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def shuffle(x, rng: random.Random) -> None:
+    """Fisher-Yates from the end, each swap index drawn by randbelow:
+    the order graph.preprocess defines (random.shuffle's on CPython
+    3.10-3.13)."""
+    for i in range(len(x) - 1, 0, -1):
+        j = randbelow(rng, i + 1)
+        x[i], x[j] = x[j], x[i]
+
+
 def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
     """Reservoir step for the next stream edge: append it while the
     sample has room, else let it replace a uniformly chosen stored edge
@@ -260,7 +282,7 @@ def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
         if len(state.edges) > state.peak_stored:
             state.peak_stored = len(state.edges)
     elif state.rng.random() < state.budget / state.t:
-        slot = state.rng.randrange(state.budget)
+        slot = randbelow(state.rng, state.budget)
         state._unlink(*state.edges[slot])
         state.edges[slot] = edge
         state._link(*edge)
@@ -271,7 +293,7 @@ def preprocess(raw_edges, seed: int) -> list[tuple[int, int]]:
     labels relabelled by first appearance with a dict, self-loops and
     all but the first copy of a duplicate (in either orientation)
     dropped, and the list of (low, high) tuples shuffled in place by
-    random.Random(seed)."""
+    shuffle above with random.Random(seed)."""
     seen, relabel, edges = set(), {}, []
     for a, b in raw_edges:
         a, b = int(a), int(b)
@@ -283,7 +305,7 @@ def preprocess(raw_edges, seed: int) -> list[tuple[int, int]]:
             relabel.setdefault(x, len(relabel))
         ra, rb = relabel[a], relabel[b]
         edges.append((min(ra, rb), max(ra, rb)))
-    random.Random(seed).shuffle(edges)
+    shuffle(edges, random.Random(seed))
     return edges
 
 

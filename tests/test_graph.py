@@ -1,7 +1,9 @@
 """Stream preprocessing, graph construction, file input, seed derivation."""
 
+import array
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,8 @@ from streamdesc import (
 )
 from streamdesc.datasets import preferential_attachment_edges
 from streamdesc.errors import DataFormatError
-from streamdesc.graph import int_columns, int_rows, vertex_count
+from streamdesc import graph
+from streamdesc.graph import int_columns, int_rows, shuffle, vertex_count
 
 import reference
 
@@ -357,6 +360,60 @@ def test_int_columns_reads_clean_file_without_int_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr("streamdesc.graph.int_rows", refuse)
     assert int_columns(path, 2).tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+def test_int_columns_reads_in_chunks(tmp_path, monkeypatch):
+    # a chunk ends anywhere and runs on to its line end, so every chunk
+    # size gives the array one chunk gives, on the loadtxt path throughout
+    rows = preferential_attachment_edges(30, 2, random.Random(5))
+    forms = {"plain": ("{} {}\n", ""), "comma": ("{},{}\n", ""),
+             "crlf": ("{} {}\r\n", ""), "bom": ("{} {}\n", "\ufeff")}
+    for name, (line, start) in forms.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(start + "".join(line.format(u, v) for u, v in rows),
+                        encoding="utf-8", newline="")
+        want = int_columns(path, 2)
+        assert want.tolist() == [list(row) for row in rows], name
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "int_rows", None)  # the fallback would fail
+            for chunk in (1, 2, 3, 7, 64):
+                patch.setattr(graph, "READ_CHUNK_BYTES", chunk)
+                got = int_columns(path, 2)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (name, chunk)
+
+
+# the sizes around which the bit length of a swap's bound changes
+SHUFFLE_SIZES = sorted({0, 1, 2} | {2 ** k + d for k in range(1, 18) for d in (-1, 0, 1)})
+
+
+def test_shuffle_pins_the_reference_order():
+    # graph.shuffle defines every stream's order on any interpreter: the
+    # permutation and the generator state of reference.shuffle's plain
+    # Fisher-Yates loop over reference.randbelow
+    for m in SHUFFLE_SIZES:
+        rng, want_rng = random.Random(m), random.Random(m)
+        got = array.array("q", range(m))
+        shuffle(got, rng)
+        want = list(range(m))
+        reference.shuffle(want, want_rng)
+        assert got.tolist() == want, m
+        assert rng.getstate() == want_rng.getstate(), m
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] > (3, 13),
+    reason="random.shuffle matches graph.shuffle on CPython 3.10-3.13; "
+           "graph.shuffle, not random.shuffle, defines the stream's order")
+def test_shuffle_is_cpython_random_shuffle():
+    # where the stream's order was random.shuffle's, it still is
+    for m in SHUFFLE_SIZES:
+        rng, want_rng = random.Random(m), random.Random(m)
+        got = array.array("q", range(m))
+        shuffle(got, rng)
+        want = list(range(m))
+        want_rng.shuffle(want)
+        assert got.tolist() == want, m
+        assert rng.getstate() == want_rng.getstate(), m
 
 
 def test_int_columns_empty_and_comment_only_files(tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import threading
+from collections import Counter
 from math import ceil
 
 import numpy as np
@@ -34,8 +35,9 @@ from streamdesc import (
     maeve_process_edge,
     replicated,
 )
+from streamdesc.datasets import preferential_attachment_edges
 from streamdesc.errors import BudgetTooSmallError
-from streamdesc.graph import derive_seed
+from streamdesc.graph import derive_seed, preprocess
 from streamdesc import harness
 from streamdesc.harness import _run_seeds, graph_budgets
 from streamdesc.patterns import STREAM_ESTIMATED, PatternId
@@ -204,7 +206,8 @@ def run_fields(state, method):
     """Every field one run's state steps, floats by their hex strings."""
     def hexed(counts):
         return {k: x.hex() if isinstance(x, float) else x for k, x in counts.items()}
-    return (state.t, state.peak_stored, state.edges, state.adj, dict(state.degrees),
+    return (state.t, state.peak_stored, state.edges, state.adj,
+            dict(zip(*state.vertex_degrees())),
             state.rng.getstate(), *(hexed(getattr(state, name)) for name in RUN_FIELDS[method]))
 
 
@@ -426,6 +429,89 @@ def test_estimators_refuse_labels_outside_range(method):
             build_graph(negative)
         with pytest.raises(ValueError, match="non-negative, got -1"):
             replicated(negative, method, b, 1, 0)
+
+
+def shared_degree_streams():
+    """A preprocessed PA stream, whose labels index themselves, and the
+    same edges with every label x written as 100 x, which EdgeStream
+    compacts through np.unique."""
+    stream = preprocess(preferential_attachment_edges(40, 3, random.Random(61)), seed=62)
+    return [stream, EdgeStream([(100 * u, 100 * v) for u, v in stream.edges])]
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_shared_degrees_finalize_as_edge_steps(method, monkeypatch):
+    # _run_seeds counts the degrees once per pass, into one array its
+    # states share; they hold a Counter of the stream, label by label,
+    # and finalize to the bits of states stepped one edge at a time,
+    # which count their own degrees
+    cls = METHODS[method]
+    per_edge = {"gabe": gabe_process_edge, "maeve": maeve_process_edge}[method]
+    for stream in shared_degree_streams():
+        edges = stream.edges
+        m = len(edges)
+        counted = Counter(itertools.chain.from_iterable(edges))
+        for b in (cls.MIN_BUDGET, m // 4, m):
+            seeds = [80, 81, 82]
+            wants = []
+            for seed in seeds:
+                state = cls(b, seed, stream.n_hint)
+                for edge in edges:
+                    per_edge(state, edge)
+                wants.append(state.finalize())
+            for block in (1, 7, 4096):
+                monkeypatch.setattr(harness, "BLOCK_EDGES", block)
+                for replicas in (1, 2, 3):
+                    states = _run_seeds(stream, cls, b, seeds[:replicas])
+                    for state, want in zip(states, wants):
+                        labels, degrees = state.vertex_degrees()
+                        assert len(labels) == len(counted)
+                        for label, degree in zip(labels, degrees):
+                            assert type(degree) is int and degree == counted[label]
+                        got = state.finalize()
+                        assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
+                        assert (got.n, got.m, got.b) == (want.n, want.m, want.b)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_shared_degrees_refuse_step(method):
+    # the states of one pass share the whole stream's degrees, from
+    # from_prefix on: step, which would count a block's degrees again,
+    # refuses them, and a fork shares them
+    stream = shared_degree_streams()[0]
+    cls = METHODS[method]
+    states = _run_seeds(stream, cls, len(stream), [0, 1])
+    assert states[0].degrees is states[1].degrees
+    twin = states[0].fork(2)
+    assert twin.degrees is states[0].degrees
+    for state in (*states, twin):
+        with pytest.raises(TypeError, match="degrees of a whole stream"):
+            state.step(stream.pairs(0, 1))
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_shared_degrees_keep_the_vertex_count_errors(method, monkeypatch):
+    # list-built streams with sparse or negative labels, stepped past the
+    # prefix in blocks: the shared degrees refuse them at finalize with
+    # the message a state stepped on its own, with a Counter, gives
+    monkeypatch.setattr(harness, "BLOCK_EDGES", 2)
+    cls = METHODS[method]
+    k4 = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 0), (1, 3), (3, 4)]
+    cases = [([(10 ** 12 * u, 10 ** 12 * v) for u, v in k4], 10,
+              "n_hint=10 is below max vertex label 4000000000000"),
+             ([(u - 10 ** 12 * (u == 4), v - 10 ** 12 * (v == 4)) for u, v in k4], None,
+              "non-negative, got -999999999996")]
+    for edges, n_hint, message in cases:
+        stepped = cls(cls.MIN_BUDGET, 0, n_hint)
+        stepped.step(edges)
+        with pytest.raises(ValueError, match=message):
+            stepped.finalize()
+        stream = EdgeStream(edges, n_hint)
+        for replicas in (1, 2):
+            for state in _run_seeds(stream, cls, cls.MIN_BUDGET, [0, 1][:replicas]):
+                assert state.t > state.budget
+                with pytest.raises(ValueError, match=message):
+                    state.finalize()
 
 
 @st.composite

@@ -6,7 +6,9 @@ methods' block steps against the reference reservoir."""
 
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +165,60 @@ def test_block_steps_keep_the_reference_reservoir(method, block, stream, data):
         assert state.rng.getstate() == want.rng.getstate()
         assert (state.t, state.peak_stored) == (want.t, want.peak_stored) == (m, min(m, budget))
         assert state.evictions == want.replacements
+
+
+# the budgets around which b's bit length changes
+DRAW_BUDGETS = sorted({2 ** k + d for k in range(1, 12) for d in (-1, 0, 1)} - {1})
+
+
+@pytest.mark.parametrize("b", DRAW_BUDGETS)
+def test_draw_keeps_the_reference_draws(b):
+    # _draw draws each slot inline from getrandbits; the sample, the
+    # evictions and the generator's state follow reference.maybe_sample,
+    # whose slots reference.randbelow draws
+    edges = path_edges(3 * b + 40)
+    want = ReferenceReservoir(b, seed=b)
+    for edge in edges:
+        reference.maybe_sample(want, edge)
+    for block in (1, 5, len(edges)):
+        state = MaeveState(b, seed=b)
+        for i in range(0, len(edges), block):
+            state.step(edges[i:i + block])
+        assert state.edges == want.edges
+        assert state.evictions == want.replacements > 0
+        assert state.rng.getstate() == want.rng.getstate()
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] > (3, 13),
+    reason="randrange matches reference.randbelow on CPython 3.10-3.13; "
+           "the rejection loop, not randrange, defines the stream's draws")
+def test_randbelow_is_cpython_randrange():
+    # where the reservoir's slots were randrange's, they still are
+    for b in DRAW_BUDGETS:
+        rng, want_rng = random.Random(b), random.Random(b)
+        assert [reference.randbelow(rng, b) for _ in range(50)] == \
+            [want_rng.randrange(b) for _ in range(50)], b
+        assert rng.getstate() == want_rng.getstate(), b
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_numpy_integer_budget_is_the_int_budget(method):
+    # a budget of another integer type runs as the same Python int: a
+    # state stepped on its own and a replicated pass give the int
+    # budget's bits
+    stream = preprocess(preferential_attachment_edges(60, 3, random.Random(8)), seed=9)
+    b = len(stream) // 4
+    cls = METHODS[method]
+    want = cls(b, seed=3).step(stream.edges).finalize()
+    want_replicated = harness.replicated(stream, method, b, 2, 3)
+    for budget in (np.int64(b), np.int32(b)):
+        state = cls(budget, seed=3)
+        assert type(state.budget) is int and state.budget == b
+        for got, wanted in ((state.step(stream.edges).finalize(), want),
+                            (harness.replicated(stream, method, budget, 2, 3), want_replicated)):
+            assert [x.hex() for x in got.values] == [x.hex() for x in wanted.values]
+            assert (got.n, got.m, got.b) == (wanted.n, wanted.m, b)
 
 
 def test_detection_probability_examples():
