@@ -76,9 +76,6 @@ from .patterns import (
     overlap_matrix,
     subgraph_to_induced,
 )
-from .reservoir import (
-    maybe_sample,
-    variance_bound,
-)
+from .reservoir import variance_bound
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .descriptors import Descriptor
-from .graph import Edge, Graph
+from .graph import Edge, EdgeStream, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
     NUMPY_PREFIX_EDGES, PatternId, STREAM_ESTIMATED, cycles4, cycles4_wedges,
@@ -55,9 +55,7 @@ class GabeState(StreamState):
         self.tri: dict[int, int] = {}
 
     @classmethod
-    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None,
-                    degrees: tuple[np.ndarray, np.ndarray] | None = None) -> GabeState:
+    def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> GabeState:
         """StreamState.from_prefix, with each estimate set to the prefix
         graph's exact subgraph count and the index to its triangles per
         vertex.
@@ -70,10 +68,10 @@ class GabeState(StreamState):
         with c >= 2 have.
 
         A prefix of NUMPY_PREFIX_EDGES or more builds
-        patterns.ranked_keys once and takes T, c and the 4-cycles from
-        triangle_wedges and cycles4_wedges, before the adjacency is
-        built, so the two never hold memory at once; it intersects
-        neighbourhoods only on the edges with c >= 2, for K4.  A smaller
+        patterns.ranked_keys once from its index columns and takes T, c
+        and the 4-cycles from triangle_wedges and cycles4_wedges, before
+        the adjacency is built, so the two never hold memory at once; it
+        intersects neighbourhoods only on the edges with c >= 2, for K4.  A smaller
         prefix intersects N(u) & N(v) on every edge (x is on T(x)/2 of
         the C's of its edges) and runs patterns.cycles4.  All of them
         count exactly, and the sums are Python ints, so each estimate
@@ -81,12 +79,13 @@ class GabeState(StreamState):
         below 2**53.
 
         Besides the prefix's adjacency and per-vertex counts, the batch
-        holds O(len(edges)) int64 arrays and one chunk of wedges while
+        holds O(prefix) int64 arrays and one chunk of wedges while
         the numpy passes run, nothing over all n vertices.
         """
-        numpy_pass = len(edges) >= NUMPY_PREFIX_EDGES
+        k = min(budget, len(stream))
+        numpy_pass = k >= NUMPY_PREFIX_EDGES
         if numpy_pass:
-            keys, labels = ranked_keys(edges)
+            keys, labels = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
             n = len(labels)
             c4 = cycles4_wedges(keys, n)
             tri, c = triangle_wedges(keys, n)
@@ -98,8 +97,8 @@ class GabeState(StreamState):
             u, v = np.divmod(keys[multi], n)
             multi = list(zip(labels[u].tolist(), labels[v].tolist()))
             del keys, labels
-        state = super().from_prefix(edges, budget, seed, n_hint, degrees)
-        adj = state.adj
+        state = super().from_prefix(stream, budget, seed)
+        adj, edges = state.adj, state.edges
         path = k4x12 = 0
         if numpy_pass:
             path = sum((len(adj[u]) - 1) * (len(adj[v]) - 1) for u, v in edges)
@@ -241,9 +240,10 @@ class GabeState(StreamState):
         Induced estimates can come out negative under sampling noise; they
         are kept raw rather than clamped, which preserves unbiasedness.
         """
-        n = self.n
+        labels, degrees = self.vertex_degrees()
+        n = self.n_of(labels)
         counts = np.array(plain_counts(
-            n, self.t, self.vertex_degrees()[1],
+            n, self.t, degrees,
             [self.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
         phi = phi_from_induced(subgraph_to_induced(counts), n)
         return Descriptor(

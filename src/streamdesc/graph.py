@@ -50,7 +50,8 @@ class EdgeStream:
 
     EdgeStream(pairs) holds a sequence of (u, v) pairs as given, in
     order, self-loops, duplicates and any labels included (build_graph
-    and the estimators refuse them); preprocess builds its columns
+    and the estimators refuse them); an input that is neither empty nor
+    of shape (m, 2) raises ValueError.  preprocess builds its columns
     directly.  n_hint overrides the vertex count for graphs whose
     trailing vertices are isolated and therefore never appear in any
     edge.
@@ -59,8 +60,10 @@ class EdgeStream:
     __slots__ = ("labels", "u", "v", "n_hint")
 
     def __init__(self, pairs, n_hint: int | None = None):
-        flat = np.asarray(pairs).reshape(-1)
-        labels, ends = dense_ends(flat)
+        pairs = np.asarray(pairs)
+        if len(pairs) and pairs.shape != (len(pairs), 2):
+            raise ValueError(f"expected (u, v) pairs, got an array of shape {pairs.shape}")
+        labels, ends = dense_ends(pairs.reshape(-1))
         self.labels = np.array(labels.tolist(), dtype=object)
         self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
         self.n_hint = n_hint

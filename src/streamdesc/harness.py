@@ -10,15 +10,15 @@ counts rather than finished descriptors matters because descriptor
 assembly is not linear in the counts.  Estimators of one stream and
 budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
-there is built once, in one batch from the prefix graph
+there is built once, in one batch from the stream's prefix
 (from_prefix), and forked per seed (_run_seeds).  The rest of the
 stream is sliced from the stream's int64 columns a block of BLOCK_EDGES
 edges at a time, as one list of each end's labels, and handed to every
 replica's step_ends in turn, so the pass holds O(BLOCK_EDGES) labels
 besides the samples and the columns (16 bytes per edge); a step builds
 a tuple only for an edge it stores.  The degrees are counted once per
-pass, by one np.bincount over the columns, into one int64 array that
-every replica shares.
+pass, in from_prefix, by np.bincount over the columns, into one int64
+array that every replica shares.
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which
@@ -95,12 +95,10 @@ class BudgetSpec:
 def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
                seeds: list[int]) -> list[StreamState]:
     """One estimator per seed, in seed order, fed by one pass over the
-    stream.  The first min(b, m) edges draw no random number, so they
-    are sliced from the stream's columns as one list and built into the
-    first seed's state in one batch (from_prefix), which is then forked
-    for the others.  Every state holds one shared pair of degrees (the
-    stream's labels, the degree of each label's index), counted before
-    the pass by np.bincount over both columns.  The rest is sliced
+    stream.  The first min(b, m) edges draw no random number, so the
+    first seed's state is built from them in one batch (from_prefix,
+    which also counts the stream's degrees into the pair every state
+    shares) and then forked for the others.  The rest is sliced
     BLOCK_EDGES edges at a time into a list of u labels and one of v
     labels, and each block is handed to every state's step_ends in
     turn, which steps it with its own random numbers and counts no
@@ -108,14 +106,10 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
     into an EdgeStream."""
     if not isinstance(stream, EdgeStream):
         stream = EdgeStream(list(stream), stream.n_hint)
-    m = len(stream)
-    start = min(b, m)
-    labels, u, v = stream.labels, stream.u, stream.v
-    k = len(labels)
-    degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
-    first = cls.from_prefix(stream.pairs(0, start), b, seeds[0], stream.n_hint, degrees)
+    first = cls.from_prefix(stream, b, seeds[0])
     states = [first, *(first.fork(s) for s in seeds[1:])]
-    for i in range(start, m, BLOCK_EDGES):
+    labels, u, v = stream.labels, stream.u, stream.v
+    for i in range(first.t, len(stream), BLOCK_EDGES):
         us = labels[u[i:i + BLOCK_EDGES]].tolist()
         vs = labels[v[i:i + BLOCK_EDGES]].tolist()
         for state in states:

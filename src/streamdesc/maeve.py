@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .descriptors import Descriptor
-from .graph import Edge, Graph
+from .graph import Edge, EdgeStream, Graph
 from .oracle import exact_vertex_features
 from .patterns import NUMPY_PREFIX_EDGES, ranked_keys, triangle_wedges
 from .reservoir import StreamState
@@ -152,9 +152,7 @@ class MaeveState(StreamState):
         self.path: dict[int, float] = defaultdict(float)
 
     @classmethod
-    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None,
-                    degrees: tuple[np.ndarray, np.ndarray] | None = None) -> MaeveState:
+    def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> MaeveState:
         """StreamState.from_prefix, with tri[x] the prefix graph's
         triangles on x and path[x] = sum over y in N(x) of (d_y - 1).
         Exact integers as floats, so equal to the stepped counts bit for
@@ -165,18 +163,19 @@ class MaeveState(StreamState):
         smaller one intersects N(u) & N(v) on each edge (x is on T(x)/2
         of the common neighbourhoods of its edges).
         """
-        numpy_pass = len(edges) >= NUMPY_PREFIX_EDGES
+        k = min(budget, len(stream))
+        numpy_pass = k >= NUMPY_PREFIX_EDGES
         if numpy_pass:
-            keys, labels = ranked_keys(edges)
+            keys, labels = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
             tri = triangle_wedges(keys, len(labels))[0]
             on = np.flatnonzero(tri)
             tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
             del keys, labels
-        state = super().from_prefix(edges, budget, seed, n_hint, degrees)
+        state = super().from_prefix(stream, budget, seed)
         adj = state.adj
         if not numpy_pass:
             tri2: dict[int, int] = {}
-            for u, v in edges:
+            for u, v in state.edges:
                 c = len(adj[u] & adj[v])
                 if c:
                     tri2[u] = tri2.get(u, 0) + c
@@ -244,11 +243,12 @@ class MaeveState(StreamState):
         Every addressable vertex in [0, n) contributes a row, including
         isolated ones declared only through n_hint.
         """
-        n = self.n
+        labels, degrees = self.vertex_degrees()
+        n = self.n_of(labels)
         values = np.zeros(20)
         if n > 0:
             columns = []
-            for labels, counts in (self.vertex_degrees(), (self.tri, self.tri.values()),
+            for labels, counts in ((labels, degrees), (self.tri, self.tri.values()),
                                    (self.path, self.path.values())):
                 column = np.zeros(n)
                 k = len(counts)

@@ -138,7 +138,7 @@ def cycles4(adj) -> int:
 # smaller one loops in Python over its adjacency (per-edge intersections
 # and cycles4).  Timed alone on a 2-vCPU host (median process time) on
 # preprocessed sparse G(n, 8/n) and preferential-attachment prefixes,
-# whose labels ranked_keys indexes with no sort, gabe's numpy prefix
+# whose indices ranked_keys takes with no sort, gabe's numpy prefix
 # wins from under 250 edges and maeve's, which has no 4-cycles to save,
 # from about 500: numpy against Python, maeve takes 161 against 149 µs
 # on 507 G(n, p) edges, 162 against 164 µs on 496 PA edges, and 228
@@ -151,38 +151,35 @@ NUMPY_PREFIX_EDGES = 512
 WEDGE_CHUNK = 2 ** 15
 
 
-def ranked_keys(edges) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, labels) for the edges between vertices of degree > 1: one
-    key rank_x * n + rank_y per direction of each, sorted, with the n
-    vertices ranked by (degree, label) as cycles4 ranks them, and
-    labels[r] the label of rank r (an object array if a label does not
-    fit in int64).
+def ranked_keys(u: np.ndarray, v: np.ndarray,
+                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, ranked) for the edges (labels[u[i]], labels[v[i]]) between
+    vertices of degree > 1: one key rank_x * n + rank_y per direction
+    of each, sorted, with the n vertices ranked by (degree, label) as
+    cycles4 ranks them, and ranked[r] the label of rank r.  u and v are
+    int64 index columns into labels, which is sorted, as an EdgeStream
+    holds them.
 
-    graph.dense_ends indexes the vertices (any ints, negative ones
-    too), so each array is O(len(edges)) whatever the labels.  Labels
-    that already lie in [0, 4 * len(edges)), as those of a long prefix
-    of a preprocessed stream do, index themselves with no sort; a label
-    there that no edge holds ranks first, with degree 0, and owns no
-    key.  The sorted keys are a CSR of the ranked graph: row x lists
-    x's neighbours in rank order, and those below r end where
-    x * n + r sorts, which for a neighbour r is its own key.
+    graph.dense_ends compacts the indices, so each array is O(len(u))
+    whatever the labels.  Indices that already lie in [0, 4 * len(u)),
+    as those of a long prefix of a preprocessed stream do, index
+    themselves with no sort; an index there that no edge holds ranks
+    first, with degree 0, and owns no key.  The sorted keys are a CSR
+    of the ranked graph: row x lists x's neighbours in rank order, and
+    those below r end where x * n + r sorts, which for a neighbour r is
+    its own key.
     """
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
-    except OverflowError:  # a label beyond int64: sort the Python ints
-        flat = np.array(edges, dtype=object).ravel()
-    labels, ends = dense_ends(flat)
-    del flat
+    index, ends = dense_ends(np.concatenate([u, v]))
     deg = np.bincount(ends)
     n = len(deg)
     order = deg.argsort(kind="stable")
     rank = order.argsort()
-    a, b = ends[0::2], ends[1::2]
+    a, b = np.split(ends, 2)
     core = (deg[a] > 1) & (deg[b] > 1)
     a, b = rank[a[core]], rank[b[core]]
     keys = np.concatenate([a * n + b, b * n + a])
     keys.sort()
-    return keys, labels[order]
+    return keys, labels[index[order]]
 
 
 def cycles4_wedges(keys: np.ndarray, n: int) -> int:

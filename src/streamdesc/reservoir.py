@@ -26,19 +26,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from .errors import BudgetTooSmallError
-from .graph import Edge, vertex_count
-
-
-def maybe_sample(state: StreamState, edge: Edge) -> None:
-    """Reservoir step for the next stream edge, the one-edge case of a
-    block step's reservoir work: append it while the sample has room,
-    else let it replace a uniformly chosen stored edge with probability
-    b/t.  Must be called exactly once per stream edge, after any
-    counting that inspects the pre-arrival sample.
-    """
-    slot = state._draw(1).get(state.t)
-    if slot is not None:
-        state._store(edge, slot)
+from .graph import Edge, EdgeStream, vertex_count
 
 
 class StreamState:
@@ -47,27 +35,26 @@ class StreamState:
     subclass, its estimates.
 
     The estimator protocol: State(budget, seed, n_hint);
-    State.from_prefix(edges, budget, seed, n_hint), the state stepping
-    those first edges leaves, built in one batch; step(edges), which
-    counts a sequence of edges' degrees into the Counter and hands
-    their endpoint lists to step_ends(us, vs); step_ends, which counts
-    no degree, draws the reservoir's decisions for the whole block with
-    _draw, then per edge reads the pre-arrival sample (t, budget, adj),
-    counts, and stores the edge with _store if it was kept;
-    fork(seed) to start another seed's run from this state while
-    t <= budget; merge(others) to average replicas of one stream into
-    this state; finalize(), which returns a Descriptor with m = t;
+    State.from_prefix(stream, budget, seed), the state stepping the
+    first min(budget, m) edges of an EdgeStream leaves, built in one
+    batch; step(edges), which counts a sequence of edges' degrees into
+    the Counter and hands their endpoint lists to step_ends(us, vs);
+    step_ends, which counts no degree, draws the reservoir's decisions
+    for the whole block with _draw, then per edge reads the pre-arrival
+    sample (t, budget, adj), counts, and stores the edge with _store if
+    it was kept; fork(seed) to start another seed's run from this state
+    while t <= budget; merge(others) to average replicas of one stream
+    into this state; finalize(), which returns a Descriptor with m = t;
     State.exact(graph), the oracle descriptor.
 
-    degrees holds the exact degrees in one of two forms: a Counter
-    {label: degree}, which from_prefix builds and step adds to, or a
-    pair (labels, counts) of a stream's label array and an int64 array
-    of the degree of each label's index, which harness._run_seeds
-    counts once for the whole stream before its pass, hands to
-    from_prefix and shares between its replicas.  A state holding the
-    pair is stepped only by step_ends (step refuses it) and already
-    holds the degrees its finalize reads.  vertex_degrees reads either
-    form, and n and finalize read them through it.
+    degrees holds the exact degrees in one of two forms, and how the
+    state was made decides which.  A bare State(...) holds a Counter
+    {label: degree}, which step adds to.  A state from from_prefix holds
+    a pair (labels, counts): the stream's sorted label array and an
+    int64 array of the degree of each label's index, counted once for
+    the whole stream, which its forks share; step refuses it, so it is
+    stepped only by step_ends.  vertex_degrees reads either form, and
+    finalize reads it once, taking n from the same read (n_of).
 
     Single-writer: exactly one stream drives the reservoir, and after
     from_prefix and fork only _store writes edges and adj.  t counts the
@@ -113,33 +100,26 @@ class StreamState:
         self.degrees: Counter[int] | tuple[np.ndarray, np.ndarray] = Counter()
 
     @classmethod
-    def from_prefix(cls, edges: list[Edge], budget: int, seed: int = 0,
-                    n_hint: int | None = None,
-                    degrees: tuple[np.ndarray, np.ndarray] | None = None) -> StreamState:
-        """The state that stepping the first `edges` of a simple stream
-        leaves, built in one batch: at most `budget` edges, all stored
-        in arrival order, no random number drawn.  The list becomes the
-        state's sample.  This sets the reservoir and the degrees, a
-        Counter of the prefix's unless `degrees` gives the shared pair
-        of a whole pass (see the class docstring); subclasses add their
-        counts, which the prefix graph determines, since every detection
-        weight before the first draw is 1.
+    def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> StreamState:
+        """The state that stepping the first min(budget, m) edges of a
+        simple stream leaves, built in one batch: all of them stored in
+        arrival order, no random number drawn.  The degrees are the
+        shared pair of the whole stream, counted here by np.bincount
+        over both columns (see the class docstring); subclasses add
+        their counts, which the prefix graph determines, since every
+        detection weight before the first draw is 1.
         """
-        if len(edges) > budget:
-            raise ValueError(
-                f"a prefix of {len(edges)} edges does not fit budget {budget}")
-        state = cls(budget, seed, n_hint)
+        state = cls(budget, seed, stream.n_hint)
+        labels, u, v = stream.labels, stream.u, stream.v
+        k = len(labels)
+        state.degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+        state.edges = edges = stream.pairs(0, state.budget)
         adj: defaultdict[int, set[int]] = defaultdict(set)
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        state.adj = adj = dict(adj)
-        state.edges = edges
+        for x, y in edges:
+            adj[x].add(y)
+            adj[y].add(x)
+        state.adj = dict(adj)
         state.t = len(edges)
-        if degrees is None:
-            # a Counter from a dict takes its values as the counts
-            degrees = Counter({v: len(nbrs) for v, nbrs in adj.items()})
-        state.degrees = degrees
         return state
 
     def _draw(self, k: int) -> dict[int, int]:
@@ -280,19 +260,28 @@ class StreamState:
     def vertex_degrees(self) -> tuple[list[int], list[int]]:
         """(labels, degrees): the label and exact degree of every vertex
         seen so far, as Python ints, in one order, read from either form
-        of degrees."""
+        of degrees; in the pair form, in label order."""
         if isinstance(self.degrees, Counter):
             return list(self.degrees), list(self.degrees.values())
         labels, counts = self.degrees
         seen = np.flatnonzero(counts)
         return labels[seen].tolist(), counts[seen].tolist()
 
+    def n_of(self, labels: list[int]) -> int:
+        """Vertex count by vertex_count over labels, the list
+        vertex_degrees gives, so a label outside [0, n) fails here, at
+        finalize, not per edge.  In the pair form the list is sorted,
+        so its extremes are its ends."""
+        if not labels:
+            return vertex_count(0, -1, self.n_hint)
+        if isinstance(self.degrees, Counter):
+            return vertex_count(min(labels), max(labels), self.n_hint)
+        return vertex_count(labels[0], labels[-1], self.n_hint)
+
     @property
     def n(self) -> int:
-        """Vertex count by vertex_count over the labels seen, so a label
-        outside [0, n) fails here, at finalize, not per edge."""
-        labels = self.vertex_degrees()[0]
-        return vertex_count(min(labels, default=0), max(labels, default=-1), self.n_hint)
+        """The vertex count, by n_of over vertex_degrees' labels."""
+        return self.n_of(self.vertex_degrees()[0])
 
 
 def variance_bound(count: float, m_total: int, pattern_edges: int, b: int) -> float:

@@ -7,6 +7,7 @@ weights compute bit for bit, both finalizes as they were before they
 stopped re-copying rows (the per-call cast of each overlap row and
 maeve's stack of separate feature arrays), the reservoir stepped one
 edge at a time that the block steps' draws and stores must reproduce,
+the same one-edge step on a package state (state_maybe_sample),
 canberra_matrix as one broadcast over all pairs, as it was before it
 filled its result a block of rows at a time, and preprocess as the list
 of tuples it built before a stream was held as columns.
@@ -28,6 +29,7 @@ from streamdesc.oracle import phi_from_induced
 from streamdesc.patterns import (
     _BY_DEGSEQ, N_PATTERNS, STREAM_ESTIMATED, PatternCounts, PatternId, overlap_matrix,
     plain_counts)
+from streamdesc.reservoir import StreamState
 
 # Enumeration is over all C(n,4) vertex subsets; past this size the cost
 # and memory stop being desk-scale.
@@ -286,6 +288,17 @@ def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:
         state._unlink(*state.edges[slot])
         state.edges[slot] = edge
         state._link(*edge)
+
+
+def state_maybe_sample(state: StreamState, edge: tuple[int, int]) -> None:
+    """maybe_sample on one of the package's states: its reservoir step
+    for the next stream edge, the one-edge case of a block step's
+    reservoir work, by _draw and _store alone.  Must be called exactly
+    once per stream edge; it counts nothing, degrees included.
+    """
+    slot = state._draw(1).get(state.t)
+    if slot is not None:
+        state._store(edge, slot)
 
 
 def preprocess(raw_edges, seed: int) -> list[tuple[int, int]]:

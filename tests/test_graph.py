@@ -87,6 +87,7 @@ def test_preprocess_matches_reference(ids, labels, seed):
 
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
        st.sampled_from(sorted(LABEL_MAPS)))
+@example([], "dense")  # an empty list and an empty (0, 2) array
 def test_edge_stream_keeps_pairs_as_given(ids, labels):
     # self-loops, duplicates, orientation and order stay; only the storage
     # changes
@@ -103,6 +104,14 @@ def test_edge_stream_keeps_pairs_as_given(ids, labels):
 def test_edge_stream_keeps_labels_outside_int64_indices():
     for raw in ([(-3, 5), (5, -3), (2 ** 63 - 1, -2 ** 63)], [(2 ** 64, 1), (1, 1)]):
         assert EdgeStream(raw).edges == raw
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [0, 1], [(0,)], [[]], np.zeros((3, 2, 1), int),
+], ids=["triple", "two-triples", "flat", "single", "empty-row", "3-d"])
+def test_edge_stream_refuses_what_is_not_pairs(pairs):
+    with pytest.raises(ValueError, match="expected \\(u, v\\) pairs"):
+        EdgeStream(pairs)
 
 
 def test_preprocess_keeps_the_stream_as_columns():

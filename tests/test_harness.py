@@ -189,17 +189,21 @@ RUN_FIELDS = {"gabe": ("est", "tri"), "maeve": ("tri", "path")}
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_stepping_a_fork_leaves_the_parent_unchanged(method):
-    stream = list(random_stream(14, 0.6, seed=57))
+    stream = random_stream(14, 0.6, seed=57)
     b = 12
-    parent = METHODS[method].from_prefix(stream[:b], b, 1)
-    fields = ("edges", "adj", "degrees", *RUN_FIELDS[method])
+    parent = METHODS[method].from_prefix(stream, b, 1)
+    fields = ("edges", "adj", *RUN_FIELDS[method])
     before = copy.deepcopy({name: getattr(parent, name) for name in fields})
+    degrees = parent.vertex_degrees()
     twin = parent.fork(2)
-    twin.step(stream[b:])
+    rest = stream.pairs(b, len(stream))
+    twin.step_ends([u for u, _ in rest], [v for _, v in rest])
     assert parent.t == b and twin.t == len(stream)
     for name in fields:
         assert getattr(parent, name) == before[name], name
         assert getattr(twin, name) != before[name], name
+    # the whole stream's degrees, which the pair shares, stay as they were
+    assert twin.degrees is parent.degrees and parent.vertex_degrees() == degrees
 
 
 def run_fields(state, method):
@@ -441,7 +445,7 @@ def shared_degree_streams():
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_shared_degrees_finalize_as_edge_steps(method, monkeypatch):
-    # _run_seeds counts the degrees once per pass, into one array its
+    # from_prefix counts the degrees once per pass, into one array its
     # states share; they hold a Counter of the stream, label by label,
     # and finalize to the bits of states stepped one edge at a time,
     # which count their own degrees

@@ -1,8 +1,10 @@
 """The sampling-free prefix built in one batch (from_prefix) against the
 per-edge step and against the brute-force oracle in conftest."""
 
+import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamdesc import (
-    STREAM_ESTIMATED, BudgetSpec, PatternId, build_graph, exact_gabe_descriptor,
+    STREAM_ESTIMATED, BudgetSpec, EdgeStream, PatternId, build_graph, exact_gabe_descriptor,
     exact_maeve_descriptor, gnp_edges, preferential_attachment_edges, preprocess,
     replicated)
 from streamdesc import gabe, maeve, patterns
@@ -34,10 +36,16 @@ def nonzero(counts, form=lambda x: x):
     return {v: form(x) for v, x in counts.items() if x}
 
 
+def degrees(state):
+    """{label: degree} of every vertex the state has seen."""
+    return dict(zip(*state.vertex_degrees()))
+
+
 def fields(state, method):
-    """Every field the suffix reads, floats by their hex strings."""
+    """Every field the suffix reads but the degrees, floats by their hex
+    strings."""
     common = (state.budget, state.seed, state.n_hint, state.t, state.peak_stored,
-              state.edges, state.adj, nonzero(state.degrees))
+              state.edges, state.adj)
     if method == "gabe":
         return (*common, {pid: state.est[pid].hex() for pid in STREAM_ESTIMATED},
                 nonzero(state.tri))
@@ -57,15 +65,20 @@ def test_batch_state_equals_stepped_state(n, p, seed, isolated, data):
         if data is not None and m - 1 >= minimum:
             budgets.add(data.draw(st.integers(minimum, m - 1), label=f"{method} b"))
         for b in sorted(x for x in budgets if x >= minimum):
-            prefix = edges[:b]
-            batch = cls.from_prefix(list(prefix), b, seed, n_hint)
+            prefix, rest = edges[:b], edges[b:]
+            batch = cls.from_prefix(EdgeStream(prefix, n_hint), b, seed)
             step = stepped(method, prefix, b, seed, n_hint)
             assert fields(batch, method) == fields(step, method), (method, b)
-            # both go on from the fork point to the same bits
+            assert degrees(batch) == degrees(step), (method, b)
+            # built from the whole stream, the state holds every edge's
+            # degree; stepped on with step_ends, which counts none, it
+            # goes on from the fork point to the bits of the stepped state
+            whole = cls.from_prefix(EdgeStream(edges, n_hint), b, seed)
+            assert fields(whole, method) == fields(batch, method), (method, b)
             for other in (seed + 1, seed + 2):
-                a, z = batch.fork(other), step.fork(other)
-                a.step(edges[b:])
-                z.step(edges[b:])
+                a, z = whole.fork(other), step.fork(other)
+                a.step_ends([u for u, _ in rest], [v for _, v in rest])
+                z.step(rest)
                 da, dz = a.finalize(), z.finalize()
                 assert (da.n, da.m, da.b) == (dz.n, dz.m, dz.b)
                 assert [x.hex() for x in da.values] == [x.hex() for x in dz.values]
@@ -76,12 +89,12 @@ def test_batch_counts_match_brute_force(small_corpus):
     for stream in small_corpus:
         m = len(stream)
         sub, _ = brute_force_counts(build_graph(stream))
-        state = gabe.from_prefix(list(stream.edges), max(m, gabe.MIN_BUDGET))
+        state = gabe.from_prefix(stream, max(m, gabe.MIN_BUDGET))
         assert [state.est[pid] for pid in STREAM_ESTIMATED] == [
             sub[pid - 1] for pid in STREAM_ESTIMATED]
         triangles = dict(triangles_per_vertex(stream.edges))
         assert nonzero(state.tri) == triangles
-        state = maeve.from_prefix(list(stream.edges), max(m, maeve.MIN_BUDGET))
+        state = maeve.from_prefix(stream, max(m, maeve.MIN_BUDGET))
         assert nonzero(state.tri) == triangles
 
 
@@ -100,9 +113,10 @@ def test_batch_memory_follows_the_prefix_not_n(method, edges):
     assert len(LARGE_PREFIX) >= patterns.NUMPY_PREFIX_EDGES
     # a per-vertex list over range(n) would take ~8 MB here
     m = len(edges)
+    stream = EdgeStream(edges, TOP + 1)
     tracemalloc.start()
     try:
-        state = METHODS[method].from_prefix(edges, m, 0, n_hint=TOP + 1)
+        state = METHODS[method].from_prefix(stream, m, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -138,6 +152,12 @@ def labelled(stream, labels, seed):
             for u, v in stream.edges]
 
 
+def ranked_keys(edges):
+    """patterns.ranked_keys over the index columns of EdgeStream(edges)."""
+    stream = EdgeStream(edges)
+    return patterns.ranked_keys(stream.u, stream.v, stream.labels)
+
+
 def label_pairs(keys, labels):
     """The (row, neighbour) labels of each of ranked_keys' keys."""
     rows, nbrs = np.divmod(keys, len(labels))
@@ -157,7 +177,7 @@ def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
     edges = labelled(stream, labels, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "WEDGE_CHUNK", chunk)
-        keys, names = patterns.ranked_keys(edges)
+        keys, names = ranked_keys(edges)
         assert patterns.cycles4_wedges(keys, len(names)) == cycles4(adjacency(edges)) == brute
 
 
@@ -172,7 +192,7 @@ def test_triangle_pass_agrees_with_brute_force(n, p, seed, labels, chunk):
     edges = labelled(random_stream(n, p, seed), labels, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "WEDGE_CHUNK", chunk)
-        keys, names = patterns.ranked_keys(edges)
+        keys, names = ranked_keys(edges)
         tri, c = patterns.triangle_wedges(keys, len(names))
     assert len(tri) == len(names) and len(c) == len(keys)
     per_vertex = {x: k for x, k in zip(names.tolist(), tri.tolist()) if k}
@@ -198,21 +218,24 @@ def wedge_counts(keys, names):
 @example(n=11, p=1.0, seed=0, labels="dense")
 @example(n=11, p=0.8, seed=1, labels="gappy")
 def test_ranked_keys_indexes_dense_labels_as_np_unique_would(n, p, seed, labels):
-    # labels below 4 * len(edges) index themselves, others go through
-    # np.unique; forcing np.unique on every input must not move a count,
-    # nor the order of the vertices and edges that have one
-    edges = labelled(random_stream(n, p, seed), labels, seed)
-    got = wedge_counts(*patterns.ranked_keys(edges))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(patterns, "dense_ends", lambda flat: np.unique(flat, return_inverse=True))
-        assert wedge_counts(*patterns.ranked_keys(edges)) == got
+    # indices below 4 * len(u) index themselves, others go through
+    # np.unique, as those of a short prefix of the stream may; forcing
+    # np.unique on every input must not move a count, nor the order of
+    # the vertices and edges that have one
+    stream = EdgeStream(labelled(random_stream(n, p, seed), labels, seed))
+    for k in (len(stream), len(stream) // 4):
+        columns = stream.u[:k], stream.v[:k], stream.labels
+        got = wedge_counts(*patterns.ranked_keys(*columns))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "dense_ends", lambda flat: np.unique(flat, return_inverse=True))
+            assert wedge_counts(*patterns.ranked_keys(*columns)) == got
 
 
 def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
     # a dense graph, with dozens of wedges per edge: one int64 array over
     # all of them would pass the bound below on its own
-    edges = random_stream(240, 0.7, seed=91).edges
-    keys, names = patterns.ranked_keys(edges)
+    stream = random_stream(240, 0.7, seed=91)
+    keys, names = patterns.ranked_keys(stream.u, stream.v, stream.labels)
     n = len(names)
     row, nbr = np.divmod(keys, n)
     up = np.bincount(row[nbr > row], minlength=n)  # higher-ranked neighbours
@@ -243,27 +266,35 @@ NUMPY_PASSES = {
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
+    # the prefix of a longer stream, under labels that index themselves,
+    # negative ones and ones beyond int64, whose stream holds them as
+    # Python ints in an object array
     m = patterns.NUMPY_PREFIX_EDGES + offset
-    stream = random_stream(100, 0.12, seed=71)
-    prefix = stream.edges[:m]
-    batches = {}
-    for method, (module, above, below) in NUMPY_PASSES.items():
-        calls = []
-        for name in ("cycles4", *above):
-            if hasattr(module, name):
-                def spy(*args, name=name, real=getattr(module, name)):
-                    calls.append(name)
-                    return real(*args)
-                monkeypatch.setattr(module, name, spy)
-        batch = batches[method] = METHODS[method].from_prefix(list(prefix), m, 3, 100)
-        assert calls == (below if offset < 0 else above), method
-        monkeypatch.undo()
-        # each side of the cutoff against the stepped state, field by field
-        assert fields(batch, method) == fields(stepped(method, prefix, m, 3, 100), method)
-    # and gabe's 4-cycles against the other pass
-    keys, names = patterns.ranked_keys(prefix)
-    assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
-        keys, len(names)) == cycles4(adjacency(prefix))
+    for labels in ("dense", "negative", "beyond int64"):
+        stream = EdgeStream(labelled(random_stream(100, 0.12, seed=71), labels, 71))
+        assert len(stream) > m
+        prefix = stream.edges[:m]
+        batches = {}
+        for method, (module, above, below) in NUMPY_PASSES.items():
+            calls = []
+            for name in ("cycles4", *above):
+                if hasattr(module, name):
+                    def spy(*args, name=name, real=getattr(module, name)):
+                        calls.append(name)
+                        return real(*args)
+                    monkeypatch.setattr(module, name, spy)
+            batch = batches[method] = METHODS[method].from_prefix(stream, m, 3)
+            assert calls == (below if offset < 0 else above), (method, labels)
+            monkeypatch.undo()
+            # each side of the cutoff against the stepped state, field by
+            # field, and the degrees of the whole stream
+            assert fields(batch, method) == fields(
+                stepped(method, prefix, m, 3, None), method), (method, labels)
+            assert degrees(batch) == Counter(itertools.chain.from_iterable(stream.edges))
+        # and gabe's 4-cycles against the other pass
+        keys, names = patterns.ranked_keys(stream.u[:m], stream.v[:m], stream.labels)
+        assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
+            keys, len(names)) == cycles4(adjacency(prefix))
 
 
 @pytest.mark.parametrize("raw", [
@@ -279,11 +310,6 @@ def test_full_budget_matches_oracle_above_the_cutoff(raw):
     for method, exact in (("gabe", exact_gabe_descriptor), ("maeve", exact_maeve_descriptor)):
         est = replicated(stream, method, m, 1, 84)
         assert [x.hex() for x in est.values] == [x.hex() for x in exact(graph).values], method
-
-
-def test_from_prefix_refuses_a_prefix_above_the_budget():
-    with pytest.raises(ValueError, match="does not fit"):
-        METHODS["maeve"].from_prefix([(0, 1), (1, 2), (0, 2)], 2)
 
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])

@@ -1,8 +1,8 @@
 """Reservoir sampling, detection probabilities, and the variance bound.
 
 The reservoir is driven through MaeveState, the state class with the
-smallest minimum budget, by maybe_sample alone, and through both
-methods' block steps against the reference reservoir."""
+smallest minimum budget, by reference.state_maybe_sample alone, and
+through both methods' block steps against the reference reservoir."""
 
 import math
 import random
@@ -13,11 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamdesc import (
-    MaeveState,
-    maybe_sample,
-    variance_bound,
-)
+from streamdesc import MaeveState, variance_bound
 from streamdesc import harness
 from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 from streamdesc.errors import BudgetTooSmallError
@@ -25,12 +21,12 @@ from streamdesc.graph import preprocess
 from streamdesc.harness import METHODS, _run_seeds
 
 import reference
-from reference import ReferenceReservoir, detection_probability
+from reference import ReferenceReservoir, detection_probability, state_maybe_sample
 
 
 def drive(state, edges):
     for e in edges:
-        maybe_sample(state, e)
+        state_maybe_sample(state, e)
     return state
 
 
@@ -41,7 +37,7 @@ def path_edges(t):
 def test_first_b_edges_always_kept():
     state = MaeveState(budget=10, seed=4)
     for t, e in enumerate(path_edges(10), start=1):
-        maybe_sample(state, e)
+        state_maybe_sample(state, e)
         # appended, nothing evicted
         assert state.edges[-1] == e and len(state.edges) == t
     assert sorted(state.edges) == path_edges(10)
@@ -59,7 +55,7 @@ def test_budget_never_exceeded():
 def test_sample_size_is_min_t_b():
     state = MaeveState(budget=50, seed=2)
     for t, e in enumerate(path_edges(30), start=1):
-        maybe_sample(state, e)
+        state_maybe_sample(state, e)
         assert len(state.edges) == min(t, 50)
     assert state.peak_stored == 30
 
@@ -114,7 +110,7 @@ def test_acceptance_probability_at_arrival():
     accepted = 0
     for r in range(runs):
         state = drive(MaeveState(budget=b, seed=50_000 + r), edges[:-1])
-        maybe_sample(state, edges[-1])
+        state_maybe_sample(state, edges[-1])
         accepted += edges[-1] in state.edges
     p = b / t
     sigma = math.sqrt(p * (1 - p) / runs)
