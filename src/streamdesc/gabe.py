@@ -18,7 +18,7 @@ from .graph import Edge, EdgeStream, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
     NUMPY_PREFIX_EDGES, PatternId, STREAM_ESTIMATED, cycles4, cycles4_wedges,
-    plain_counts, ranked_keys, subgraph_to_induced, triangle_wedges)
+    dense_degrees, plain_counts, ranked_keys, subgraph_to_induced, triangle_wedges)
 from .reservoir import StreamState
 
 # K4 detection needs its 5 other edges resident in the sample.
@@ -70,8 +70,10 @@ class GabeState(StreamState):
         A prefix of NUMPY_PREFIX_EDGES or more builds
         patterns.ranked_keys once from its index columns and takes T, c
         and the 4-cycles from triangle_wedges and cycles4_wedges, before
-        the adjacency is built, so the two never hold memory at once; it
-        intersects neighbourhoods only on the edges with c >= 2, for K4.  A smaller
+        the adjacency is built, so the two never hold memory at once, and
+        path-4's sum from the prefix degrees of patterns.dense_degrees, as
+        int64 products per edge added as Python ints; it intersects
+        neighbourhoods only on the edges with c >= 2, for K4.  A smaller
         prefix intersects N(u) & N(v) on every edge (x is on T(x)/2 of
         the C's of its edges) and runs patterns.cycles4.  All of them
         count exactly, and the sums are Python ints, so each estimate
@@ -97,17 +99,20 @@ class GabeState(StreamState):
             u, v = np.divmod(keys[multi], n)
             multi = list(zip(labels[u].tolist(), labels[v].tolist()))
             del keys, labels
+            _, a, b, d = dense_degrees(stream.u[:k], stream.v[:k])
+            d -= 1
+            path = sum((d[a] * d[b]).tolist())
+            del a, b, d
         state = super().from_prefix(stream, budget, seed)
         adj, edges = state.adj, state.edges
-        path = k4x12 = 0
+        k4x12 = 0
         if numpy_pass:
-            path = sum((len(adj[u]) - 1) * (len(adj[v]) - 1) for u, v in edges)
             for u, v in multi:
                 common = adj[u] & adj[v]
                 k4x12 += sum([len(adj[x] & common) for x in common])
         else:
             tri2: dict[int, int] = {}
-            diamond = 0
+            diamond = path = 0
             for u, v in edges:
                 nu, nv = adj[u], adj[v]
                 path += (len(nu) - 1) * (len(nv) - 1)
@@ -135,11 +140,13 @@ class GabeState(StreamState):
         against the current sample, then store it, as a tuple, if it was
         kept.
 
-        Where both endpoints have sampled neighbours, one pass over N(u)
-        and one over N(v) (sampled neighborhoods) gather every sum the six
-        counts need; the sampled triangles on u and on v come from the
-        state's triangle index.  An edge with sampled neighbours at one end
-        only completes paths and paws alone, and one with none completes
+        Where both endpoints have sampled neighbours, one pass over the
+        smaller of N(u) and N(v) (sampled neighborhoods) and one sum over
+        the larger gather every sum the six counts need; each is an
+        integer symmetric in u and v, so the side taken does not change a
+        bit.  The sampled triangles on u and on v come from the state's
+        triangle index.  An edge with sampled neighbours at one end only
+        completes paths and paws alone, and one with none completes
         nothing.  Expects a preprocessed stream (no self-loops or
         duplicates).
         """
@@ -149,17 +156,22 @@ class GabeState(StreamState):
         e_tri, e_path, e_c4, e_paw, e_dia, e_k4 = map(self.est.__getitem__, STREAM_ESTIMATED)
         # _draw moves self.t on past the block; t is each edge's arrival
         start = self.t + 1
-        kept = self._draw(len(us)).get
-        for t, (u, v) in enumerate(zip(us, vs), start):
+        slots = self._draw(len(us))
+        for t, (u, v, slot) in enumerate(zip(us, vs, slots), start):
             na = get(u)  # the index holds no empty set
             nb = get(v)
             if na is not None and nb is not None:
                 a, bb = len(na), len(nb)
-                # One pass over x in N(u): sa = sum |N(x)|, c4 = sum
-                # |N(x) & N(v)|, and over the common neighbors w among them:
-                # c = their number, sw = sum |N(w)|, rim = sum |N(w) & N(u)|
-                # + |N(w) & N(v)|, k4 = sum |N(w) & N(u) & N(v)|.  Then
-                # sb = sum |N(y)| over y in N(v).
+                if a > bb:
+                    # only the local sets swap, not u and v, which the
+                    # stored tuple keeps; a and bb enter every count
+                    # symmetrically
+                    na, nb = nb, na
+                # One pass over x in na: sa = sum |N(x)|, c4 = sum
+                # |N(x) & nb|, and over the common neighbors w among them:
+                # c = their number, sw = sum |N(w)|, rim = sum |N(w) & na|
+                # + |N(w) & nb|, k4 = sum |N(w) & na & nb|.  Then
+                # sb = sum |N(y)| over y in nb.
                 sa = c = c4 = sw = rim = k4 = 0
                 for x in na:
                     nx = adj[x]
@@ -178,18 +190,51 @@ class GabeState(StreamState):
                 # endpoint (|N(x)| - 1 - [x in N(v)] ways for each x in
                 # N(u), and mirrored)
                 path = a * bb - 3 * c - a - bb + sa + sb
-                # paw: either the edge lies in the triangle (pendant off any
-                # of its three vertices) or it is the pendant of a sampled
-                # triangle on u or on v (the index's count: sampled edges
-                # within N(u), N(v))
-                paw = c * (a + bb - 4) + sw + tri_get(u, 0) + tri_get(v, 0)
-                # diamond: the edge is the shared side of two triangles
-                # (pick 2 common neighbors) or a rim edge (one triangle plus
-                # a second one hanging off either of its sides)
-                dia = c * (c - 1) // 2 + rim
-                # K4: a sampled edge between two common neighbors, seen
-                # from both
-                k4 //= 2
+                # paw: the edge is the pendant of a sampled triangle on u or
+                # on v (the index's count: sampled edges within N(u), N(v)),
+                # or it lies in the triangle (pendant off any of its three
+                # vertices)
+                paw = tri_get(u, 0) + tri_get(v, 0)
+                dia = 0
+                if c:
+                    paw += c * (a + bb - 4) + sw
+                    # diamond: the edge is the shared side of two triangles
+                    # (pick 2 common neighbors) or a rim edge (one triangle
+                    # plus a second one hanging off either of its sides)
+                    dia = c * (c - 1) // 2 + rim
+                # pk: probability that k given earlier edges are all in the
+                # sample, built factor by factor in the order of the
+                # reference detection_probability in tests/reference.py, so
+                # pk equals detection_probability(t, b, k) bit for bit; p3
+                # on only for the few arrivals that complete a pattern of
+                # four edges or more
+                p2 = 1.0
+                if t - 1 > b:
+                    p2 = b / (t - 1) * ((b - 1) / (t - 2))
+                # triangle u-v-w: w adjacent to both endpoints
+                if c:
+                    e_tri += c / p2
+                if path:
+                    e_path += path / p2
+                # (a diamond holds a paw, so paw > 0 wherever dia > 0)
+                if c4 or paw:
+                    p3 = p4 = p5 = 1.0
+                    if t - 1 > b:
+                        p3 = p2 * ((b - 2) / (t - 3))
+                        if dia:
+                            p4 = p3 * ((b - 3) / (t - 4))
+                            p5 = p4 * ((b - 4) / (t - 5))
+                    # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
+                    if c4:
+                        e_c4 += c4 / p3
+                    if paw:
+                        e_paw += paw / p3
+                    if dia:
+                        e_dia += dia / p4
+                        # K4: a sampled edge between two common neighbors,
+                        # seen from both; it is a rim, so dia > 0
+                        if k4:
+                            e_k4 += k4 // 2 / p5
             elif na is not None or nb is not None:
                 # the same counts with one side empty: only the paths that
                 # go on two hops out of the other end, and the paws that
@@ -197,38 +242,13 @@ class GabeState(StreamState):
                 x, nx = (u, na) if nb is None else (v, nb)
                 path = sum(map(len, map(item, nx))) - len(nx)
                 paw = tri_get(x, 0)
-                c = c4 = dia = k4 = 0
-            else:
-                c = path = c4 = paw = dia = k4 = 0
-
-            if c or path or c4 or paw or dia or k4:
-                # pk: probability that k given earlier edges are all in the
-                # sample, built factor by factor in the order of the
-                # reference detection_probability in tests/reference.py, so
-                # pk equals detection_probability(t, b, k) bit for bit
-                p2 = p3 = p4 = p5 = 1.0
+                p2 = 1.0
                 if t - 1 > b:
                     p2 = b / (t - 1) * ((b - 1) / (t - 2))
-                    p3 = p2 * ((b - 2) / (t - 3))
-                    if dia or k4:
-                        p4 = p3 * ((b - 3) / (t - 4))
-                        p5 = p4 * ((b - 4) / (t - 5))
-                # triangle u-v-w: w adjacent to both endpoints
-                if c:
-                    e_tri += c / p2
                 if path:
                     e_path += path / p2
-                # cycle u-x-y-v-u: x next to u, y next to v, x-y sampled
-                if c4:
-                    e_c4 += c4 / p3
                 if paw:
-                    e_paw += paw / p3
-                if dia:
-                    e_dia += dia / p4
-                if k4:
-                    e_k4 += k4 / p5
-
-            slot = kept(t)
+                    e_paw += paw / (p2 * ((b - 2) / (t - 3)) if t - 1 > b else 1.0)
             if slot is not None:
                 store((u, v), slot)
         self.est.update(zip(STREAM_ESTIMATED, (e_tri, e_path, e_c4, e_paw, e_dia, e_k4)))

@@ -18,7 +18,7 @@ import numpy as np
 from .descriptors import Descriptor
 from .graph import Edge, EdgeStream, Graph
 from .oracle import exact_vertex_features
-from .patterns import NUMPY_PREFIX_EDGES, ranked_keys, triangle_wedges
+from .patterns import NUMPY_PREFIX_EDGES, dense_degrees, ranked_keys, triangle_wedges
 from .reservoir import StreamState
 
 # A triangle's two prior edges must fit in the sample.
@@ -154,23 +154,34 @@ class MaeveState(StreamState):
     @classmethod
     def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> MaeveState:
         """StreamState.from_prefix, with tri[x] the prefix graph's
-        triangles on x and path[x] = sum over y in N(x) of (d_y - 1).
-        Exact integers as floats, so equal to the stepped counts bit for
-        bit.
+        triangles on x and path[x] = sum over y in N(x) of (d_y - 1), for
+        every prefix vertex x.  Exact integers as floats, so equal to the
+        stepped counts bit for bit.
 
         A prefix of NUMPY_PREFIX_EDGES or more takes the triangles from
-        patterns.triangle_wedges, before the adjacency is built; a
-        smaller one intersects N(u) & N(v) on each edge (x is on T(x)/2
-        of the common neighbourhoods of its edges).
+        patterns.triangle_wedges and the paths from the prefix degrees
+        of patterns.dense_degrees, added per edge into int64 (each sum
+        is below k**2 for k prefix edges), before the adjacency is
+        built; a smaller one intersects N(u) & N(v) on each edge (x is on
+        T(x)/2 of the common neighbourhoods of its edges) and sums the
+        sizes of its sampled neighbourhoods.
         """
         k = min(budget, len(stream))
         numpy_pass = k >= NUMPY_PREFIX_EDGES
         if numpy_pass:
-            keys, labels = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
+            u, v = stream.u[:k], stream.v[:k]
+            keys, labels = ranked_keys(u, v, stream.labels)
             tri = triangle_wedges(keys, len(labels))[0]
             on = np.flatnonzero(tri)
             tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
             del keys, labels
+            index, a, b, d = dense_degrees(u, v)
+            path = -d
+            np.add.at(path, a, d[b])
+            np.add.at(path, b, d[a])
+            on = np.flatnonzero(d)
+            path = zip(stream.labels[index[on]].tolist(), path[on].astype(float).tolist())
+            del index, a, b, d
         state = super().from_prefix(stream, budget, seed)
         adj = state.adj
         if not numpy_pass:
@@ -181,11 +192,11 @@ class MaeveState(StreamState):
                     tri2[u] = tri2.get(u, 0) + c
                     tri2[v] = tri2.get(v, 0) + c
             tri = ((x, float(k // 2)) for x, k in tri2.items())
+            # a prefix vertex's degree is its number of sampled neighbours
+            path = ((x, float(sum(map(len, map(adj.__getitem__, nbrs))) - len(nbrs)))
+                    for x, nbrs in adj.items())
         state.tri.update(tri)
-        # a prefix vertex's degree is its number of sampled neighbours
-        state.path.update(
-            (x, float(sum(map(len, map(adj.__getitem__, nbrs))) - len(nbrs)))
-            for x, nbrs in adj.items())
+        state.path.update(path)
         return state
 
     def step_ends(self, us: list[int], vs: list[int]) -> MaeveState:
@@ -202,8 +213,8 @@ class MaeveState(StreamState):
         get, store = adj.get, self._store
         # _draw moves self.t on past the block; t is each edge's arrival
         start = self.t + 1
-        kept = self._draw(len(us)).get
-        for t, (u, v) in enumerate(zip(us, vs), start):
+        slots = self._draw(len(us))
+        for t, (u, v, slot) in enumerate(zip(us, vs, slots), start):
             na = get(u)  # the index holds no empty set
             nb = get(v)
             if na is not None or nb is not None:
@@ -232,7 +243,6 @@ class MaeveState(StreamState):
                     for w in nb:
                         path[w] += w2
                     path[u] += w2 * len(nb)
-            slot = kept(t)
             if slot is not None:
                 store((u, v), slot)
         return self
@@ -243,16 +253,14 @@ class MaeveState(StreamState):
         Every addressable vertex in [0, n) contributes a row, including
         isolated ones declared only through n_hint.
         """
-        labels, degrees = self.vertex_degrees()
-        n = self.n_of(labels)
+        n, degrees = self.degree_column()
         values = np.zeros(20)
         if n > 0:
-            columns = []
-            for labels, counts in ((labels, degrees), (self.tri, self.tri.values()),
-                                   (self.path, self.path.values())):
+            columns = [degrees]
+            for counts in (self.tri, self.path):
                 column = np.zeros(n)
                 k = len(counts)
-                column[np.fromiter(labels, int, k)] = np.fromiter(counts, float, k)
+                column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
                 columns.append(column)
             table = np.zeros((5, n))
             features_from_counts(*columns, out=table)

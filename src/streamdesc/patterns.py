@@ -151,6 +151,17 @@ NUMPY_PREFIX_EDGES = 512
 WEDGE_CHUNK = 2 ** 15
 
 
+def dense_degrees(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(index, a, b, deg) for the edges (u[i], v[i]) of two int64 index
+    columns: the columns made dense by graph.dense_ends, a and b, with
+    index[a[i]] == u[i] and index[b[i]] == v[i], and deg[x] the degree of
+    dense end x (0 for an index no end takes).  Each array is
+    O(len(u)) whatever the indices."""
+    index, ends = dense_ends(np.concatenate([u, v]))
+    a, b = np.split(ends, 2)
+    return index, a, b, np.bincount(ends)
+
+
 def ranked_keys(u: np.ndarray, v: np.ndarray,
                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(keys, ranked) for the edges (labels[u[i]], labels[v[i]]) between
@@ -160,7 +171,7 @@ def ranked_keys(u: np.ndarray, v: np.ndarray,
     int64 index columns into labels, which is sorted, as an EdgeStream
     holds them.
 
-    graph.dense_ends compacts the indices, so each array is O(len(u))
+    dense_degrees compacts the indices, so each array is O(len(u))
     whatever the labels.  Indices that already lie in [0, 4 * len(u)),
     as those of a long prefix of a preprocessed stream do, index
     themselves with no sort; an index there that no edge holds ranks
@@ -169,12 +180,10 @@ def ranked_keys(u: np.ndarray, v: np.ndarray,
     those below r end where x * n + r sorts, which for a neighbour r is
     its own key.
     """
-    index, ends = dense_ends(np.concatenate([u, v]))
-    deg = np.bincount(ends)
+    index, a, b, deg = dense_degrees(u, v)
     n = len(deg)
     order = deg.argsort(kind="stable")
     rank = order.argsort()
-    a, b = np.split(ends, 2)
     core = (deg[a] > 1) & (deg[b] > 1)
     a, b = rank[a[core]], rank[b[core]]
     keys = np.concatenate([a * n + b, b * n + a])

@@ -6,14 +6,14 @@ stored edge with probability b/t, which gives every prefix edge the same
 b/t inclusion probability.  Whether arrival t is kept, and which slot
 it takes, depend on t, b and the random numbers alone, never on the
 edge, so StreamState._draw decides a whole block of arrivals in one
-loop before any of them is counted, and the step stores each kept edge
-once it has been counted; it draws each slot inline from the
-generator's getrandbits.  A per-vertex adjacency
-index over the stored edges supports the neighborhood probes the
-estimators run on every arrival.  An estimator's state is one object, a
-StreamState: the reservoir, the exact trackers, and in each method's
-subclass its estimates (and, for gabe, an index the sample keeps up to
-date).
+loop before any of them is counted, as a list of slots aligned with the
+block, and the step stores each kept edge once it has been counted; it
+draws each slot inline from the generator's getrandbits.  A per-vertex
+adjacency index over the stored edges supports the neighborhood probes
+the estimators run on every arrival.  An estimator's state is one
+object, a StreamState: the reservoir, the exact trackers, and in each
+method's subclass its estimates (and, for gabe, an index the sample
+keeps up to date).
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ class StreamState:
     batch; step(edges), which counts a sequence of edges' degrees into
     the Counter and hands their endpoint lists to step_ends(us, vs);
     step_ends, which counts no degree, draws the reservoir's decisions
-    for the whole block with _draw, then per edge reads the pre-arrival
-    sample (t, budget, adj), counts, and stores the edge with _store if
-    it was kept; fork(seed) to start another seed's run from this state
-    while t <= budget; merge(others) to average replicas of one stream
-    into this state; finalize(), which returns a Descriptor with m = t;
-    State.exact(graph), the oracle descriptor.
+    for the whole block with _draw, one slot or None per edge, then per
+    edge reads the pre-arrival sample (t, budget, adj), counts, and
+    stores the edge with _store in its slot if it has one; fork(seed) to
+    start another seed's run from this state while t <= budget;
+    merge(others) to average replicas of one stream into this state;
+    finalize(), which returns a Descriptor with m = t; State.exact(graph),
+    the oracle descriptor.
 
     degrees holds the exact degrees in one of two forms, and how the
     state was made decides which.  A bare State(...) holds a Counter
@@ -53,18 +54,20 @@ class StreamState:
     a pair (labels, counts): the stream's sorted label array and an
     int64 array of the degree of each label's index, counted once for
     the whole stream, which its forks share; step refuses it, so it is
-    stepped only by step_ends.  vertex_degrees reads either form, and
+    stepped only by step_ends.  vertex_degrees reads either form, as
+    does degree_column, as one float column over the labels, and
     finalize reads it once, taking n from the same read (n_of).
 
     Single-writer: exactly one stream drives the reservoir, and after
     from_prefix and fork only _store writes edges and adj.  t counts the
     edges offered so far; peak_stored, the largest sample ever held, is
-    len(edges), and evictions counts the stored edges replaced so far,
-    so the sample has taken evictions + len(edges) inserts.  A subclass
-    defines step_ends, finalize and exact, sets MIN_BUDGET and DETECTS
-    (what a smaller budget cannot detect), declares its per-run fields
-    in __slots__ (dicts, which fork copies) and names in MERGED those
-    that merge averages.  One that keeps an extra index over the sample
+    len(edges), and evictions counts the stored edges replaced so far
+    (_draw counts them, as it decides each block), so the sample has
+    taken evictions + len(edges) inserts.  A subclass defines step_ends,
+    finalize and exact, sets MIN_BUDGET and DETECTS (what a smaller
+    budget cannot detect), declares its per-run fields in __slots__
+    (dicts, which fork copies) and names in MERGED those that merge
+    averages.  One that keeps an extra index over the sample
     defines _tally, which _store calls as edges enter and leave.
     """
 
@@ -122,14 +125,17 @@ class StreamState:
         state.t = len(edges)
         return state
 
-    def _draw(self, k: int) -> dict[int, int]:
-        """Move t on by k arrivals and return {t: slot} for those the
-        reservoir keeps: while the sample has room, arrival t takes slot
-        t - 1, the end of the sample; past the budget, one random() per
-        arrival decides, with probability b/t, and a kept one takes the
-        slot drawn right after it: getrandbits of b's bit length, again
-        while the value is b or more.  The draws are those a step per
-        edge makes, in the same order.
+    def _draw(self, k: int) -> list[int | None]:
+        """Move t on by k arrivals and return the reservoir's decision
+        for each, a list in arrival order: the slot a kept arrival
+        takes, None for one it does not keep.  While the sample has
+        room, arrival t takes slot t - 1, the end of the sample; past
+        the budget, one random() per arrival decides, with probability
+        b/t, and a kept one takes the slot drawn right after it:
+        getrandbits of b's bit length, again while the value is b or
+        more.  The draws are those a step per edge makes, in the same
+        order.  Each arrival kept past the budget will replace a stored
+        edge, so evictions counts those here, not _store.
 
         This loop, not the standard library, defines every stream's
         sample, on any interpreter.  On CPython 3.10-3.13 its slots are
@@ -138,15 +144,18 @@ class StreamState:
         """
         b, start = self.budget, self.t
         self.t = end = start + k
-        slots = {t: t - 1 for t in range(start + 1, min(end, b) + 1)}
+        slots: list[int | None] = [None] * k
+        room = max(min(end, b) - start, 0)  # arrivals that fill the sample
+        slots[:room] = range(start, start + room)
         random, getrandbits = self.rng.random, self.rng.getrandbits
         bits = b.bit_length()
-        for t in range(max(start, b) + 1, end + 1):
+        for t in range(start + room + 1, end + 1):
             if random() < b / t:
                 slot = getrandbits(bits)
                 while slot >= b:
                     slot = getrandbits(bits)
-                slots[t] = slot
+                slots[t - start - 1] = slot
+        self.evictions += k - room - slots.count(None)
         return slots
 
     def step(self, edges) -> StreamState:
@@ -185,7 +194,6 @@ class StreamState:
         else:
             x, y = edges[slot]
             edges[slot] = edge
-            self.evictions += 1
             nx, ny = adj[x], adj[y]
             nx.discard(y)
             ny.discard(x)
@@ -267,16 +275,38 @@ class StreamState:
         seen = np.flatnonzero(counts)
         return labels[seen].tolist(), counts[seen].tolist()
 
-    def n_of(self, labels: list[int]) -> int:
+    def n_of(self, labels) -> int:
         """Vertex count by vertex_count over labels, the list
-        vertex_degrees gives, so a label outside [0, n) fails here, at
-        finalize, not per edge.  In the pair form the list is sorted,
-        so its extremes are its ends."""
-        if not labels:
+        vertex_degrees gives (or, in the pair form, the same labels as
+        an object array), so a label outside [0, n) fails here, at
+        finalize, not per edge.  In the pair form the labels are sorted,
+        so their extremes are their ends."""
+        if not len(labels):
             return vertex_count(0, -1, self.n_hint)
         if isinstance(self.degrees, Counter):
             return vertex_count(min(labels), max(labels), self.n_hint)
         return vertex_count(labels[0], labels[-1], self.n_hint)
+
+    def degree_column(self) -> tuple[int, np.ndarray]:
+        """(n, column): the vertex count, by n_of, and a float array of
+        every vertex's exact degree, indexed by label over [0, n).  The
+        pair form fills it from counts at the seen indices, which are the
+        labels when the labels are 0 to len - 1, as a preprocessed
+        stream's are, with no Python int per vertex."""
+        if isinstance(self.degrees, Counter):
+            labels, degrees = self.vertex_degrees()
+            n = self.n_of(labels)
+            column = np.zeros(n)
+            k = len(labels)
+            column[np.fromiter(labels, int, k)] = np.fromiter(degrees, float, k)
+        else:
+            labels, counts = self.degrees
+            seen = np.flatnonzero(counts)
+            n = self.n_of(labels[seen])
+            column = np.zeros(n)
+            dense = not len(labels) or (labels[0], labels[-1]) == (0, len(labels) - 1)
+            column[seen if dense else labels[seen].astype(np.int64)] = counts[seen]
+        return n, column
 
     @property
     def n(self) -> int:

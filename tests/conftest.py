@@ -15,9 +15,10 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from streamdesc import EdgeStream, Graph, preprocess
-from streamdesc.datasets import gnp_edges
+from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 
 # Stream-driven property tests replay the same examples on every run and
 # never fail on a slow host's timing; per-test max_examples still apply.
@@ -99,6 +100,18 @@ def random_stream(n: int, p: float, seed: int) -> EdgeStream:
     stream = preprocess(gnp_edges(n, p, rng), seed=seed)
     stream.n_hint = n
     return stream
+
+
+@st.composite
+def gnp_or_pa_streams(draw):
+    """A preprocessed G(n, p) or preferential-attachment stream."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        edges = gnp_edges(draw(st.integers(2, 24)), draw(st.floats(0.05, 0.9)), rng)
+    else:
+        attach = draw(st.integers(1, 4))
+        edges = preferential_attachment_edges(draw(st.integers(attach + 1, 30)), attach, rng)
+    return preprocess(edges, seed=draw(st.integers(0, 99)))
 
 
 @pytest.fixture(scope="session")

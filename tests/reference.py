@@ -296,7 +296,7 @@ def state_maybe_sample(state: StreamState, edge: tuple[int, int]) -> None:
     reservoir work, by _draw and _store alone.  Must be called exactly
     once per stream edge; it counts nothing, degrees included.
     """
-    slot = state._draw(1).get(state.t)
+    [slot] = state._draw(1)
     if slot is not None:
         state._store(edge, slot)
 

@@ -26,7 +26,7 @@ from streamdesc import harness, patterns
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.harness import _run_seeds
 
-from conftest import completed_copies, random_stream, triangles_per_vertex
+from conftest import completed_copies, gnp_or_pa_streams, random_stream, triangles_per_vertex
 from reference import closed_form_counts, detection_probability, exact_subgraph_counts
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
@@ -255,6 +255,29 @@ def test_triangle_index_tracks_sample_from_a_prefix(block, monkeypatch):
             index = {x: k for x, k in state.tri.items() if k}
             assert index == dict(triangles_per_vertex(state.edges))
             assert state.peak_stored == len(state.edges) == b
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@given(stream=gnp_or_pa_streams(), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_steps_are_symmetric_in_an_edges_ends(block, stream, seed):
+    # each count a step gathers is an integer symmetric in u and v, so
+    # the loop over the smaller sampled neighbourhood and the one-sided
+    # branch give the same bits with every edge reversed; the reservoir's
+    # decisions do not read the edge, so both runs hold one sample
+    m = len(stream)
+    flipped = EdgeStream([(v, u) for u, v in stream.edges], stream.n_hint)
+    low = GabeState.MIN_BUDGET
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "BLOCK_EDGES", block)
+        for b in sorted({low, max(low, m // 4), max(low, m // 2)}):
+            [a], [z] = (_run_seeds(s, GabeState, b, [seed]) for s in (stream, flipped))
+            assert a.adj == z.adj, b
+            assert {pid: x.hex() for pid, x in a.est.items()} == {
+                pid: x.hex() for pid, x in z.est.items()}, b
+            assert {x: k for x, k in a.tri.items() if k} == {x: k for x, k in z.tri.items() if k}
+            assert [x.hex() for x in a.finalize().values] == [
+                x.hex() for x in z.finalize().values], b
 
 
 # edges of each counted pattern minus the arriving one

@@ -297,6 +297,29 @@ def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
             keys, len(names)) == cycles4(adjacency(prefix))
 
 
+@pytest.mark.parametrize("labels", ["dense", "sparse"])
+def test_numpy_prefix_sums_equal_the_stepped_state_around_a_hub(labels):
+    # above the cutoff maeve's path sums and gabe's path-4 sum come from
+    # the prefix degrees in int64; a hub of degree 430 makes the largest
+    # of them, and a G(n, p) graph among its neighbours the triangles
+    rng = random.Random(91)
+    edges = [(0, x) for x in range(1, 431)]
+    edges += [(u + 1, v + 1) for u, v in gnp_edges(60, 0.15, rng)]
+    rng.shuffle(edges)
+    stream = EdgeStream(labelled(EdgeStream(edges), labels, 92))
+    m = len(stream)
+    for k in (m - 40, m):
+        assert k >= patterns.NUMPY_PREFIX_EDGES
+        prefix = stream.edges[:k]
+        assert max(Counter(itertools.chain.from_iterable(prefix)).values()) >= 400
+        for method, cls in METHODS.items():
+            batch, step = cls.from_prefix(stream, k, 5), stepped(method, prefix, k, 5, None)
+            assert fields(batch, method) == fields(step, method), (method, k)
+            if k == m:  # the shared degrees against the stepped Counter
+                assert [x.hex() for x in batch.finalize().values] == [
+                    x.hex() for x in step.finalize().values], (method, k)
+
+
 @pytest.mark.parametrize("raw", [
     gnp_edges(120, 0.1, random.Random(81)),
     preferential_attachment_edges(200, 4, random.Random(82)),

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from streamdesc import MaeveState, variance_bound
 from streamdesc import harness
-from streamdesc.datasets import gnp_edges, preferential_attachment_edges
+from streamdesc.datasets import preferential_attachment_edges
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.graph import preprocess
 from streamdesc.harness import METHODS, _run_seeds
 
 import reference
+from conftest import gnp_or_pa_streams
 from reference import ReferenceReservoir, detection_probability, state_maybe_sample
 
 
@@ -115,18 +116,6 @@ def test_acceptance_probability_at_arrival():
     p = b / t
     sigma = math.sqrt(p * (1 - p) / runs)
     assert abs(accepted / runs - p) < 3 * sigma
-
-
-@st.composite
-def gnp_or_pa_streams(draw):
-    """A preprocessed G(n, p) or preferential-attachment stream."""
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    if draw(st.booleans()):
-        edges = gnp_edges(draw(st.integers(2, 24)), draw(st.floats(0.05, 0.9)), rng)
-    else:
-        attach = draw(st.integers(1, 4))
-        edges = preferential_attachment_edges(draw(st.integers(attach + 1, 30)), attach, rng)
-    return preprocess(edges, seed=draw(st.integers(0, 99)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
