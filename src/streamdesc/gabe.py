@@ -62,58 +62,50 @@ class GabeState(StreamState):
 
         With d the degree, T(x) the triangles on vertex x and c those on
         an edge: path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw = sum T(x)
-        (d_x - 2), diamond = sum C(c, 2), and K4 from the edges inside
-        each edge's common neighbourhood C (each K4 has 6 edges, each
-        seeing the opposite one from both its ends), which only edges
-        with c >= 2 have.
+        (d_x - 2), diamond = sum C(c, 2), and K4 a pair of triangles on
+        one edge whose third vertices are joined.
 
-        A prefix of NUMPY_PREFIX_EDGES or more builds
-        patterns.ranked_keys once from its index columns and takes T, c
-        and the 4-cycles from triangle_wedges and cycles4_wedges, before
-        the adjacency is built, so the two never hold memory at once, and
-        path-4's sum from the prefix degrees of patterns.dense_degrees, as
-        int64 products per edge added as Python ints; it intersects
-        neighbourhoods only on the edges with c >= 2, for K4.  A smaller
-        prefix intersects N(u) & N(v) on every edge (x is on T(x)/2 of
-        the C's of its edges) and runs patterns.cycles4.  All of them
-        count exactly, and the sums are Python ints, so each estimate
-        equals the stepped one bit for bit while partial sums stay
-        below 2**53.
+        A prefix of NUMPY_PREFIX_EDGES or more reads no sample, which
+        stays unbuilt until a step or a reader asks for it.  It builds
+        patterns.ranked_keys once from its index columns, and takes T, c,
+        K4 and the 4-cycles from triangle_wedges and cycles4_wedges, paw
+        from T and ranked_keys' degrees, and path-4's sum from the prefix
+        degrees of patterns.dense_degrees, as int64 products per vertex
+        or edge added as Python ints.  A smaller prefix intersects
+        N(u) & N(v) on every edge of the built sample (x is on T(x)/2 of
+        the common neighbourhoods C of its edges, and each K4 has 6
+        edges, each seeing the opposite one from both its ends, in C),
+        and runs patterns.cycles4.  All of them count exactly, and the
+        sums are Python ints, so each estimate equals the stepped one bit
+        for bit while partial sums stay below 2**53.
 
-        Besides the prefix's adjacency and per-vertex counts, the batch
-        holds O(prefix) int64 arrays and one chunk of wedges while
-        the numpy passes run, nothing over all n vertices.
+        The numpy passes hold O(prefix) int64 arrays and one chunk of
+        wedges, nothing over all n vertices.
         """
-        k = min(budget, len(stream))
-        numpy_pass = k >= NUMPY_PREFIX_EDGES
-        if numpy_pass:
-            keys, labels = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
+        state = super().from_prefix(stream, budget, seed)
+        k = state.t
+        if k >= NUMPY_PREFIX_EDGES:
+            keys, labels, deg = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
             n = len(labels)
             c4 = cycles4_wedges(keys, n)
-            tri, c = triangle_wedges(keys, n)
-            on = np.flatnonzero(tri)
-            tri = dict(zip(labels[on].tolist(), tri[on].tolist()))
-            multi = np.flatnonzero(c > 1)  # the edges on two triangles or more
-            c = c[multi]
+            tri, c, k4 = triangle_wedges(keys, n, k4=True)
+            del keys
+            c = c[c > 1]  # the edges on two triangles or more
             diamond = int((c * (c - 1)).sum()) // 2
-            u, v = np.divmod(keys[multi], n)
-            multi = list(zip(labels[u].tolist(), labels[v].tolist()))
-            del keys, labels
+            on = np.flatnonzero(tri)
+            tri, deg = tri[on], deg[on]
+            paw = sum((tri * (deg - 2)).tolist())
+            tri = dict(zip(labels[on].tolist(), tri.tolist()))
+            del labels, deg
             _, a, b, d = dense_degrees(stream.u[:k], stream.v[:k])
             d -= 1
             path = sum((d[a] * d[b]).tolist())
             del a, b, d
-        state = super().from_prefix(stream, budget, seed)
-        adj, edges = state.adj, state.edges
-        k4x12 = 0
-        if numpy_pass:
-            for u, v in multi:
-                common = adj[u] & adj[v]
-                k4x12 += sum([len(adj[x] & common) for x in common])
         else:
+            adj = state.adj
             tri2: dict[int, int] = {}
-            diamond = path = 0
-            for u, v in edges:
+            diamond = path = k4x12 = 0
+            for u, v in state.edges:
                 nu, nv = adj[u], adj[v]
                 path += (len(nu) - 1) * (len(nv) - 1)
                 common = nu & nv
@@ -125,11 +117,11 @@ class GabeState(StreamState):
                         diamond += c * (c - 1) // 2
                         k4x12 += sum([len(adj[x] & common) for x in common])
             tri = {x: k // 2 for x, k in tri2.items()}
-            c4 = cycles4(adj)
+            paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
+            c4, k4 = cycles4(adj), k4x12 // 12
         state.tri = tri
         triangles = sum(tri.values()) // 3
-        paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
-        counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4x12 // 12)
+        counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4)
         state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
         return state
 

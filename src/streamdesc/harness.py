@@ -18,7 +18,9 @@ replica's step_ends in turn, so the pass holds O(BLOCK_EDGES) labels
 besides the samples and the columns (16 bytes per edge); a step builds
 a tuple only for an edge it stores.  The degrees are counted once per
 pass, in from_prefix, by np.bincount over the columns, into one int64
-array that every replica shares.
+array that every replica shares.  The prefix's sample is built only
+when a step or a fork first reads it, so a one-replica pass at b >= m
+whose prefix counts come from the numpy passes builds none.
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which

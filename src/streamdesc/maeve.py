@@ -161,16 +161,17 @@ class MaeveState(StreamState):
         A prefix of NUMPY_PREFIX_EDGES or more takes the triangles from
         patterns.triangle_wedges and the paths from the prefix degrees
         of patterns.dense_degrees, added per edge into int64 (each sum
-        is below k**2 for k prefix edges), before the adjacency is
-        built; a smaller one intersects N(u) & N(v) on each edge (x is on
+        is below k**2 for k prefix edges), and reads no sample, which
+        stays unbuilt until a step or a reader asks for it; a smaller one
+        intersects N(u) & N(v) on each edge of the built sample (x is on
         T(x)/2 of the common neighbourhoods of its edges) and sums the
         sizes of its sampled neighbourhoods.
         """
-        k = min(budget, len(stream))
-        numpy_pass = k >= NUMPY_PREFIX_EDGES
-        if numpy_pass:
+        state = super().from_prefix(stream, budget, seed)
+        k = state.t
+        if k >= NUMPY_PREFIX_EDGES:
             u, v = stream.u[:k], stream.v[:k]
-            keys, labels = ranked_keys(u, v, stream.labels)
+            keys, labels, _ = ranked_keys(u, v, stream.labels)
             tri = triangle_wedges(keys, len(labels))[0]
             on = np.flatnonzero(tri)
             tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
@@ -182,9 +183,8 @@ class MaeveState(StreamState):
             on = np.flatnonzero(d)
             path = zip(stream.labels[index[on]].tolist(), path[on].astype(float).tolist())
             del index, a, b, d
-        state = super().from_prefix(stream, budget, seed)
-        adj = state.adj
-        if not numpy_pass:
+        else:
+            adj = state.adj
             tri2: dict[int, int] = {}
             for u, v in state.edges:
                 c = len(adj[u] & adj[v])

@@ -44,9 +44,9 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
                 prefix runs below its numpy cutoff.
 
     The per-edge loop is the oracle's own: from NUMPY_PREFIX_EDGES
-    edges on, both methods' batch prefixes count triangles with
-    patterns.triangle_wedges instead, so this loop checks that pass
-    independently.  The other eleven are patterns.plain_counts' closed
+    edges on, both methods' batch prefixes count triangles, and gabe's
+    its K4s, with patterns.triangle_wedges instead, so this loop checks
+    that pass independently.  The other eleven are patterns.plain_counts' closed
     forms.  The induced counts follow by back-substitution through the
     overlap matrix on Python ints, converted to float once at the end.
     Time is the sum of the per-edge intersections plus the wedge pass;

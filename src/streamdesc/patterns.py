@@ -163,13 +163,13 @@ def dense_degrees(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def ranked_keys(u: np.ndarray, v: np.ndarray,
-                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, ranked) for the edges (labels[u[i]], labels[v[i]]) between
-    vertices of degree > 1: one key rank_x * n + rank_y per direction
-    of each, sorted, with the n vertices ranked by (degree, label) as
-    cycles4 ranks them, and ranked[r] the label of rank r.  u and v are
-    int64 index columns into labels, which is sorted, as an EdgeStream
-    holds them.
+                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, ranked, degree) for the edges (labels[u[i]], labels[v[i]])
+    between vertices of degree > 1: one key rank_x * n + rank_y per
+    direction of each, sorted, with the n vertices ranked by (degree,
+    label) as cycles4 ranks them, ranked[r] the label of rank r and
+    degree[r] its degree over all the edges.  u and v are int64 index
+    columns into labels, which is sorted, as an EdgeStream holds them.
 
     dense_degrees compacts the indices, so each array is O(len(u))
     whatever the labels.  Indices that already lie in [0, 4 * len(u)),
@@ -188,7 +188,7 @@ def ranked_keys(u: np.ndarray, v: np.ndarray,
     a, b = rank[a[core]], rank[b[core]]
     keys = np.concatenate([a * n + b, b * n + a])
     keys.sort()
-    return keys, labels[index[order]]
+    return keys, labels[index[order]], deg[order]
 
 
 def cycles4_wedges(keys: np.ndarray, n: int) -> int:
@@ -225,11 +225,29 @@ def cycles4_wedges(keys: np.ndarray, n: int) -> int:
     return pairs // 2
 
 
-def triangle_wedges(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tri, c) for the ranked graph of ranked_keys (keys over n ranks):
-    tri[r] the triangles on the vertex of rank r, and c[i] those on the
-    edge of keys[i] where that key points up (row below neighbour), 0
-    where it points down.
+def _pair_chunks(base: np.ndarray, count: np.ndarray):
+    """Yield (first, second), two int64 arrays: for each i, the pairs
+    (base[i], base[i] + 1 + g) for g < count[i], in chunks of about
+    WEDGE_CHUNK pairs, each the pairs of whole i's (an i with over
+    WEDGE_CHUNK pairs ends several cuts and is a chunk of its own)."""
+    end = np.cumsum(count)
+    shift = base + 1 - end + count  # pair p of i is (base[i], shift[i] + p)
+    cuts = np.searchsorted(end, np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))
+    i = 0
+    for j in [*(cuts + 1).tolist(), len(base)]:
+        if j > i:
+            k = count[i:j]
+            yield (np.repeat(base[i:j], k),
+                   np.repeat(shift[i:j], k) + np.arange(end[i] - k[0], end[j - 1]))
+            i = j
+
+
+def triangle_wedges(keys: np.ndarray, n: int,
+                    k4: bool = False) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(tri, c, k4s) for the ranked graph of ranked_keys (keys over n
+    ranks): tri[r] the triangles on the vertex of rank r, c[i] those on
+    the edge of keys[i] where that key points up (row below neighbour),
+    0 where it points down, and, with k4, k4s its K4s (else None).
 
     A triangle x < y < z (by rank) is found once, at x, as the wedge
     y-x-z of two up keys of row x closed by the key y * n + z.  So each
@@ -238,43 +256,54 @@ def triangle_wedges(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     leaves O(sqrt(m)) up keys in a row, so there are O(m^1.5) pairs.
     Most close no triangle, so a 64-bit mask per rank, with bit z % 64
     of y's set for each up key y -> z, drops most of them before the
-    lookup.  The pairs go in chunks of about WEDGE_CHUNK, each the
-    pairs of whole up keys; a chunk adds into tri and c only at the
-    ranks and keys it found.  Beyond the keys, the pass holds
-    O(len(keys)) int64 arrays and one chunk of pairs.
+    lookup.  The pairs go in chunks of about WEDGE_CHUNK (_pair_chunks),
+    each the pairs of whole up keys; a chunk adds into tri and c only at
+    the ranks and keys it found.
+
+    A K4 a < b < c < d is exactly one pair of triangles that share
+    their lowest edge a -> b and whose third vertices c < d are joined
+    by a key.  A chunk holds every triangle on its up keys, grouped by
+    that edge with the third vertices ascending, so with k4 it pairs
+    each triangle with the later ones of its group, again by
+    _pair_chunks, and looks the pairs up as it does the wedges.
+    Beyond the keys, the pass holds O(len(keys)) int64 arrays and one
+    chunk of pairs.
     """
     row, nbr = np.divmod(keys, n)
     up = np.flatnonzero(nbr > row)
     tri = np.zeros(n, np.int64)
     c = np.zeros(len(keys), np.int64)
+    k4s = 0 if k4 else None
     if not len(up):
-        return tri, c
+        return tri, c, k4s
     bit = np.uint64(1) << (nbr % 64).astype(np.uint64)
     mask = np.zeros(n, np.uint64)
     np.bitwise_or.at(mask, row[up], bit[up])
+    last = len(keys) - 1
+
+    def closed(first, second):
+        """The pairs of keys x -> y, x -> z that the key y * n + z closes,
+        and where it is."""
+        y = nbr[first]
+        maybe = np.flatnonzero(mask[y] & bit[second])
+        first, second = first[maybe], second[maybe]
+        want = y[maybe] * n + nbr[second]
+        at = np.searchsorted(keys, want)
+        hit = np.flatnonzero(keys[np.minimum(at, last)] == want)
+        return first[hit], second[hit], at[hit]
+
     # row x ends where (x + 1) * n sorts; its up keys are its tail
     count = np.searchsorted(keys, row[up] * n + n) - up - 1
-    end = np.cumsum(count)
-    shift = up + 1 - end + count  # pair g of an up key is with key shift + g
-    cuts = np.searchsorted(end, np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))
-    last = len(keys) - 1
-    i = 0
-    for j in [*(cuts + 1).tolist(), len(up)]:
-        if j > i:  # an up key with over WEDGE_CHUNK pairs ends several cuts
-            k = count[i:j]
-            first = np.repeat(up[i:j], k)
-            second = np.repeat(shift[i:j], k) + np.arange(end[i] - k[0], end[j - 1])
-            y = nbr[first]
-            maybe = np.flatnonzero(mask[y] & bit[second])
-            first, second = first[maybe], second[maybe]
-            want = y[maybe] * n + nbr[second]
-            at = np.searchsorted(keys, want)
-            hit = np.flatnonzero(keys[np.minimum(at, last)] == want)
-            first, second, at = first[hit], second[hit], at[hit]
-            np.add.at(c, np.concatenate([first, second, at]), 1)
-            np.add.at(tri, np.concatenate([row[first], nbr[first], nbr[second]]), 1)
-            i = j
-    return tri, c
+    for first, second in _pair_chunks(up, count):
+        first, second, at = closed(first, second)
+        np.add.at(c, np.concatenate([first, second, at]), 1)
+        np.add.at(tri, np.concatenate([row[first], nbr[first], nbr[second]]), 1)
+        if k4 and len(first) > 1:
+            # the later triangles on the same lowest edge, by position
+            later = np.searchsorted(first, first, "right") - np.arange(1, len(first) + 1)
+            for p, q in _pair_chunks(np.arange(len(first)), later):
+                k4s += len(closed(second[p], second[q])[0])
+    return tri, c, k4s
 
 
 # Positions of each order's block inside a 17-vector (id i at index i-1).

@@ -58,12 +58,20 @@ class StreamState:
     does degree_column, as one float column over the labels, and
     finalize reads it once, taking n from the same read (n_of).
 
+    The sample, edges and adj, is built on first read.  A state from
+    from_prefix holds only its stream until the first step_ends, fork or
+    reader of either property builds it (_build), so a pass at b >= m
+    whose prefix counts need no sample never builds one.  _store reads
+    the built lists directly, so only a step_ends that has read adj
+    calls it.
+
     Single-writer: exactly one stream drives the reservoir, and after
-    from_prefix and fork only _store writes edges and adj.  t counts the
-    edges offered so far; peak_stored, the largest sample ever held, is
-    len(edges), and evictions counts the stored edges replaced so far
-    (_draw counts them, as it decides each block), so the sample has
-    taken evictions + len(edges) inserts.  A subclass defines step_ends,
+    the build only _store writes edges and adj.  t counts the edges
+    offered so far; peak_stored, the largest sample ever held, is
+    min(t, budget), which is len(edges) once built, and evictions counts
+    the stored edges replaced so far (_draw counts them, as it decides
+    each block), so the sample has taken evictions + len(edges)
+    inserts.  A subclass defines step_ends,
     finalize and exact, sets MIN_BUDGET and DETECTS (what a smaller
     budget cannot detect), declares its per-run fields in __slots__
     (dicts, which fork copies) and names in MERGED those that merge
@@ -71,8 +79,8 @@ class StreamState:
     defines _tally, which _store calls as edges enter and leave.
     """
 
-    __slots__ = ("budget", "seed", "n_hint", "t", "rng", "edges", "adj",
-                 "evictions", "degrees")
+    __slots__ = ("budget", "seed", "n_hint", "t", "rng", "_edges", "_adj",
+                 "_prefix", "evictions", "degrees")
 
     MIN_BUDGET: int
     DETECTS: str
@@ -97,8 +105,9 @@ class StreamState:
         self.n_hint = n_hint
         self.t = 0
         self.rng = random.Random(seed)
-        self.edges: list[Edge] = []
-        self.adj: dict[int, set[int]] = {}
+        self._edges: list[Edge] | None = []
+        self._adj: dict[int, set[int]] | None = {}
+        self._prefix: EdgeStream | None = None  # the stream of an unbuilt sample
         self.evictions = 0
         self.degrees: Counter[int] | tuple[np.ndarray, np.ndarray] = Counter()
 
@@ -106,24 +115,48 @@ class StreamState:
     def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> StreamState:
         """The state that stepping the first min(budget, m) edges of a
         simple stream leaves, built in one batch: all of them stored in
-        arrival order, no random number drawn.  The degrees are the
-        shared pair of the whole stream, counted here by np.bincount
-        over both columns (see the class docstring); subclasses add
-        their counts, which the prefix graph determines, since every
-        detection weight before the first draw is 1.
+        arrival order, no random number drawn.  The sample is left
+        unbuilt, as a reference to the stream, until it is first read
+        (see the class docstring).  The degrees are the shared pair of
+        the whole stream, counted here by np.bincount over both columns;
+        subclasses add their counts, which the prefix graph determines,
+        since every detection weight before the first draw is 1.
         """
         state = cls(budget, seed, stream.n_hint)
         labels, u, v = stream.labels, stream.u, stream.v
         k = len(labels)
         state.degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
-        state.edges = edges = stream.pairs(0, state.budget)
+        state._edges = state._adj = None
+        state._prefix = stream
+        state.t = min(state.budget, len(stream))
+        return state
+
+    def _build(self) -> None:
+        """Build the sample of a state from from_prefix: the first
+        min(budget, m) edges of its stream as tuples, in arrival order,
+        and the sets of their ends, which hold the same int objects as
+        the tuples; then drop the stream."""
+        edges = self._prefix.pairs(0, self.budget)
         adj: defaultdict[int, set[int]] = defaultdict(set)
         for x, y in edges:
             adj[x].add(y)
             adj[y].add(x)
-        state.adj = dict(adj)
-        state.t = len(edges)
-        return state
+        self._edges, self._adj, self._prefix = edges, dict(adj), None
+
+    @property
+    def edges(self) -> list[Edge]:
+        """The sampled edges, each in its slot."""
+        if self._edges is None:
+            self._build()
+        return self._edges
+
+    @property
+    def adj(self) -> dict[int, set[int]]:
+        """Each sampled vertex's set of sampled neighbours; a vertex on
+        no sampled edge has no entry."""
+        if self._adj is None:
+            self._build()
+        return self._adj
 
     def _draw(self, k: int) -> list[int | None]:
         """Move t on by k arrivals and return the reservoir's decision
@@ -178,7 +211,7 @@ class StreamState:
 
     def _store(self, edge: Edge, slot: int):
         """Put a kept edge in its slot, the one write to edges and adj
-        after from_prefix and fork: append it at slot len(edges), else
+        after they are built: append it at slot len(edges), else
         replace the stored edge there and take that one out of adj.
 
         A subclass that keeps an index over the sample defines
@@ -188,7 +221,7 @@ class StreamState:
         set is deleted, and with sign +1 for a new edge whose endpoints
         both have sets, before the adds.
         """
-        edges, adj, tally = self.edges, self.adj, self._tally
+        edges, adj, tally = self._edges, self._adj, self._tally
         if slot == len(edges):
             edges.append(edge)
         else:
@@ -220,8 +253,10 @@ class StreamState:
     @property
     def peak_stored(self) -> int:
         """The largest sample ever held, for memory-bound checks: the
-        sample never shrinks, so that is its size now."""
-        return len(self.edges)
+        sample fills one edge per arrival up to the budget and never
+        shrinks, so that is its size now, min(t, budget), whether or not
+        it is built."""
+        return min(self.t, self.budget)
 
     def fork(self, seed: int) -> StreamState:
         """A copy of this state for another seed, to go on with the same
@@ -239,11 +274,12 @@ class StreamState:
             raise RuntimeError(
                 f"cannot fork at t = {self.t} > budget {self.budget}: the "
                 "reservoir has already drawn from this seed's random numbers")
+        edges, adj = self.edges, self.adj  # an unbuilt sample is built first
         twin = copy.copy(self)
         twin.seed = seed
         twin.rng = random.Random(seed)
-        twin.edges = self.edges.copy()
-        twin.adj = {v: nbrs.copy() for v, nbrs in self.adj.items()}
+        twin._edges = edges.copy()
+        twin._adj = {v: nbrs.copy() for v, nbrs in adj.items()}
         if isinstance(self.degrees, Counter):
             twin.degrees = self.degrees.copy()
         for name in type(self).__slots__:

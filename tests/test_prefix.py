@@ -18,6 +18,7 @@ from streamdesc import (
 from streamdesc import gabe, maeve, patterns
 from streamdesc.harness import METHODS, _run_seeds
 from streamdesc.patterns import cycles4
+from streamdesc.reservoir import StreamState
 
 from conftest import (
     brute_force_counts, random_stream, triangles_per_edge, triangles_per_vertex)
@@ -84,18 +85,28 @@ def test_batch_state_equals_stepped_state(n, p, seed, isolated, data):
                 assert [x.hex() for x in da.values] == [x.hex() for x in dz.values]
 
 
+# above the cutoff, with about 33,000 K4s and about 30 triangles on an
+# edge, so at a WEDGE_CHUNK of 7 the pairs of one edge's triangles span
+# chunks
+DENSE = random_stream(34, 0.95, seed=7)
+
+
 def test_batch_counts_match_brute_force(small_corpus):
     gabe, maeve = METHODS["gabe"], METHODS["maeve"]
-    for stream in small_corpus:
+    assert len(DENSE) >= patterns.NUMPY_PREFIX_EDGES
+    for stream in [*small_corpus, DENSE]:
         m = len(stream)
         sub, _ = brute_force_counts(build_graph(stream))
-        state = gabe.from_prefix(stream, max(m, gabe.MIN_BUDGET))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "WEDGE_CHUNK", 7)
+            state = gabe.from_prefix(stream, max(m, gabe.MIN_BUDGET))
         assert [state.est[pid] for pid in STREAM_ESTIMATED] == [
             sub[pid - 1] for pid in STREAM_ESTIMATED]
         triangles = dict(triangles_per_vertex(stream.edges))
         assert nonzero(state.tri) == triangles
         state = maeve.from_prefix(stream, max(m, maeve.MIN_BUDGET))
         assert nonzero(state.tri) == triangles
+    assert sub[PatternId.K4 - 1] > 30_000  # DENSE's
 
 
 TOP = 10 ** 6
@@ -177,7 +188,7 @@ def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
     edges = labelled(stream, labels, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "WEDGE_CHUNK", chunk)
-        keys, names = ranked_keys(edges)
+        keys, names, _ = ranked_keys(edges)
         assert patterns.cycles4_wedges(keys, len(names)) == cycles4(adjacency(edges)) == brute
 
 
@@ -189,12 +200,18 @@ def test_wedge_passes_agree_with_brute_force(n, p, seed, labels, chunk):
 @example(n=90, p=0.5, seed=3, labels="negative", chunk=7)
 @example(n=90, p=0.2, seed=4, labels="beyond int64", chunk=CHUNKS[-1])
 def test_triangle_pass_agrees_with_brute_force(n, p, seed, labels, chunk):
-    edges = labelled(random_stream(n, p, seed), labels, seed)
+    stream = random_stream(n, p, seed)
+    edges = labelled(stream, labels, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "WEDGE_CHUNK", chunk)
-        keys, names = ranked_keys(edges)
-        tri, c = patterns.triangle_wedges(keys, len(names))
-    assert len(tri) == len(names) and len(c) == len(keys)
+        keys, names, degree = ranked_keys(edges)
+        tri, c, k4 = patterns.triangle_wedges(keys, len(names), k4=True)
+        assert patterns.triangle_wedges(keys, len(names))[2] is None
+    assert len(tri) == len(names) == len(degree) and len(c) == len(keys)
+    assert {x: d for x, d in zip(names.tolist(), degree.tolist()) if d} == Counter(
+        itertools.chain.from_iterable(edges))
+    if n <= 9:  # the brute force is C(n, 4) edge-subset enumerations
+        assert k4 == brute_force_counts(build_graph(stream))[0][PatternId.K4 - 1]
     per_vertex = {x: k for x, k in zip(names.tolist(), tri.tolist()) if k}
     assert per_vertex == dict(triangles_per_vertex(edges))
     per_edge = {frozenset(e): k for e, k in zip(label_pairs(keys, names), c.tolist()) if k}
@@ -203,13 +220,15 @@ def test_triangle_pass_agrees_with_brute_force(n, p, seed, labels, chunk):
     assert c.sum() == tri.sum()
 
 
-def wedge_counts(keys, names):
-    """triangle_wedges' nonzero counts per label in rank order and per
-    edge in key order, and cycles4_wedges, for ranked_keys' output."""
-    tri, c = patterns.triangle_wedges(keys, len(names))
-    return ([(x, k) for x, k in zip(names.tolist(), tri.tolist()) if k],
+def wedge_counts(keys, names, degree):
+    """ranked_keys' nonzero degrees per label in rank order, then
+    triangle_wedges' nonzero counts per label in rank order and per edge
+    in key order, its K4s, and cycles4_wedges, for ranked_keys' output."""
+    tri, c, k4 = patterns.triangle_wedges(keys, len(names), k4=True)
+    return ([(x, d) for x, d in zip(names.tolist(), degree.tolist()) if d],
+            [(x, k) for x, k in zip(names.tolist(), tri.tolist()) if k],
             [(e, k) for e, k in zip(label_pairs(keys, names), c.tolist()) if k],
-            patterns.cycles4_wedges(keys, len(names)))
+            k4, patterns.cycles4_wedges(keys, len(names)))
 
 
 @settings(max_examples=100)
@@ -235,13 +254,15 @@ def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
     # a dense graph, with dozens of wedges per edge: one int64 array over
     # all of them would pass the bound below on its own
     stream = random_stream(240, 0.7, seed=91)
-    keys, names = patterns.ranked_keys(stream.u, stream.v, stream.labels)
+    keys, names, _ = patterns.ranked_keys(stream.u, stream.v, stream.labels)
     n = len(names)
     row, nbr = np.divmod(keys, n)
     up = np.bincount(row[nbr > row], minlength=n)  # higher-ranked neighbours
     wedges = int((up * (up - 1) // 2).sum())
     expected = patterns.triangle_wedges(keys, n)
-    for chunk in (2 ** 10, 2 ** 12):
+    # with k4, gabe's call, the pairs of triangles on one edge, about
+    # 15 million K4s here, go in chunks of their own and hold no more
+    for k4, chunk in ((False, 2 ** 10), (False, 2 ** 12), (True, 2 ** 10)):
         # int64 values: a few per key, and a few per wedge of one chunk,
         # which ends within one up key's n wedges of the chunk size
         bound = 8 * (8 * len(keys) + 16 * (chunk + n))
@@ -250,12 +271,13 @@ def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
             mp.setattr(patterns, "WEDGE_CHUNK", chunk)
             tracemalloc.start()
             try:
-                got = patterns.triangle_wedges(keys, n)
+                got = patterns.triangle_wedges(keys, n, k4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < bound, (chunk, peak, bound)
-        assert all((a == b).all() for a, b in zip(got, expected))
+        assert peak < bound, (k4, chunk, peak, bound)
+        assert all((a == b).all() for a, b in zip(got[:2], expected[:2]))
+        assert (got[2] is None) == (not k4)
 
 
 NUMPY_PASSES = {
@@ -279,9 +301,9 @@ def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
             calls = []
             for name in ("cycles4", *above):
                 if hasattr(module, name):
-                    def spy(*args, name=name, real=getattr(module, name)):
+                    def spy(*args, name=name, real=getattr(module, name), **kwargs):
                         calls.append(name)
-                        return real(*args)
+                        return real(*args, **kwargs)
                     monkeypatch.setattr(module, name, spy)
             batch = batches[method] = METHODS[method].from_prefix(stream, m, 3)
             assert calls == (below if offset < 0 else above), (method, labels)
@@ -292,7 +314,7 @@ def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
                 stepped(method, prefix, m, 3, None), method), (method, labels)
             assert degrees(batch) == Counter(itertools.chain.from_iterable(stream.edges))
         # and gabe's 4-cycles against the other pass
-        keys, names = patterns.ranked_keys(stream.u[:m], stream.v[:m], stream.labels)
+        keys, names, _ = patterns.ranked_keys(stream.u[:m], stream.v[:m], stream.labels)
         assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
             keys, len(names)) == cycles4(adjacency(prefix))
 
@@ -318,6 +340,30 @@ def test_numpy_prefix_sums_equal_the_stepped_state_around_a_hub(labels):
             if k == m:  # the shared degrees against the stepped Counter
                 assert [x.hex() for x in batch.finalize().values] == [
                     x.hex() for x in step.finalize().values], (method, k)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_numpy_prefix_leaves_the_sample_unbuilt(method, monkeypatch):
+    # from the cutoff on, neither method's prefix reads the sample, so at
+    # b >= m, where no step runs, nothing builds it up to finalize; read
+    # afterwards, it is the stepped state's
+    stream = random_stream(100, 0.12, seed=71)
+    m = len(stream)
+    assert m >= patterns.NUMPY_PREFIX_EDGES
+    cls = METHODS[method]
+    step = stepped(method, stream.edges, m, 4, stream.n_hint)
+    want = [x.hex() for x in step.finalize().values]
+    built, build = [], StreamState._build
+    monkeypatch.setattr(StreamState, "_build", lambda state: (built.append(state), build(state)))
+    for b in (m, m + 5):
+        states = [cls.from_prefix(stream, b, 4), *_run_seeds(stream, cls, b, [4])]
+        for state in states:
+            assert [x.hex() for x in state.finalize().values] == want, b
+            assert state.t == state.peak_stored == m
+    assert built == []
+    batch = cls.from_prefix(stream, m, 4)
+    assert fields(batch, method) == fields(step, method)
+    assert built == [batch]
 
 
 @pytest.mark.parametrize("raw", [
