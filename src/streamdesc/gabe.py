@@ -75,7 +75,9 @@ class GabeState(StreamState):
         N(u) & N(v) on every edge of the built sample (x is on T(x)/2 of
         the common neighbourhoods C of its edges, and each K4 has 6
         edges, each seeing the opposite one from both its ends, in C),
-        and runs patterns.cycles4.  All of them count exactly, and the
+        and runs patterns.cycles4.  A prefix that is the whole stream
+        reads its columns as held (_prefix_columns, _prefix_sample), so
+        it draws no permutation.  All of them count exactly, and the
         sums are Python ints, so each estimate equals the stepped one bit
         for bit while partial sums stay below 2**53.
 
@@ -83,9 +85,9 @@ class GabeState(StreamState):
         wedges, nothing over all n vertices.
         """
         state = super().from_prefix(stream, budget, seed)
-        k = state.t
-        if k >= NUMPY_PREFIX_EDGES:
-            keys, labels, deg = ranked_keys(stream.u[:k], stream.v[:k], stream.labels)
+        if state.t >= NUMPY_PREFIX_EDGES:
+            u, v = state._prefix_columns(stream)
+            keys, labels, deg = ranked_keys(u, v, stream.labels)
             n = len(labels)
             c4 = cycles4_wedges(keys, n)
             tri, c, k4 = triangle_wedges(keys, n, k4=True)
@@ -97,15 +99,15 @@ class GabeState(StreamState):
             paw = sum((tri * (deg - 2)).tolist())
             tri = dict(zip(labels[on].tolist(), tri.tolist()))
             del labels, deg
-            _, a, b, d = dense_degrees(stream.u[:k], stream.v[:k])
+            _, a, b, d = dense_degrees(u, v)
             d -= 1
             path = sum((d[a] * d[b]).tolist())
-            del a, b, d
+            del u, v, a, b, d
         else:
-            adj = state.adj
+            edges, adj = state._prefix_sample(stream)
             tri2: dict[int, int] = {}
             diamond = path = k4x12 = 0
-            for u, v in state.edges:
+            for u, v in edges:
                 nu, nv = adj[u], adj[v]
                 path += (len(nu) - 1) * (len(nv) - 1)
                 common = nu & nv

@@ -48,6 +48,16 @@ class EdgeStream:
     one vertex is the same int object, as a relabelling dict would give,
     so the estimators' set and dict lookups take the identity shortcut.
 
+    A stream from preprocess holds its columns in the order cleaning
+    leaves them, with the seed of its shuffle pending: the first read of
+    the order (u, v, pairs, edges or iteration) draws the permutation,
+    shuffle(order, random.Random(seed)), and puts the columns in it,
+    once.  columns() hands out the columns as they are held, for readers
+    of the edge set alone (the degrees, the label range, build_graph, a
+    prefix that is the whole stream), so at b >= m with one replica, and
+    in the oracles, no permutation is drawn.  The edges, and every
+    ordered read, are those of shuffling up front.
+
     EdgeStream(pairs) holds a sequence of (u, v) pairs as given, in
     order, self-loops, duplicates and any labels included (build_graph
     and the estimators refuse them); an input that is neither empty nor
@@ -57,7 +67,7 @@ class EdgeStream:
     edge.
     """
 
-    __slots__ = ("labels", "u", "v", "n_hint")
+    __slots__ = ("labels", "_u", "_v", "_seed", "n_hint")
 
     def __init__(self, pairs, n_hint: int | None = None):
         pairs = np.asarray(pairs)
@@ -65,21 +75,54 @@ class EdgeStream:
             raise ValueError(f"expected (u, v) pairs, got an array of shape {pairs.shape}")
         labels, ends = dense_ends(pairs.reshape(-1))
         self.labels = np.array(labels.tolist(), dtype=object)
-        self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
+        self._u, self._v = ends[0::2].copy(), ends[1::2].copy()
+        self._seed = None
         self.n_hint = n_hint
 
     @classmethod
-    def from_columns(cls, labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> EdgeStream:
-        """The stream of edges (labels[u[i]], labels[v[i]]), with no copy."""
+    def from_columns(cls, labels: np.ndarray, u: np.ndarray, v: np.ndarray,
+                     seed: int | None = None) -> EdgeStream:
+        """The stream of edges (labels[u[i]], labels[v[i]]), with no copy;
+        with a seed, in the order shuffle(order, random.Random(seed))
+        gives them, drawn on the first ordered read."""
         stream = cls.__new__(cls)
-        stream.labels, stream.u, stream.v, stream.n_hint = labels, u, v, None
+        stream.labels, stream._u, stream._v = labels, u, v
+        stream._seed, stream.n_hint = seed, None
         return stream
+
+    def _order(self) -> None:
+        """Draw the pending permutation, if any, and put the columns in it."""
+        if self._seed is None:
+            return
+        # shuffle picks its swaps from the length and its random numbers
+        # alone, so shuffling positions and gathering the columns by them
+        # gives the order shuffling a list of the edges would.  An int64
+        # array shuffles about as fast as a list, with no int object per edge.
+        order = array.array("q", np.arange(len(self._u), dtype=np.int64).tobytes())
+        shuffle(order, random.Random(self._seed))
+        order = np.frombuffer(order, dtype=np.int64)
+        self._u, self._v, self._seed = self._u[order], self._v[order], None
+
+    @property
+    def u(self) -> np.ndarray:
+        """Each edge's first end, as an index into labels, in stream order."""
+        self._order()
+        return self._u
+
+    @property
+    def v(self) -> np.ndarray:
+        """Each edge's second end, as an index into labels, in stream order."""
+        self._order()
+        return self._v
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) as held, in stream order only once it is drawn: for a
+        reader of the edge set alone, which then draws no permutation."""
+        return self._u, self._v
 
     def pairs(self, start: int, stop: int) -> list[Edge]:
         """Edges start to stop - 1 (as a list slice clips them), as tuples."""
-        labels = self.labels
-        return list(zip(labels[self.u[start:stop]].tolist(),
-                        labels[self.v[start:stop]].tolist()))
+        return edge_tuples(self.labels, self.u[start:stop], self.v[start:stop])
 
     @property
     def edges(self) -> list[Edge]:
@@ -90,16 +133,15 @@ class EdgeStream:
         return iter(self.edges)
 
     def __len__(self) -> int:
-        return len(self.u)
+        return len(self._u)
 
     def _label_range(self) -> tuple[int, int]:
         """(lowest, highest) endpoint label; (0, -1) if empty.  labels is
         sorted, so these are the labels of the extreme indices."""
         if not len(self):
             return 0, -1
-        low = min(self.u.min(), self.v.min())
-        high = max(self.u.max(), self.v.max())
-        return self.labels[low], self.labels[high]
+        u, v = self.columns()
+        return self.labels[min(u.min(), v.min())], self.labels[max(u.max(), v.max())]
 
     @property
     def n(self) -> int:
@@ -109,6 +151,11 @@ class EdgeStream:
         if self.n_hint is not None:
             return self.n_hint
         return vertex_count(*self._label_range(), None)
+
+
+def edge_tuples(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Edge]:
+    """The edges (labels[u[i]], labels[v[i]]) as a list of tuples."""
+    return list(zip(labels[u].tolist(), labels[v].tolist()))
 
 
 def _label_pairs(raw_edges) -> np.ndarray:
@@ -196,21 +243,16 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
 
     Self-loops are dropped, duplicates (in either orientation) keep the
     first occurrence, labels are remapped to a contiguous 0-based range
-    in order of first appearance (see _simple_edges), and the result is
-    shuffled by a seeded permutation.  An input that is empty after
-    cleaning yields an empty stream, not an error.  A label that is not
-    an integer in [0, 2**63) raises ValueError naming its pair as given.
+    in order of first appearance (see _simple_edges), and the stream's
+    order is a seeded permutation of the result, which the stream draws
+    on its first ordered read (see EdgeStream), not here.  An input that
+    is empty after cleaning yields an empty stream, not an error.  A
+    label that is not an integer in [0, 2**63) raises ValueError naming
+    its pair as given.
     """
     lo, hi, n = _simple_edges(raw_edges)
-    # shuffle picks its swaps from the length and its random numbers
-    # alone, so shuffling positions and gathering the columns by them
-    # gives the order shuffling a list of the edges would.  An int64
-    # array shuffles about as fast as a list, with no int object per edge.
-    order = array.array("q", np.arange(len(lo), dtype=np.int64).tobytes())
-    shuffle(order, random.Random(seed))
-    order = np.frombuffer(order, dtype=np.int64)
     # One shared int object per vertex, as a relabelling dict would give.
-    return EdgeStream.from_columns(np.array(range(n), dtype=object), lo[order], hi[order])
+    return EdgeStream.from_columns(np.array(range(n), dtype=object), lo, hi, seed)
 
 
 def shuffle(x, rng: random.Random) -> None:
@@ -246,7 +288,9 @@ class Graph:
 
 
 def build_graph(stream: EdgeStream) -> Graph:
-    """Materialize a stream as an exact adjacency structure.
+    """Materialize a stream as an exact adjacency structure, from its
+    columns as held: the graph is the same in any order, so no
+    permutation is drawn.
 
     Self-loops, duplicate edges and labels outside [0, n) are rejected;
     run preprocess first on raw data.
@@ -254,7 +298,7 @@ def build_graph(stream: EdgeStream) -> Graph:
     n = vertex_count(*stream._label_range(), stream.n_hint)
     adj: list[set[int]] = [set() for _ in range(n)]
     m = 0
-    for u, v in stream:
+    for u, v in edge_tuples(stream.labels, *stream.columns()):
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if v in adj[u]:

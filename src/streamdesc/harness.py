@@ -20,7 +20,12 @@ a tuple only for an edge it stores.  The degrees are counted once per
 pass, in from_prefix, by np.bincount over the columns, into one int64
 array that every replica shares.  The prefix's sample is built only
 when a step or a fork first reads it, so a one-replica pass at b >= m
-whose prefix counts come from the numpy passes builds none.
+whose prefix counts come from the numpy passes builds none.  A stream
+from preprocess draws its permutation on the first read of its order
+(graph.EdgeStream): the degrees and a prefix that is the whole stream
+read its columns as held, and the pass reads the ordered columns only
+when a suffix is left, so a one-replica pass at b >= m, and the exact
+vectors error_vs_budget compares with, never draw it.
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which
@@ -100,16 +105,21 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
     stream.  The first min(b, m) edges draw no random number, so the
     first seed's state is built from them in one batch (from_prefix,
     which also counts the stream's degrees into the pair every state
-    shares) and then forked for the others.  The rest is sliced
-    BLOCK_EDGES edges at a time into a list of u labels and one of v
-    labels, and each block is handed to every state's step_ends in
-    turn, which steps it with its own random numbers and counts no
-    degree.  Any other iterable of pairs with an n_hint is read once,
-    into an EdgeStream."""
+    shares) and then forked for the others.  The rest, if any is left,
+    is sliced from the ordered columns, read once, BLOCK_EDGES edges at
+    a time into a list of u labels and one of v labels, and each block
+    is handed to every state's step_ends in turn, which steps it with
+    its own random numbers and counts no degree.  So with one seed at
+    b >= m nothing reads the stream's order, and a stream from
+    preprocess never draws its permutation (see EdgeStream).  Any other
+    iterable of pairs, a plain list among them, is read once into an
+    EdgeStream, with its n_hint if it has one."""
     if not isinstance(stream, EdgeStream):
-        stream = EdgeStream(list(stream), stream.n_hint)
+        stream = EdgeStream(list(stream), getattr(stream, "n_hint", None))
     first = cls.from_prefix(stream, b, seeds[0])
     states = [first, *(first.fork(s) for s in seeds[1:])]
+    if first.t == len(stream):
+        return states
     labels, u, v = stream.labels, stream.u, stream.v
     for i in range(first.t, len(stream), BLOCK_EDGES):
         us = labels[u[i:i + BLOCK_EDGES]].tolist()

@@ -165,12 +165,13 @@ class MaeveState(StreamState):
         stays unbuilt until a step or a reader asks for it; a smaller one
         intersects N(u) & N(v) on each edge of the built sample (x is on
         T(x)/2 of the common neighbourhoods of its edges) and sums the
-        sizes of its sampled neighbourhoods.
+        sizes of its sampled neighbourhoods.  A prefix that is the whole
+        stream reads its columns as held (_prefix_columns,
+        _prefix_sample), so it draws no permutation.
         """
         state = super().from_prefix(stream, budget, seed)
-        k = state.t
-        if k >= NUMPY_PREFIX_EDGES:
-            u, v = stream.u[:k], stream.v[:k]
+        if state.t >= NUMPY_PREFIX_EDGES:
+            u, v = state._prefix_columns(stream)
             keys, labels, _ = ranked_keys(u, v, stream.labels)
             tri = triangle_wedges(keys, len(labels))[0]
             on = np.flatnonzero(tri)
@@ -184,9 +185,9 @@ class MaeveState(StreamState):
             path = zip(stream.labels[index[on]].tolist(), path[on].astype(float).tolist())
             del index, a, b, d
         else:
-            adj = state.adj
+            edges, adj = state._prefix_sample(stream)
             tri2: dict[int, int] = {}
-            for u, v in state.edges:
+            for u, v in edges:
                 c = len(adj[u] & adj[v])
                 if c:
                     tri2[u] = tri2.get(u, 0) + c

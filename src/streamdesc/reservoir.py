@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from .errors import BudgetTooSmallError
-from .graph import Edge, EdgeStream, vertex_count
+from .graph import Edge, EdgeStream, edge_tuples, vertex_count
 
 
 class StreamState:
@@ -61,7 +61,11 @@ class StreamState:
     The sample, edges and adj, is built on first read.  A state from
     from_prefix holds only its stream until the first step_ends, fork or
     reader of either property builds it (_build), so a pass at b >= m
-    whose prefix counts need no sample never builds one.  _store reads
+    whose prefix counts need no sample never builds one.  _build reads
+    the stream's order; the counts of a prefix that is the whole stream
+    read its edges as held instead (_prefix_columns, _prefix_sample), so
+    a pass at b >= m that never builds the sample never draws the
+    stream's permutation either (see EdgeStream).  _store reads
     the built lists directly, so only a step_ends that has read adj
     calls it.
 
@@ -118,12 +122,13 @@ class StreamState:
         arrival order, no random number drawn.  The sample is left
         unbuilt, as a reference to the stream, until it is first read
         (see the class docstring).  The degrees are the shared pair of
-        the whole stream, counted here by np.bincount over both columns;
+        the whole stream, counted here by np.bincount over both columns
+        as held, in any order;
         subclasses add their counts, which the prefix graph determines,
         since every detection weight before the first draw is 1.
         """
         state = cls(budget, seed, stream.n_hint)
-        labels, u, v = stream.labels, stream.u, stream.v
+        labels, (u, v) = stream.labels, stream.columns()
         k = len(labels)
         state.degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
         state._edges = state._adj = None
@@ -137,11 +142,27 @@ class StreamState:
         and the sets of their ends, which hold the same int objects as
         the tuples; then drop the stream."""
         edges = self._prefix.pairs(0, self.budget)
-        adj: defaultdict[int, set[int]] = defaultdict(set)
-        for x, y in edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        self._edges, self._adj, self._prefix = edges, dict(adj), None
+        self._edges, self._adj, self._prefix = edges, _adjacency(edges), None
+
+    def _prefix_columns(self, stream: EdgeStream) -> tuple[np.ndarray, np.ndarray]:
+        """The index columns of the prefix, the first t edges of stream,
+        for a subclass's from_prefix to count: when the prefix is the
+        whole stream, its columns as held, which draws no permutation
+        (the counts of a graph are the same in any order)."""
+        if self.t < len(stream):
+            return stream.u[:self.t], stream.v[:self.t]
+        return stream.columns()
+
+    def _prefix_sample(self, stream: EdgeStream) -> tuple[list[Edge], dict[int, set[int]]]:
+        """(edges, adj) of the prefix, the first t edges of stream, for a
+        subclass's from_prefix to count: the sample, built, while a
+        suffix is left to step it; for a prefix that is the whole stream,
+        its edges as held and their sets, made apart from the sample,
+        which stays unbuilt, so no permutation is drawn."""
+        if self.t < len(stream):
+            return self.edges, self.adj
+        edges = edge_tuples(stream.labels, *stream.columns())
+        return edges, _adjacency(edges)
 
     @property
     def edges(self) -> list[Edge]:
@@ -348,6 +369,16 @@ class StreamState:
     def n(self) -> int:
         """The vertex count, by n_of over vertex_degrees' labels."""
         return self.n_of(self.vertex_degrees()[0])
+
+
+def _adjacency(edges: list[Edge]) -> dict[int, set[int]]:
+    """Each end's set of neighbours over edges, holding the same int
+    objects as the tuples."""
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    for x, y in edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    return dict(adj)
 
 
 def variance_bound(count: float, m_total: int, pattern_edges: int, b: int) -> float:

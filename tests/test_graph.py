@@ -21,7 +21,7 @@ from streamdesc import (
 from streamdesc.datasets import preferential_attachment_edges
 from streamdesc.errors import DataFormatError
 from streamdesc import graph
-from streamdesc.graph import int_columns, int_rows, shuffle, vertex_count
+from streamdesc.graph import edge_tuples, int_columns, int_rows, shuffle, vertex_count
 
 import reference
 
@@ -83,6 +83,43 @@ def test_preprocess_matches_reference(ids, labels, seed):
         assert stream.edges == expected
         assert len(stream) == len(expected)
         assert all(type(x) is int for edge in stream.edges for x in edge)
+
+
+# Each read of a stream's order, as a list of its edges.
+ORDERED_READS = {
+    "u then v": lambda s: [s.labels[s.u].tolist(), s.labels[s.v].tolist()],
+    "v then u": lambda s: [s.labels[s.v].tolist(), s.labels[s.u].tolist()][::-1],
+    "pairs": lambda s: s.pairs(0, len(s)),
+    "edges": lambda s: s.edges,
+    "iter": list,
+}
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       st.sampled_from(sorted(LABEL_MAPS)), st.integers(0, 3),
+       st.sampled_from(sorted(ORDERED_READS)), st.booleans())
+@example([(0, 1), (1, 2), (2, 0), (2, 3)], "dense", 7, "u then v", True)
+@settings(max_examples=300)
+def test_ordered_reads_give_the_reference_order(ids, labels, seed, first, order_free_first):
+    # the permutation is drawn on the first read of the order, whichever
+    # it is, and reads of the edge set alone before it do not move it
+    label = LABEL_MAPS[labels]
+    raw = [(label(a), label(b)) for a, b in ids]
+    expected = reference.preprocess(raw, seed)
+    stream = preprocess(raw, seed=seed)
+    if order_free_first:
+        held = edge_tuples(stream.labels, *stream.columns())
+        assert sorted(held) == sorted(expected)
+        assert len(stream) == len(expected)
+        assert build_graph(stream).m == len(expected)
+        assert stream.n == len({x for edge in expected for x in edge})
+    want = {name: read(EdgeStream(expected)) for name, read in ORDERED_READS.items()}
+    assert ORDERED_READS[first](stream) == want[first]
+    for name, read in ORDERED_READS.items():
+        assert read(stream) == want[name], name
+    assert stream.edges == expected
+    u, v = stream.columns()
+    assert u is stream.u and v is stream.v  # held in stream order once drawn
 
 
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),

@@ -35,12 +35,13 @@ from streamdesc import (
     maeve_process_edge,
     replicated,
 )
-from streamdesc.datasets import preferential_attachment_edges
+from streamdesc.datasets import gnp_edges, preferential_attachment_edges
 from streamdesc.errors import BudgetTooSmallError
+from streamdesc.cli import main
 from streamdesc.graph import derive_seed, preprocess
-from streamdesc import harness
+from streamdesc import graph, harness
 from streamdesc.harness import _run_seeds, graph_budgets
-from streamdesc.patterns import STREAM_ESTIMATED, PatternId
+from streamdesc.patterns import NUMPY_PREFIX_EDGES, STREAM_ESTIMATED, PatternId
 
 from conftest import random_stream
 from reference import ORACLE_LIMIT, gabe_finalize_values, maeve_finalize_values
@@ -546,6 +547,106 @@ def test_replicated_on_small_streams(stream, method, extra, replicas, seed):
         else:
             exact = exact_gabe_descriptor(g)
             assert np.allclose(d.values, exact.values, rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------ stream order
+
+
+def hexes(d: Descriptor) -> list[str]:
+    return [x.hex() for x in d.values]
+
+
+# (n, p, seed) of two G(n, p) graphs, one each side of NUMPY_PREFIX_EDGES
+ORDER_GRAPHS = ((30, 0.3, 91), (100, 0.12, 92))
+
+
+def order_streams():
+    """The ORDER_GRAPHS as random_stream makes them."""
+    streams = [random_stream(*g) for g in ORDER_GRAPHS]
+    assert len(streams[0]) < NUMPY_PREFIX_EDGES <= len(streams[1])
+    return streams
+
+
+def refuse_to_shuffle(x, rng):
+    raise AssertionError("a stream's permutation was drawn")
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_full_budget_pass_and_oracles_draw_no_permutation(method, monkeypatch, tmp_path, capsys):
+    # at b >= m one replica reads no order, and the oracles read the edge
+    # set alone, so a stream from preprocess never draws its permutation
+    monkeypatch.setattr(graph, "shuffle", refuse_to_shuffle)
+    for stream in order_streams():
+        m = len(stream)
+        exact = METHODS[method].exact(build_graph(stream))
+        for b in (m, m + 5):
+            d = replicated(stream, method, b, 1, 3)
+            assert (d.m, d.b) == (m, b)
+            assert np.allclose(d.values, exact.values, rtol=0, atol=1e-12)
+    for n, p, seed in ORDER_GRAPHS:
+        path = tmp_path / f"{n}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in gnp_edges(n, p, random.Random(seed))))
+        for argv in (["exact"], ["descriptor", "--budget", "1.0"]):
+            assert main([*argv, "--method", method, "--input", str(path)]) == 0
+    assert capsys.readouterr().out.count(f",{method},") == 4
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_a_sampled_pass_draws_the_permutation_once(method, monkeypatch):
+    # b < m: the first ordered read draws it, and every later one, of the
+    # replicas, of another pass or of error_vs_budget's next budget, reads
+    # the columns it left
+    draws = []
+    shuffle = graph.shuffle
+    monkeypatch.setattr(graph, "shuffle", lambda x, rng: (draws.append(len(x)), shuffle(x, rng)))
+    for stream in order_streams():
+        m = len(stream)
+        draws.clear()
+        replicated(stream, method, m // 2, 3, 5)
+        assert draws == [m]
+        replicated(stream, method, m // 3, 1, 5)
+        replicated(stream, method, m, 2, 5)
+        assert draws == [m]
+    ds = evb_dataset()
+    draws.clear()
+    error_vs_budget(ds, method, [0.5, 0.8, 1.0], trials=3, seed=6)
+    assert draws == [len(stream) for stream in ds.graphs]
+    draws.clear()
+    error_vs_budget(evb_dataset(), method, [1.0], trials=3, seed=6)
+    assert draws == []
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_bits_do_not_depend_on_an_earlier_read_of_the_order(method):
+    # at b >= m a pass over the columns as held and one over the drawn
+    # order give the same bits, with one replica or forks; below m, where
+    # the prefix is read in order (by the numpy passes on the larger
+    # stream), so do a pass that draws the order and one that finds it
+    for stream in order_streams():
+        m = len(stream)
+        for b in (m - 5, m, m + 5):
+            for replicas in (1, 2):
+                held = copy.copy(stream)
+                drawn = copy.copy(stream)
+                drawn.u
+                assert not np.array_equal(held.columns()[0], drawn.columns()[0])
+                assert hexes(replicated(held, method, b, replicas, 7)) == hexes(
+                    replicated(drawn, method, b, replicas, 7)), (m, b, replicas)
+
+
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_a_plain_list_runs_as_its_edge_stream(method):
+    edges = random_stream(30, 0.3, seed=97).edges
+    m = len(edges)
+    for b in (5, m // 2, m, m + 5):
+        for replicas in (1, 3):
+            assert hexes(replicated(edges, method, b, replicas, 2)) == hexes(
+                replicated(EdgeStream(edges), method, b, replicas, 2)), (b, replicas)
+    one = {"gabe": gabe_descriptor, "maeve": maeve_descriptor}[method]
+    assert hexes(one(edges, m // 2, 1)) == hexes(one(EdgeStream(edges), m // 2, 1))
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert hexes(replicated(triangle, "maeve", 3, 1, 0)) == hexes(
+        replicated(EdgeStream(triangle), "maeve", 3, 1, 0))
 
 
 # ------------------------------------------------------- batch computation
