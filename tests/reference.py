@@ -9,8 +9,11 @@ maeve's stack of separate feature arrays), the reservoir stepped one
 edge at a time that the block steps' draws and stores must reproduce,
 the same one-edge step on a package state (state_maybe_sample),
 canberra_matrix as one broadcast over all pairs, as it was before it
-filled its result a block of rows at a time, and preprocess as the list
-of tuples it built before a stream was held as columns.
+filled its result a block of rows at a time, preprocess as the list
+of tuples it built before a stream was held as columns, and the two
+synthetic graph generators as the plain loops they were before G(n, p)
+drew its pairs in numpy and preferential attachment its endpoints
+inline.
 """
 
 from __future__ import annotations
@@ -269,6 +272,45 @@ def shuffle(x, rng: random.Random) -> None:
     for i in range(len(x) - 1, 0, -1):
         j = randbelow(rng, i + 1)
         x[i], x[j] = x[j], x[i]
+
+
+def gnp_edges(n: int, p, rng: random.Random) -> list[tuple[int, int]]:
+    """One rng.random() per pair (u, v), u < v, in row-major order; the
+    pair is an edge when the draw is below p."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v))
+    return edges
+
+
+def choose(rng: random.Random, seq):
+    """An element of seq at an index drawn by randbelow: the draw
+    preferential attachment defines (rng.choice's on CPython 3.10-3.13)."""
+    return seq[randbelow(rng, len(seq))]
+
+
+def preferential_attachment_edges(
+    n: int, m_attach: int, rng: random.Random, pick=choose
+) -> list[tuple[int, int]]:
+    """Each vertex from m_attach on joins m_attach distinct targets, each
+    picked from the endpoint list of the edges so far (the first joins
+    vertices 0..m_attach-1); its edges follow in ascending target order."""
+    edges: list[tuple[int, int]] = []
+    weighted: list[int] = []
+    for v in range(m_attach, n):
+        if weighted:
+            targets: set[int] = set()
+            while len(targets) < m_attach:
+                targets.add(pick(rng, weighted))
+        else:
+            targets = set(range(m_attach))
+        for u in sorted(targets):
+            edges.append((u, v))
+            weighted.append(u)
+            weighted.append(v)
+    return edges
 
 
 def maybe_sample(state: ReferenceReservoir, edge: tuple[int, int]) -> None:

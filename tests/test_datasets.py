@@ -1,18 +1,24 @@
 """Benchmark bundle loading and the synthetic corpora."""
 
 import hashlib
+import math
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from streamdesc import build_graph, derive_seed, load_benchmark_dataset, preprocess
+from streamdesc import build_graph, datasets, derive_seed, load_benchmark_dataset, preprocess
 from streamdesc.datasets import (
     gnp_edges,
     preferential_attachment_edges,
     synthetic_two_class_dataset,
 )
 from streamdesc.errors import DataFormatError
+
+import reference
 
 
 def write_bundle(root, prefix="DS", a=None, indicator=None, labels=None):
@@ -211,6 +217,98 @@ def test_gnp_edges_density_plausible():
     assert abs(m - total / 2) < 4 * (total * 0.25) ** 0.5
 
 
+# int and str seeds, each for a fresh generator and for one that has
+# drawn and holds a pending gauss()
+SEEDS = st.one_of(st.integers(0, 2 ** 64), st.text(max_size=6))
+
+
+def twin_generators(seed, used):
+    rngs = random.Random(seed), random.Random(seed)
+    if used:
+        for rng in rngs:
+            rng.random()
+            rng.gauss(0.0, 1.0)
+            assert rng.getstate()[2] is not None
+    return rngs
+
+
+def assert_same_draws(got, want, rng, want_rng):
+    assert got == want
+    assert rng.getstate() == want_rng.getstate()
+    assert rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("bulk_pairs, chunk", [
+    (2 ** 62, datasets.GNP_CHUNK), (0, 1), (0, 7), (0, 4096)])
+@given(n=st.integers(0, 40),
+       p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, math.nan, 0, 1])),
+       seed=SEEDS, used=st.booleans())
+@example(n=40, p=math.nan, seed=0, used=True)
+@settings(max_examples=40, deadline=None)
+def test_gnp_edges_keep_the_reference_loop(bulk_pairs, chunk, n, p, seed, used):
+    # the numpy path (every graph of two or more vertices, with
+    # GNP_BULK_PAIRS at 0) and the loop give the per-pair loop's edges,
+    # in its order, and leave the generator where it leaves it, a
+    # pending gauss() included
+    rng, want_rng = twin_generators(seed, used)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "GNP_BULK_PAIRS", bulk_pairs)
+        patch.setattr(datasets, "GNP_CHUNK", chunk)
+        got = gnp_edges(n, p, rng)
+    assert_same_draws(got, reference.gnp_edges(n, p, want_rng), rng, want_rng)
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (200, 0.1, 3), (300, 0.5, "gnp_full:1"), (129, 1.0, 7), (150, 0.0, 8)])
+def test_gnp_edges_above_the_cutoff_keep_the_reference_loop(n, p, seed):
+    assert n * (n - 1) // 2 >= datasets.GNP_BULK_PAIRS
+    rng, want_rng = twin_generators(seed, used=True)
+    assert_same_draws(gnp_edges(n, p, rng), reference.gnp_edges(n, p, want_rng),
+                      rng, want_rng)
+
+
+def test_gnp_edges_leave_a_subclass_its_own_draws():
+    # a subclass may override random(); each pair must still call it
+    class Flipped(random.Random):
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return 1.0 - super().random()
+
+    n = 200
+    rng, want_rng = Flipped(4), Flipped(4)
+    assert_same_draws(gnp_edges(n, 0.2, rng), reference.gnp_edges(n, 0.2, want_rng),
+                      rng, want_rng)
+    assert rng.calls == n * (n - 1) // 2 + 1
+
+
+@given(m_attach=st.integers(1, 5), extra=st.integers(1, 60), seed=SEEDS,
+       used=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_preferential_attachment_keeps_the_reference_loop(m_attach, extra, seed, used):
+    n = m_attach + extra
+    rng, want_rng = twin_generators(seed, used)
+    assert_same_draws(preferential_attachment_edges(n, m_attach, rng),
+                      reference.preferential_attachment_edges(n, m_attach, want_rng),
+                      rng, want_rng)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] > (3, 13),
+    reason="choice matches reference.randbelow on CPython 3.10-3.13; "
+           "the rejection loop, not choice, defines the generator's draws")
+@pytest.mark.parametrize("n, m_attach, seed", [(300, 3, 0), (2_000, 5, "pa_stream:1")])
+def test_preferential_attachment_is_cpython_choice(n, m_attach, seed):
+    # where the endpoints were rng.choice's, they still are
+    rng, want_rng = twin_generators(seed, used=False)
+    assert_same_draws(
+        preferential_attachment_edges(n, m_attach, rng),
+        reference.preferential_attachment_edges(n, m_attach, want_rng,
+                                                pick=random.Random.choice),
+        rng, want_rng)
+
+
 def test_preferential_attachment_shape():
     from streamdesc import EdgeStream
 
@@ -248,6 +346,21 @@ def test_synthetic_two_class_dataset():
         digest.update(repr((stream.n_hint, list(stream))).encode())
     assert digest.hexdigest() == (
         "8ecb99080bc501d3c7f98d99ad14b1eabc54e7f107ecb7e4d6031f75203606a7")
+
+
+@pytest.mark.parametrize("n_range", [(2, 3), (5, 3), (0, 10), (3, 3), (-1, 4)])
+def test_synthetic_two_class_dataset_refuses_a_bad_n_range(n_range, monkeypatch):
+    # refused before any graph is drawn, whatever the seed
+    monkeypatch.setattr(datasets, "preferential_attachment_edges", None)
+    monkeypatch.setattr(datasets, "gnp_edges", None)
+    for seed in range(3):
+        with pytest.raises(ValueError, match=re.escape(f"n_range={n_range!r}")):
+            synthetic_two_class_dataset(per_class=3, n_range=n_range, seed=seed)
+
+
+def test_synthetic_two_class_dataset_smallest_n_range():
+    ds = synthetic_two_class_dataset(per_class=3, n_range=(4, 4), seed=2)
+    assert [s.n_hint for s in ds.graphs] == [4] * 6
 
 
 def test_dataset_length_validation():
