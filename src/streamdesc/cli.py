@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help=_DATASET_HELP)
     _add_budget_options(p)
     p.add_argument("--method", choices=tuple(METHODS), required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="independent replicas averaged per graph (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--repeats", type=_positive_int, default=10)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .descriptors import Descriptor
-from .graph import Edge, EdgeStream, Graph
+from .graph import Edge, Graph
 from .oracle import edge_centric_induced_counts, phi_from_induced
 from .patterns import (
-    NUMPY_PREFIX_EDGES, PatternId, STREAM_ESTIMATED, cycles4, cycles4_wedges,
-    dense_degrees, plain_counts, ranked_keys, subgraph_to_induced, triangle_wedges)
+    PatternId, STREAM_ESTIMATED, cycles4_wedges, dense_degrees, plain_counts,
+    ranked_keys, subgraph_to_induced, triangle_wedges)
 from .reservoir import StreamState
 
 # K4 detection needs its 5 other edges resident in the sample.
@@ -54,78 +54,44 @@ class GabeState(StreamState):
         self.est: dict[PatternId, float] = {pid: 0.0 for pid in STREAM_ESTIMATED}
         self.tri: dict[int, int] = {}
 
-    @classmethod
-    def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> GabeState:
-        """StreamState.from_prefix, with each estimate set to the prefix
-        graph's exact subgraph count and the index to its triangles per
-        vertex.
+    def _count_prefix(self, u: np.ndarray, v: np.ndarray, labels: np.ndarray) -> None:
+        """Set each estimate to the exact subgraph count of the prefix
+        graph (labels[u[i]], labels[v[i]]) and the index to its
+        triangles per vertex, as from_prefix asks.
 
         With d the degree, T(x) the triangles on vertex x and c those on
         an edge: path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw = sum T(x)
         (d_x - 2), diamond = sum C(c, 2), and K4 a pair of triangles on
-        one edge whose third vertices are joined.
+        one edge whose third vertices are joined.  patterns.ranked_keys
+        is built once from the index columns; T, c, K4 and the 4-cycles
+        come from triangle_wedges and cycles4_wedges, paw from T and
+        ranked_keys' degrees, and path-4's sum from the prefix degrees of
+        patterns.dense_degrees, as int64 products per vertex or edge
+        added as Python ints.  All of them count exactly, so each
+        estimate equals the stepped one bit for bit while partial sums
+        stay below 2**53.
 
-        A prefix of NUMPY_PREFIX_EDGES or more reads no sample, which
-        stays unbuilt until a step or a reader asks for it.  It builds
-        patterns.ranked_keys once from its index columns, and takes T, c,
-        K4 and the 4-cycles from triangle_wedges and cycles4_wedges, paw
-        from T and ranked_keys' degrees, and path-4's sum from the prefix
-        degrees of patterns.dense_degrees, as int64 products per vertex
-        or edge added as Python ints.  A smaller prefix intersects
-        N(u) & N(v) on every edge of the built sample (x is on T(x)/2 of
-        the common neighbourhoods C of its edges, and each K4 has 6
-        edges, each seeing the opposite one from both its ends, in C),
-        and runs patterns.cycles4.  A prefix that is the whole stream
-        reads its columns as held (_prefix_columns, _prefix_sample), so
-        it draws no permutation.  All of them count exactly, and the
-        sums are Python ints, so each estimate equals the stepped one bit
-        for bit while partial sums stay below 2**53.
-
-        The numpy passes hold O(prefix) int64 arrays and one chunk of
-        wedges, nothing over all n vertices.
+        The passes hold O(prefix) int64 arrays and one chunk of wedges,
+        nothing over all n vertices.
         """
-        state = super().from_prefix(stream, budget, seed)
-        if state.t >= NUMPY_PREFIX_EDGES:
-            u, v = state._prefix_columns(stream)
-            keys, labels, deg = ranked_keys(u, v, stream.labels)
-            n = len(labels)
-            c4 = cycles4_wedges(keys, n)
-            tri, c, k4 = triangle_wedges(keys, n, k4=True)
-            del keys
-            c = c[c > 1]  # the edges on two triangles or more
-            diamond = int((c * (c - 1)).sum()) // 2
-            on = np.flatnonzero(tri)
-            tri, deg = tri[on], deg[on]
-            paw = sum((tri * (deg - 2)).tolist())
-            tri = dict(zip(labels[on].tolist(), tri.tolist()))
-            del labels, deg
-            _, a, b, d = dense_degrees(u, v)
-            d -= 1
-            path = sum((d[a] * d[b]).tolist())
-            del u, v, a, b, d
-        else:
-            edges, adj = state._prefix_sample(stream)
-            tri2: dict[int, int] = {}
-            diamond = path = k4x12 = 0
-            for u, v in edges:
-                nu, nv = adj[u], adj[v]
-                path += (len(nu) - 1) * (len(nv) - 1)
-                common = nu & nv
-                if common:
-                    c = len(common)
-                    tri2[u] = tri2.get(u, 0) + c
-                    tri2[v] = tri2.get(v, 0) + c
-                    if c > 1:
-                        diamond += c * (c - 1) // 2
-                        k4x12 += sum([len(adj[x] & common) for x in common])
-            tri = {x: k // 2 for x, k in tri2.items()}
-            paw = sum([k * (len(adj[x]) - 2) for x, k in tri.items()])
-            c4, k4 = cycles4(adj), k4x12 // 12
-        state.tri = tri
-        triangles = sum(tri.values()) // 3
+        keys, ranked, deg = ranked_keys(u, v, labels)
+        n = len(ranked)
+        c4 = cycles4_wedges(keys, n)
+        tri, c, k4 = triangle_wedges(keys, n, k4=True)
+        del keys
+        c = c[c > 1]  # the edges on two triangles or more
+        diamond = int((c * (c - 1)).sum()) // 2
+        on = np.flatnonzero(tri)
+        tri, deg = tri[on], deg[on]
+        paw = sum((tri * (deg - 2)).tolist())
+        self.tri = dict(zip(ranked[on].tolist(), tri.tolist()))
+        del ranked, deg
+        _, a, b, d = dense_degrees(u, v)
+        d -= 1
+        path = sum((d[a] * d[b]).tolist())
+        triangles = sum(self.tri.values()) // 3
         counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4)
-        state.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
-        return state
+        self.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
 
     def step_ends(self, us: list[int], vs: list[int]) -> GabeState:
         """Step the block of stream edges (us[i], vs[i]), whose degrees

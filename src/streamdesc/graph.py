@@ -54,8 +54,8 @@ class EdgeStream:
     shuffle(order, random.Random(seed)), and puts the columns in it,
     once.  columns() hands out the columns as they are held, for readers
     of the edge set alone (the degrees, the label range, build_graph, a
-    prefix that is the whole stream), so at b >= m with one replica, and
-    in the oracles, no permutation is drawn.  The edges, and every
+    prefix that is the whole stream), so at b >= m, with any number of
+    replicas, and in the oracles, no permutation is drawn.  The edges, and every
     ordered read, are those of shuffling up front.
 
     EdgeStream(pairs) holds a sequence of (u, v) pairs as given, in

@@ -10,22 +10,24 @@ counts rather than finished descriptors matters because descriptor
 assembly is not linear in the counts.  Estimators of one stream and
 budget that differ only in their seed agree for the first b edges,
 which draw no random number and weigh every detection 1, so the state
-there is built once, in one batch from the stream's prefix
-(from_prefix), and forked per seed (_run_seeds).  The rest of the
+there is built once from the stream's prefix (from_prefix, which steps
+a short prefix that leaves a suffix and counts any other in numpy) and
+forked per seed (_run_seeds); at b >= m every seed's run is that one
+state, which is not forked.  The rest of the
 stream is sliced from the stream's int64 columns a block of BLOCK_EDGES
 edges at a time, as one list of each end's labels, and handed to every
 replica's step_ends in turn, so the pass holds O(BLOCK_EDGES) labels
 besides the samples and the columns (16 bytes per edge); a step builds
 a tuple only for an edge it stores.  The degrees are counted once per
 pass, in from_prefix, by np.bincount over the columns, into one int64
-array that every replica shares.  The prefix's sample is built only
-when a step or a fork first reads it, so a one-replica pass at b >= m
-whose prefix counts come from the numpy passes builds none.  A stream
-from preprocess draws its permutation on the first read of its order
+array that every replica shares.  A prefix counted in numpy leaves its
+sample unbuilt until a step or a fork first reads it, so a pass at
+b >= m, with any number of replicas, builds none.  A stream from
+preprocess draws its permutation on the first read of its order
 (graph.EdgeStream): the degrees and a prefix that is the whole stream
 read its columns as held, and the pass reads the ordered columns only
-when a suffix is left, so a one-replica pass at b >= m, and the exact
-vectors error_vs_budget compares with, never draw it.
+when a suffix is left, so a pass at b >= m, and the exact vectors
+error_vs_budget compares with, never draw it.
 
 compute_descriptors runs the graphs one after another on the calling
 thread and starts no thread: the estimators are Python code, which
@@ -103,23 +105,27 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
                seeds: list[int]) -> list[StreamState]:
     """One estimator per seed, in seed order, fed by one pass over the
     stream.  The first min(b, m) edges draw no random number, so the
-    first seed's state is built from them in one batch (from_prefix,
-    which also counts the stream's degrees into the pair every state
-    shares) and then forked for the others.  The rest, if any is left,
-    is sliced from the ordered columns, read once, BLOCK_EDGES edges at
-    a time into a list of u labels and one of v labels, and each block
-    is handed to every state's step_ends in turn, which steps it with
-    its own random numbers and counts no degree.  So with one seed at
-    b >= m nothing reads the stream's order, and a stream from
-    preprocess never draws its permutation (see EdgeStream).  Any other
+    first seed's state is built from them (from_prefix, which also
+    counts the stream's degrees into the pair every state shares).  At
+    b >= m no edge is left and no seed draws, so that one state is every
+    seed's, returned once per seed, with no fork and no sample built;
+    merging it with itself sums the same floats, left to right, as
+    merging identical forks would.  Otherwise it is forked for the other
+    seeds, and the rest of the stream is sliced from the ordered
+    columns, read once, BLOCK_EDGES edges at a time into a list of u
+    labels and one of v labels, and each block is handed to every
+    state's step_ends in turn, which steps it with its own random
+    numbers and counts no degree.  So at b >= m nothing reads the
+    stream's order, and a stream from preprocess never draws its
+    permutation (see EdgeStream).  Any other
     iterable of pairs, a plain list among them, is read once into an
     EdgeStream, with its n_hint if it has one."""
     if not isinstance(stream, EdgeStream):
         stream = EdgeStream(list(stream), getattr(stream, "n_hint", None))
     first = cls.from_prefix(stream, b, seeds[0])
-    states = [first, *(first.fork(s) for s in seeds[1:])]
     if first.t == len(stream):
-        return states
+        return [first] * len(seeds)
+    states = [first, *(first.fork(s) for s in seeds[1:])]
     labels, u, v = stream.labels, stream.u, stream.v
     for i in range(first.t, len(stream), BLOCK_EDGES):
         us = labels[u[i:i + BLOCK_EDGES]].tolist()

@@ -16,9 +16,9 @@ from math import sqrt
 import numpy as np
 
 from .descriptors import Descriptor
-from .graph import Edge, EdgeStream, Graph
+from .graph import Edge, Graph
 from .oracle import exact_vertex_features
-from .patterns import NUMPY_PREFIX_EDGES, dense_degrees, ranked_keys, triangle_wedges
+from .patterns import dense_degrees, ranked_keys, triangle_wedges
 from .reservoir import StreamState
 
 # A triangle's two prior edges must fit in the sample.
@@ -151,54 +151,27 @@ class MaeveState(StreamState):
         self.tri: dict[int, float] = defaultdict(float)
         self.path: dict[int, float] = defaultdict(float)
 
-    @classmethod
-    def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> MaeveState:
-        """StreamState.from_prefix, with tri[x] the prefix graph's
-        triangles on x and path[x] = sum over y in N(x) of (d_y - 1), for
-        every prefix vertex x.  Exact integers as floats, so equal to the
-        stepped counts bit for bit.
-
-        A prefix of NUMPY_PREFIX_EDGES or more takes the triangles from
-        patterns.triangle_wedges and the paths from the prefix degrees
-        of patterns.dense_degrees, added per edge into int64 (each sum
-        is below k**2 for k prefix edges), and reads no sample, which
-        stays unbuilt until a step or a reader asks for it; a smaller one
-        intersects N(u) & N(v) on each edge of the built sample (x is on
-        T(x)/2 of the common neighbourhoods of its edges) and sums the
-        sizes of its sampled neighbourhoods.  A prefix that is the whole
-        stream reads its columns as held (_prefix_columns,
-        _prefix_sample), so it draws no permutation.
+    def _count_prefix(self, u: np.ndarray, v: np.ndarray, labels: np.ndarray) -> None:
+        """Set tri[x] to the triangles on x of the prefix graph
+        (labels[u[i]], labels[v[i]]) and path[x] to the sum over y in
+        N(x) of (d_y - 1), for every prefix vertex x, as from_prefix
+        asks.  The triangles come from patterns.triangle_wedges and the
+        paths from the prefix degrees of patterns.dense_degrees, added
+        per edge into int64 (each sum is below k**2 for k prefix edges).
+        Exact integers as floats, so equal to the stepped counts bit for
+        bit.
         """
-        state = super().from_prefix(stream, budget, seed)
-        if state.t >= NUMPY_PREFIX_EDGES:
-            u, v = state._prefix_columns(stream)
-            keys, labels, _ = ranked_keys(u, v, stream.labels)
-            tri = triangle_wedges(keys, len(labels))[0]
-            on = np.flatnonzero(tri)
-            tri = zip(labels[on].tolist(), tri[on].astype(float).tolist())
-            del keys, labels
-            index, a, b, d = dense_degrees(u, v)
-            path = -d
-            np.add.at(path, a, d[b])
-            np.add.at(path, b, d[a])
-            on = np.flatnonzero(d)
-            path = zip(stream.labels[index[on]].tolist(), path[on].astype(float).tolist())
-            del index, a, b, d
-        else:
-            edges, adj = state._prefix_sample(stream)
-            tri2: dict[int, int] = {}
-            for u, v in edges:
-                c = len(adj[u] & adj[v])
-                if c:
-                    tri2[u] = tri2.get(u, 0) + c
-                    tri2[v] = tri2.get(v, 0) + c
-            tri = ((x, float(k // 2)) for x, k in tri2.items())
-            # a prefix vertex's degree is its number of sampled neighbours
-            path = ((x, float(sum(map(len, map(adj.__getitem__, nbrs))) - len(nbrs)))
-                    for x, nbrs in adj.items())
-        state.tri.update(tri)
-        state.path.update(path)
-        return state
+        keys, ranked, _ = ranked_keys(u, v, labels)
+        tri = triangle_wedges(keys, len(ranked))[0]
+        on = np.flatnonzero(tri)
+        self.tri.update(zip(ranked[on].tolist(), tri[on].astype(float).tolist()))
+        del keys, ranked
+        index, a, b, d = dense_degrees(u, v)
+        path = -d
+        np.add.at(path, a, d[b])
+        np.add.at(path, b, d[a])
+        on = np.flatnonzero(d)
+        self.path.update(zip(labels[index[on]].tolist(), path[on].astype(float).tolist()))
 
     def step_ends(self, us: list[int], vs: list[int]) -> MaeveState:
         """Step the block of stream edges (us[i], vs[i]), whose degrees

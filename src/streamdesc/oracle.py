@@ -40,14 +40,14 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
     - diamond   sum C(t, 2);
     - K4        the edges inside the part of C labelled above u and v,
                 so each K4 is counted once, at its lowest-labelled edge;
-    - cycle-4   from patterns.cycles4, the wedge pass gabe's batch
-                prefix runs below its numpy cutoff.
+    - cycle-4   from patterns.cycles4, a wedge pass over the adjacency
+                sets that no estimator runs.
 
-    The per-edge loop is the oracle's own: from NUMPY_PREFIX_EDGES
-    edges on, both methods' batch prefixes count triangles, and gabe's
-    its K4s, with patterns.triangle_wedges instead, so this loop checks
-    that pass independently.  The other eleven are patterns.plain_counts' closed
-    forms.  The induced counts follow by back-substitution through the
+    The per-edge loop and cycles4 are the oracle's own: a prefix counted
+    in one batch takes its triangles, and gabe's its K4s and 4-cycles,
+    from patterns.triangle_wedges and cycles4_wedges, and a stepped one
+    from the block step, so this checks both independently.  The other
+    eleven are patterns.plain_counts' closed forms.  The induced counts follow by back-substitution through the
     overlap matrix on Python ints, converted to float once at the end.
     Time is the sum of the per-edge intersections plus the wedge pass;
     memory is O(n + m) beyond the graph.

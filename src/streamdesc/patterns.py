@@ -133,19 +133,19 @@ def cycles4(adj) -> int:
     return pairs // 2
 
 
-# A batch prefix of at least this many edges counts its triangles with
-# triangle_wedges and, for gabe, its 4-cycles with cycles4_wedges; a
-# smaller one loops in Python over its adjacency (per-edge intersections
-# and cycles4).  Timed alone on a 2-vCPU host (median process time) on
-# preprocessed sparse G(n, 8/n) and preferential-attachment prefixes,
-# whose indices ranked_keys takes with no sort, gabe's numpy prefix
-# wins from under 250 edges and maeve's, which has no 4-cycles to save,
-# from about 500: numpy against Python, maeve takes 161 against 149 µs
-# on 507 G(n, p) edges, 162 against 164 µs on 496 PA edges, and 228
-# against 228 and 230 against 255 µs at ~750 (dense graphs cross
-# earlier).  One cutoff serves both: at 512 gabe's prefix takes about
-# half the time and maeve's at most ~10 µs more, and every graph of a
-# 30-60 vertex bundle (at most ~200 edges) stays in Python.
+# A prefix of fewer than this many edges that leaves a suffix is stepped
+# by the method's step_ends; any other is counted with ranked_keys,
+# triangle_wedges and, for gabe, cycles4_wedges (StreamState.from_prefix).
+# With a suffix the numpy count is followed by the sample build the
+# suffix needs, which stepping does as it goes.  Timed on a 2-vCPU host
+# (Python 3.11, numpy 2.4; median process time of from_prefix plus the
+# build) on preprocessed sparse G(n, 8/n) and preferential-attachment
+# streams, numpy plus the build overtakes stepping at about 80 edges for
+# both methods: at 60 edges it takes 1.2-1.4 times as long, at 100 edges
+# 0.8-0.9 times, at 250 about half (gabe 373 against 737 us, maeve 201
+# against 401 us on G(n, p)) and at 511 a third to a half.  Lowering the
+# cutoff toward that crossover is a speed change of its own, to be
+# measured end to end.
 NUMPY_PREFIX_EDGES = 512
 # About this many wedges are looked up at once by the two numpy passes.
 WEDGE_CHUNK = 2 ** 15

@@ -26,7 +26,8 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from .errors import BudgetTooSmallError
-from .graph import Edge, EdgeStream, edge_tuples, vertex_count
+from .graph import Edge, EdgeStream, vertex_count
+from .patterns import NUMPY_PREFIX_EDGES
 
 
 class StreamState:
@@ -36,13 +37,14 @@ class StreamState:
 
     The estimator protocol: State(budget, seed, n_hint);
     State.from_prefix(stream, budget, seed), the state stepping the
-    first min(budget, m) edges of an EdgeStream leaves, built in one
-    batch; step(edges), which counts a sequence of edges' degrees into
-    the Counter and hands their endpoint lists to step_ends(us, vs);
-    step_ends, which counts no degree, draws the reservoir's decisions
-    for the whole block with _draw, one slot or None per edge, then per
-    edge reads the pre-arrival sample (t, budget, adj), counts, and
-    stores the edge with _store in its slot if it has one; fork(seed) to
+    first min(budget, m) edges of an EdgeStream leaves, which it either
+    steps or counts in one batch with _count_prefix; step(edges), which
+    counts a sequence of edges' degrees into the Counter and hands their
+    endpoint lists to step_ends(us, vs); step_ends, which counts no
+    degree, draws the reservoir's decisions for the whole block with
+    _draw, one slot or None per edge, then per edge reads the
+    pre-arrival sample (t, budget, adj), counts, and stores the edge
+    with _store in its slot if it has one; fork(seed) to
     start another seed's run from this state while t <= budget;
     merge(others) to average replicas of one stream into this state;
     finalize(), which returns a Descriptor with m = t; State.exact(graph),
@@ -58,16 +60,16 @@ class StreamState:
     does degree_column, as one float column over the labels, and
     finalize reads it once, taking n from the same read (n_of).
 
-    The sample, edges and adj, is built on first read.  A state from
-    from_prefix holds only its stream until the first step_ends, fork or
-    reader of either property builds it (_build), so a pass at b >= m
-    whose prefix counts need no sample never builds one.  _build reads
-    the stream's order; the counts of a prefix that is the whole stream
-    read its edges as held instead (_prefix_columns, _prefix_sample), so
-    a pass at b >= m that never builds the sample never draws the
-    stream's permutation either (see EdgeStream).  _store reads
-    the built lists directly, so only a step_ends that has read adj
-    calls it.
+    The sample, edges and adj, is built on first read.  A state whose
+    prefix _count_prefix counted holds only its stream until the first
+    step_ends, fork or reader of either property builds it (_build), so
+    a pass at b >= m never builds one.  _build reads the stream's order;
+    a prefix that is the whole stream is counted from its columns as
+    held, so a pass at b >= m that never builds the sample never draws
+    the stream's permutation either (see EdgeStream).  A prefix that
+    from_prefix steps builds its sample as it goes.  _store reads the
+    built lists directly, so only a step_ends that has read adj calls
+    it.
 
     Single-writer: exactly one stream drives the reservoir, and after
     the build only _store writes edges and adj.  t counts the edges
@@ -75,12 +77,14 @@ class StreamState:
     min(t, budget), which is len(edges) once built, and evictions counts
     the stored edges replaced so far (_draw counts them, as it decides
     each block), so the sample has taken evictions + len(edges)
-    inserts.  A subclass defines step_ends,
-    finalize and exact, sets MIN_BUDGET and DETECTS (what a smaller
-    budget cannot detect), declares its per-run fields in __slots__
-    (dicts, which fork copies) and names in MERGED those that merge
-    averages.  One that keeps an extra index over the sample
-    defines _tally, which _store calls as edges enter and leave.
+    inserts.  A subclass defines step_ends, _count_prefix(u, v,
+    labels), which sets its estimates to the exact counts of the prefix
+    graph (labels[u[i]], labels[v[i]]) and reads no sample, finalize and
+    exact, sets MIN_BUDGET and DETECTS (what a smaller budget cannot
+    detect), declares its per-run fields in __slots__ (dicts, which fork
+    copies) and names in MERGED those that merge averages.  One that
+    keeps an extra index over the sample defines _tally, which _store
+    calls as edges enter and leave.
     """
 
     __slots__ = ("budget", "seed", "n_hint", "t", "rng", "_edges", "_adj",
@@ -118,22 +122,33 @@ class StreamState:
     @classmethod
     def from_prefix(cls, stream: EdgeStream, budget: int, seed: int = 0) -> StreamState:
         """The state that stepping the first min(budget, m) edges of a
-        simple stream leaves, built in one batch: all of them stored in
-        arrival order, no random number drawn.  The sample is left
-        unbuilt, as a reference to the stream, until it is first read
-        (see the class docstring).  The degrees are the shared pair of
-        the whole stream, counted here by np.bincount over both columns
-        as held, in any order;
-        subclasses add their counts, which the prefix graph determines,
-        since every detection weight before the first draw is 1.
+        simple stream leaves, with the degrees of the whole stream: the
+        shared pair, counted by np.bincount over both columns as held,
+        in any order.  No random number is drawn there and every
+        detection weight is 1, so the prefix is counted one of two ways,
+        to the same exact integers.  A prefix of fewer than
+        NUMPY_PREFIX_EDGES edges that leaves a suffix is stepped by the
+        subclass's step_ends, which builds the sample the suffix needs
+        as it goes.  Any other prefix, a whole stream of any size among
+        them, goes to the subclass's _count_prefix(u, v, labels), its
+        numpy passes over the prefix's index columns, and the sample is
+        left unbuilt, as a reference to the stream, until it is first
+        read (see the class docstring).  A whole stream hands over its
+        columns as held, so it draws no permutation.
         """
         state = cls(budget, seed, stream.n_hint)
         labels, (u, v) = stream.labels, stream.columns()
         k = len(labels)
         state.degrees = labels, np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+        t = min(state.budget, len(stream))
+        if t < len(stream):
+            u, v = stream.u[:t], stream.v[:t]
+            if t < NUMPY_PREFIX_EDGES:
+                state.step_ends(labels[u].tolist(), labels[v].tolist())
+                return state
         state._edges = state._adj = None
-        state._prefix = stream
-        state.t = min(state.budget, len(stream))
+        state._prefix, state.t = stream, t
+        state._count_prefix(u, v, labels)
         return state
 
     def _build(self) -> None:
@@ -143,26 +158,6 @@ class StreamState:
         the tuples; then drop the stream."""
         edges = self._prefix.pairs(0, self.budget)
         self._edges, self._adj, self._prefix = edges, _adjacency(edges), None
-
-    def _prefix_columns(self, stream: EdgeStream) -> tuple[np.ndarray, np.ndarray]:
-        """The index columns of the prefix, the first t edges of stream,
-        for a subclass's from_prefix to count: when the prefix is the
-        whole stream, its columns as held, which draws no permutation
-        (the counts of a graph are the same in any order)."""
-        if self.t < len(stream):
-            return stream.u[:self.t], stream.v[:self.t]
-        return stream.columns()
-
-    def _prefix_sample(self, stream: EdgeStream) -> tuple[list[Edge], dict[int, set[int]]]:
-        """(edges, adj) of the prefix, the first t edges of stream, for a
-        subclass's from_prefix to count: the sample, built, while a
-        suffix is left to step it; for a prefix that is the whole stream,
-        its edges as held and their sets, made apart from the sample,
-        which stays unbuilt, so no permutation is drawn."""
-        if self.t < len(stream):
-            return self.edges, self.adj
-        edges = edge_tuples(stream.labels, *stream.columns())
-        return edges, _adjacency(edges)
 
     @property
     def edges(self) -> list[Edge]:

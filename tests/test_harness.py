@@ -573,14 +573,15 @@ def refuse_to_shuffle(x, rng):
 
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_full_budget_pass_and_oracles_draw_no_permutation(method, monkeypatch, tmp_path, capsys):
-    # at b >= m one replica reads no order, and the oracles read the edge
-    # set alone, so a stream from preprocess never draws its permutation
+    # at b >= m no replica reads the order, nor is one forked from a
+    # sample built in it, and the oracles read the edge set alone, so a
+    # stream from preprocess never draws its permutation
     monkeypatch.setattr(graph, "shuffle", refuse_to_shuffle)
     for stream in order_streams():
         m = len(stream)
         exact = METHODS[method].exact(build_graph(stream))
-        for b in (m, m + 5):
-            d = replicated(stream, method, b, 1, 3)
+        for b, replicas in itertools.product((m, m + 5), (1, 3)):
+            d = replicated(stream, method, b, replicas, 3)
             assert (d.m, d.b) == (m, b)
             assert np.allclose(d.values, exact.values, rtol=0, atol=1e-12)
     for n, p, seed in ORDER_GRAPHS:

@@ -281,42 +281,81 @@ def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
 
 
 NUMPY_PASSES = {
-    "gabe": (gabe, ["ranked_keys", "cycles4_wedges", "triangle_wedges"], ["cycles4"]),
-    "maeve": (maeve, ["ranked_keys", "triangle_wedges"], []),
+    "gabe": (gabe, ["ranked_keys", "cycles4_wedges", "triangle_wedges"]),
+    "maeve": (maeve, ["ranked_keys", "triangle_wedges"]),
 }
+
+
+def spy_on_passes(method, monkeypatch):
+    """The list of calls, in order, to the method's numpy passes and to
+    patterns.cycles4, under any name the method's module binds it to,
+    which the spies put in from now on."""
+    module, passes = NUMPY_PASSES[method]
+    calls = []
+    owners = [(patterns, "cycles4"), *((module, name) for name in passes)]
+    owners += [(module, name) for name, x in vars(module).items() if x is patterns.cycles4]
+    for owner, name in owners:
+        def spy(*args, name=name, real=getattr(owner, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
     # the prefix of a longer stream, under labels that index themselves,
     # negative ones and ones beyond int64, whose stream holds them as
-    # Python ints in an object array
+    # Python ints in an object array: below the cutoff it is stepped,
+    # which builds the sample and runs no numpy pass and no cycles4;
+    # from the cutoff on the numpy passes count it and build no sample
     m = patterns.NUMPY_PREFIX_EDGES + offset
     for labels in ("dense", "negative", "beyond int64"):
         stream = EdgeStream(labelled(random_stream(100, 0.12, seed=71), labels, 71))
         assert len(stream) > m
         prefix = stream.edges[:m]
         batches = {}
-        for method, (module, above, below) in NUMPY_PASSES.items():
-            calls = []
-            for name in ("cycles4", *above):
-                if hasattr(module, name):
-                    def spy(*args, name=name, real=getattr(module, name), **kwargs):
-                        calls.append(name)
-                        return real(*args, **kwargs)
-                    monkeypatch.setattr(module, name, spy)
+        for method in METHODS:
+            calls = spy_on_passes(method, monkeypatch)
             batch = batches[method] = METHODS[method].from_prefix(stream, m, 3)
-            assert calls == (below if offset < 0 else above), (method, labels)
+            assert calls == ([] if offset < 0 else NUMPY_PASSES[method][1]), (method, labels)
+            assert (batch._edges is None) == (offset >= 0), (method, labels)
             monkeypatch.undo()
             # each side of the cutoff against the stepped state, field by
             # field, and the degrees of the whole stream
             assert fields(batch, method) == fields(
                 stepped(method, prefix, m, 3, None), method), (method, labels)
             assert degrees(batch) == Counter(itertools.chain.from_iterable(stream.edges))
-        # and gabe's 4-cycles against the other pass
+        # and gabe's 4-cycles against the other passes
         keys, names, _ = patterns.ranked_keys(stream.u[:m], stream.v[:m], stream.labels)
         assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
             keys, len(names)) == cycles4(adjacency(prefix))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 511])
+def test_whole_stream_takes_the_numpy_passes_at_any_size(m, monkeypatch):
+    # a prefix that is the whole stream, below the cutoff too, goes to
+    # _count_prefix, which builds no sample, and its state, read
+    # afterwards, and its descriptor have the stepped state's bits
+    assert m < patterns.NUMPY_PREFIX_EDGES
+    edges = random_stream(100, 0.12, seed=71).edges[:m]
+    assert len(edges) == m
+    stream = EdgeStream(edges, 100)
+    built, build = [], StreamState._build
+    monkeypatch.setattr(StreamState, "_build", lambda state: (built.append(state), build(state)))
+    for method, cls in METHODS.items():
+        b = max(m, cls.MIN_BUDGET)
+        with pytest.MonkeyPatch.context() as spies:
+            calls = spy_on_passes(method, spies)
+            batch = cls.from_prefix(stream, b, 6)
+        assert calls == NUMPY_PASSES[method][1], method
+        step = stepped(method, edges, b, 6, 100)
+        assert [x.hex() for x in batch.finalize().values] == [
+            x.hex() for x in step.finalize().values], method
+        assert built == [], method
+        assert fields(batch, method) == fields(step, method), method
+        assert built == [batch], method
+        built.clear()
 
 
 @pytest.mark.parametrize("labels", ["dense", "sparse"])
@@ -345,8 +384,9 @@ def test_numpy_prefix_sums_equal_the_stepped_state_around_a_hub(labels):
 @pytest.mark.parametrize("method", ["gabe", "maeve"])
 def test_numpy_prefix_leaves_the_sample_unbuilt(method, monkeypatch):
     # from the cutoff on, neither method's prefix reads the sample, so at
-    # b >= m, where no step runs, nothing builds it up to finalize; read
-    # afterwards, it is the stepped state's
+    # b >= m, where no step runs and no replica is forked, nothing builds
+    # it up to finalize, for any number of replicas, each of which gives
+    # the stepped state's bits; read afterwards, it is the stepped state's
     stream = random_stream(100, 0.12, seed=71)
     m = len(stream)
     assert m >= patterns.NUMPY_PREFIX_EDGES
@@ -360,6 +400,9 @@ def test_numpy_prefix_leaves_the_sample_unbuilt(method, monkeypatch):
         for state in states:
             assert [x.hex() for x in state.finalize().values] == want, b
             assert state.t == state.peak_stored == m
+        for replicas in (2, 3, 4):
+            got = replicated(stream, method, b, replicas, 4)
+            assert [x.hex() for x in got.values] == want, (b, replicas)
     assert built == []
     batch = cls.from_prefix(stream, m, 4)
     assert fields(batch, method) == fields(step, method)

@@ -127,7 +127,8 @@ def test_block_steps_keep_the_reference_reservoir(method, block, stream, data):
     # decisions in one loop, leave every replica's reservoir as the
     # reference stepped one edge at a time with the same seed leaves it;
     # so do steps from an empty state, whose blocks also append and may
-    # cross t = budget
+    # cross t = budget.  At budget >= m no seed draws, so every seed gets
+    # the first seed's one state, which is that seed's reference
     cls = METHODS[method]
     m = len(stream)
     budget = data.draw(st.integers(cls.MIN_BUDGET, max(cls.MIN_BUDGET, m + 2)), "budget")
@@ -136,6 +137,9 @@ def test_block_steps_keep_the_reference_reservoir(method, block, stream, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "BLOCK_EDGES", block)
         states = _run_seeds(stream, cls, budget, seeds)
+    if budget >= m:
+        assert states[1] is states[0]
+        seeds[1] = seeds[0]
     stepped = cls(budget, seeds[0])
     for i in range(0, m, block):
         stepped.step(stream.edges[i:i + block])
