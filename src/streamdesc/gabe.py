@@ -45,6 +45,7 @@ class GabeState(StreamState):
     __slots__ = ("est", "tri")
     MERGED = ("est",)  # the triangle index only serves the steps
 
+    METHOD = "gabe"
     MIN_BUDGET = MIN_GABE_BUDGET
     DETECTS = "6-edge patterns"
     exact = staticmethod(exact_gabe_descriptor)
@@ -62,33 +63,33 @@ class GabeState(StreamState):
         With d the degree, T(x) the triangles on vertex x and c those on
         an edge: path-4 = sum (d_u - 1)(d_v - 1) - 3T, paw = sum T(x)
         (d_x - 2), diamond = sum C(c, 2), and K4 a pair of triangles on
-        one edge whose third vertices are joined.  patterns.ranked_keys
-        is built once from the index columns; T, c, K4 and the 4-cycles
-        come from triangle_wedges and cycles4_wedges, paw from T and
-        ranked_keys' degrees, and path-4's sum from the prefix degrees of
-        patterns.dense_degrees, as int64 products per vertex or edge
-        added as Python ints.  All of them count exactly, so each
-        estimate equals the stepped one bit for bit while partial sums
-        stay below 2**53.
+        one edge whose third vertices are joined.  patterns.dense_degrees
+        compacts the index columns and counts the prefix degrees once,
+        and ranked_keys ranks its ends; T, c, K4 and the 4-cycles come
+        from triangle_wedges and cycles4_wedges, paw from T and the
+        degrees, and path-4's sum from the degrees, as int64 products
+        per vertex or edge added as Python ints.  All of them count
+        exactly, so each estimate equals the stepped one bit for bit
+        while partial sums stay below 2**53.
 
         The passes hold O(prefix) int64 arrays and one chunk of wedges,
         nothing over all n vertices.
         """
-        keys, ranked, deg = ranked_keys(u, v, labels)
-        n = len(ranked)
+        index, a, b, deg = dense_degrees(u, v)
+        keys, order = ranked_keys(a, b, deg)
+        n = len(order)
         c4 = cycles4_wedges(keys, n)
         tri, c, k4 = triangle_wedges(keys, n, k4=True)
         del keys
         c = c[c > 1]  # the edges on two triangles or more
         diamond = int((c * (c - 1)).sum()) // 2
         on = np.flatnonzero(tri)
-        tri, deg = tri[on], deg[on]
-        paw = sum((tri * (deg - 2)).tolist())
-        self.tri = dict(zip(ranked[on].tolist(), tri.tolist()))
-        del ranked, deg
-        _, a, b, d = dense_degrees(u, v)
-        d -= 1
-        path = sum((d[a] * d[b]).tolist())
+        tri, on = tri[on], order[on]  # the dense ends on a triangle
+        paw = sum((tri * (deg[on] - 2)).tolist())
+        self.tri = dict(zip(labels[index[on]].tolist(), tri.tolist()))
+        del order, on
+        deg -= 1
+        path = sum((deg[a] * deg[b]).tolist())
         triangles = sum(self.tri.values()) // 3
         counts = (triangles, path - 3 * triangles, c4, paw, diamond, k4)
         self.est = {pid: float(k) for pid, k in zip(STREAM_ESTIMATED, counts)}
@@ -214,21 +215,17 @@ class GabeState(StreamState):
         self.est.update(zip(STREAM_ESTIMATED, (e_tri, e_path, e_c4, e_paw, e_dia, e_k4)))
         return self
 
-    def finalize(self) -> Descriptor:
-        """Assemble the descriptor once the stream is fully consumed.
+    def _values(self, n: int, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The 17 frequencies finalize asks for, from the plain counts
+        through the overlap matrix.
 
         Induced estimates can come out negative under sampling noise; they
         are kept raw rather than clamped, which preserves unbiasedness.
         """
-        labels, degrees = self.vertex_degrees()
-        n = self.n_of(labels)
-        counts = np.array(plain_counts(
-            n, self.t, degrees,
+        plain = np.array(plain_counts(
+            n, self.t, counts.tolist(),
             [self.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
-        phi = phi_from_induced(subgraph_to_induced(counts), n)
-        return Descriptor(
-            graph_id=0, method="gabe", b=self.budget, seed=self.seed,
-            n=n, m=self.t, values=phi)
+        return phi_from_induced(subgraph_to_induced(plain), n)
 
     def _tally(self, u: int, v: int, nu: set[int], nv: set[int], sign: int):
         """Move the triangle index by the sampled edge u-v entering (sign

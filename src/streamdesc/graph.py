@@ -26,12 +26,15 @@ def vertex_count(low: int, high: int, n_hint: int | None) -> int:
     """Vertex count of a graph whose labels lie in [low, high] (high is
     -1 when there are none): n_hint when given, else high + 1.
 
-    A negative label, or one at or above n_hint, raises ValueError.
+    A negative label, a negative n_hint, or a label at or above n_hint
+    raises ValueError.
     """
     if low < 0:
         raise ValueError(f"vertex labels must be non-negative, got {low}")
     if n_hint is None:
         return high + 1
+    if n_hint < 0:
+        raise ValueError(f"n_hint must be non-negative, got {n_hint}")
     if n_hint <= high:
         raise ValueError(f"n_hint={n_hint} is below max vertex label {high}")
     return n_hint
@@ -145,11 +148,12 @@ class EdgeStream:
 
     @property
     def n(self) -> int:
-        """Vertex count: n_hint when given, without a scan (build_graph
-        and the estimators check the labels against it), else by
-        vertex_count over the columns' label range (0 if empty)."""
+        """Vertex count by vertex_count: a given n_hint is checked alone,
+        without a scan (build_graph and the estimators check the labels
+        against it), else the columns' label range gives it (0 if
+        empty)."""
         if self.n_hint is not None:
-            return self.n_hint
+            return vertex_count(0, -1, self.n_hint)
         return vertex_count(*self._label_range(), None)
 
 

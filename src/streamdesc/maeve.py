@@ -66,6 +66,7 @@ def features_from_counts(degree, triangles, paths, out=None) -> VertexFeatures:
     array of shape (5, *degree's shape) that must not hold the inputs,
     in FEATURE_NAMES order; without one a fresh one is made.  The
     returned fields are views of its rows (scalars for scalar inputs).
+    Intermediate sums go into rows written later, not into temporaries.
     """
     d = np.asarray(degree, dtype=float)
     tri = np.asarray(triangles, dtype=float)
@@ -76,11 +77,14 @@ def features_from_counts(degree, triangles, paths, out=None) -> VertexFeatures:
     rows = [out[j, ...] for j in range(5)]
     deg, clustering, avg_neighbor_degree, egonet_edges, egonet_boundary = rows
     np.copyto(deg, d)
-    np.divide(tri, d * (d - 1) / 2, out=clustering, where=d >= 2)
+    # d (d - 1) / 2, in the row written last
+    pairs = np.subtract(d, 1, out=egonet_boundary)
+    np.divide(np.multiply(d, pairs, out=pairs), 2, out=pairs)
+    np.divide(tri, pairs, out=clustering, where=d >= 2)
     # (d + paths) / d rather than 1 + paths/d: on exact inputs the
     # numerator equals the integer sum of neighbor degrees, so the
     # division result matches the egonet oracle bit for bit.
-    np.divide(d + paths, d, out=avg_neighbor_degree, where=d > 0)
+    np.divide(np.add(d, paths, out=egonet_edges), d, out=avg_neighbor_degree, where=d > 0)
     np.add(d, tri, out=egonet_edges)
     np.subtract(paths, np.multiply(tri, 2.0, out=egonet_boundary), out=egonet_boundary)
     # [()] turns a 0-d row into a scalar and leaves arrays as they are
@@ -142,6 +146,7 @@ class MaeveState(StreamState):
     __slots__ = ("tri", "path")
     MERGED = __slots__
 
+    METHOD = "maeve"
     MIN_BUDGET = MIN_MAEVE_BUDGET
     DETECTS = "triangles"
     exact = staticmethod(exact_maeve_descriptor)
@@ -155,18 +160,20 @@ class MaeveState(StreamState):
         """Set tri[x] to the triangles on x of the prefix graph
         (labels[u[i]], labels[v[i]]) and path[x] to the sum over y in
         N(x) of (d_y - 1), for every prefix vertex x, as from_prefix
-        asks.  The triangles come from patterns.triangle_wedges and the
-        paths from the prefix degrees of patterns.dense_degrees, added
-        per edge into int64 (each sum is below k**2 for k prefix edges).
+        asks.  patterns.dense_degrees compacts the index columns and
+        counts the prefix degrees once; the triangles come from
+        triangle_wedges over ranked_keys' ranking of its ends and the
+        paths from its degrees, added per edge into int64 (each sum is
+        below k**2 for k prefix edges).
         Exact integers as floats, so equal to the stepped counts bit for
         bit.
         """
-        keys, ranked, _ = ranked_keys(u, v, labels)
-        tri = triangle_wedges(keys, len(ranked))[0]
-        on = np.flatnonzero(tri)
-        self.tri.update(zip(ranked[on].tolist(), tri[on].astype(float).tolist()))
-        del keys, ranked
         index, a, b, d = dense_degrees(u, v)
+        keys, order = ranked_keys(a, b, d)
+        tri = triangle_wedges(keys, len(order))[0]
+        on = np.flatnonzero(tri)
+        self.tri.update(zip(labels[index[order[on]]].tolist(), tri[on].astype(float).tolist()))
+        del keys, order
         path = -d
         np.add.at(path, a, d[b])
         np.add.at(path, b, d[a])
@@ -221,27 +228,25 @@ class MaeveState(StreamState):
                 store((u, v), slot)
         return self
 
-    def finalize(self) -> Descriptor:
-        """Aggregate per-vertex features into the 20-value moment descriptor.
-
-        Every addressable vertex in [0, n) contributes a row, including
-        isolated ones declared only through n_hint.
+    def _values(self, n: int, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The 20 moments finalize asks for.  Every addressable vertex in
+        [0, n) contributes a row, including isolated ones declared only
+        through n_hint.  The degree column is filled at labels as they
+        come, with no copy when they are already int64 indices.
         """
-        n, degrees = self.degree_column()
         values = np.zeros(20)
         if n > 0:
-            columns = [degrees]
-            for counts in (self.tri, self.path):
-                column = np.zeros(n)
-                k = len(counts)
-                column[np.fromiter(counts, int, k)] = np.fromiter(counts.values(), float, k)
-                columns.append(column)
+            inputs = np.zeros((3, n))  # degree, triangle and path columns
+            inputs[0, labels.astype(np.int64, copy=False)] = counts
+            for i, estimates in ((1, self.tri), (2, self.path)):
+                k = len(estimates)
+                inputs[i, np.fromiter(estimates, int, k)] = np.fromiter(
+                    estimates.values(), float, k)
             table = np.zeros((5, n))
-            features_from_counts(*columns, out=table)
+            features_from_counts(*inputs, out=table)
+            del inputs  # before _moment_vector's buffer
             values = _moment_vector(table)
-        return Descriptor(
-            graph_id=0, method="maeve", b=self.budget, seed=self.seed,
-            n=n, m=self.t, values=values)
+        return values
 
 
 def maeve_process_edge(state: MaeveState, edge: Edge) -> MaeveState:

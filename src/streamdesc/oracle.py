@@ -47,8 +47,10 @@ def edge_centric_induced_counts(g: Graph) -> PatternCounts:
     in one batch takes its triangles, and gabe's its K4s and 4-cycles,
     from patterns.triangle_wedges and cycles4_wedges, and a stepped one
     from the block step, so this checks both independently.  The other
-    eleven are patterns.plain_counts' closed forms.  The induced counts follow by back-substitution through the
-    overlap matrix on Python ints, converted to float once at the end.
+    eleven are patterns.plain_counts' closed forms.
+
+    The induced counts follow by back-substitution through the overlap
+    matrix on Python ints, converted to float once at the end.
     Time is the sum of the per-edge intersections plus the wedge pass;
     memory is O(n + m) beyond the graph.
     """

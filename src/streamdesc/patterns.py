@@ -162,25 +162,23 @@ def dense_degrees(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     return index, a, b, np.bincount(ends)
 
 
-def ranked_keys(u: np.ndarray, v: np.ndarray,
-                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, ranked, degree) for the edges (labels[u[i]], labels[v[i]])
-    between vertices of degree > 1: one key rank_x * n + rank_y per
-    direction of each, sorted, with the n vertices ranked by (degree,
-    label) as cycles4 ranks them, ranked[r] the label of rank r and
-    degree[r] its degree over all the edges.  u and v are int64 index
-    columns into labels, which is sorted, as an EdgeStream holds them.
+def ranked_keys(a: np.ndarray, b: np.ndarray,
+                deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, order) for the edges (a[i], b[i]) of dense_degrees, deg
+    their degrees, between vertices of degree > 1: one key rank_x * n +
+    rank_y per direction of each, sorted, with the n = len(deg) dense
+    ends ranked by (degree, index) as cycles4 ranks them by (degree,
+    label), and order[r] the dense end of rank r.  The caller maps
+    ranks to labels: labels[index[order[r]]] with dense_degrees'
+    index, over an EdgeStream's sorted labels.
 
-    dense_degrees compacts the indices, so each array is O(len(u))
-    whatever the labels.  Indices that already lie in [0, 4 * len(u)),
-    as those of a long prefix of a preprocessed stream do, index
-    themselves with no sort; an index there that no edge holds ranks
-    first, with degree 0, and owns no key.  The sorted keys are a CSR
-    of the ranked graph: row x lists x's neighbours in rank order, and
-    those below r end where x * n + r sorts, which for a neighbour r is
-    its own key.
+    Each array is O(len(a)) whatever the labels.  A dense end that no
+    edge holds, as where dense_degrees lets indices index themselves,
+    ranks first, with degree 0, and owns no key.  The sorted keys are a
+    CSR of the ranked graph: row x lists x's neighbours in rank order,
+    and those below r end where x * n + r sorts, which for a neighbour r
+    is its own key.
     """
-    index, a, b, deg = dense_degrees(u, v)
     n = len(deg)
     order = deg.argsort(kind="stable")
     rank = order.argsort()
@@ -188,7 +186,7 @@ def ranked_keys(u: np.ndarray, v: np.ndarray,
     a, b = rank[a[core]], rank[b[core]]
     keys = np.concatenate([a * n + b, b * n + a])
     keys.sort()
-    return keys, labels[index[order]], deg[order]
+    return keys, order
 
 
 def cycles4_wedges(keys: np.ndarray, n: int) -> int:

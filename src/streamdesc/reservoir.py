@@ -25,6 +25,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from .descriptors import Descriptor
 from .errors import BudgetTooSmallError
 from .graph import Edge, EdgeStream, vertex_count
 from .patterns import NUMPY_PREFIX_EDGES
@@ -47,7 +48,8 @@ class StreamState:
     with _store in its slot if it has one; fork(seed) to
     start another seed's run from this state while t <= budget;
     merge(others) to average replicas of one stream into this state;
-    finalize(), which returns a Descriptor with m = t; State.exact(graph),
+    finalize(), which returns a Descriptor with m = t, its n and values
+    from the degrees and the subclass's estimates; State.exact(graph),
     the oracle descriptor.
 
     degrees holds the exact degrees in one of two forms, and how the
@@ -56,9 +58,9 @@ class StreamState:
     a pair (labels, counts): the stream's sorted label array and an
     int64 array of the degree of each label's index, counted once for
     the whole stream, which its forks share; step refuses it, so it is
-    stepped only by step_ends.  vertex_degrees reads either form, as
-    does degree_column, as one float column over the labels, and
-    finalize reads it once, taking n from the same read (n_of).
+    stepped only by step_ends.  Only step, fork and _seen_degrees tell
+    the forms apart: _seen_degrees reads either as arrays of the seen
+    labels and their degrees in label order, which finalize reads once.
 
     The sample, edges and adj, is built on first read.  A state whose
     prefix _count_prefix counted holds only its stream until the first
@@ -79,8 +81,10 @@ class StreamState:
     each block), so the sample has taken evictions + len(edges)
     inserts.  A subclass defines step_ends, _count_prefix(u, v,
     labels), which sets its estimates to the exact counts of the prefix
-    graph (labels[u[i]], labels[v[i]]) and reads no sample, finalize and
-    exact, sets MIN_BUDGET and DETECTS (what a smaller budget cannot
+    graph (labels[u[i]], labels[v[i]]) and reads no sample, _values(n,
+    labels, counts), the descriptor's values from the vertex count and
+    _seen_degrees, and exact, sets METHOD (the descriptor's method
+    name), MIN_BUDGET and DETECTS (what a smaller budget cannot
     detect), declares its per-run fields in __slots__ (dicts, which fork
     copies) and names in MERGED those that merge averages.  One that
     keeps an extra index over the sample defines _tally, which _store
@@ -90,6 +94,7 @@ class StreamState:
     __slots__ = ("budget", "seed", "n_hint", "t", "rng", "_edges", "_adj",
                  "_prefix", "evictions", "degrees")
 
+    METHOD: str
     MIN_BUDGET: int
     DETECTS: str
     MERGED: tuple[str, ...]
@@ -317,53 +322,33 @@ class StreamState:
                     total[key] = total.get(key, 0.0) + x
             setattr(self, name, {key: x / len(states) for key, x in total.items()})
 
-    def vertex_degrees(self) -> tuple[list[int], list[int]]:
-        """(labels, degrees): the label and exact degree of every vertex
-        seen so far, as Python ints, in one order, read from either form
-        of degrees; in the pair form, in label order."""
-        if isinstance(self.degrees, Counter):
-            return list(self.degrees), list(self.degrees.values())
-        labels, counts = self.degrees
+    def _seen_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, counts): every vertex seen so far, in label order,
+        and its exact degree, as arrays.  A Counter's labels go into an
+        object array; the pair is read at its seen indices, which stand
+        in for the labels when these are 0 to len - 1, as a preprocessed
+        stream's are, so no Python int is made per vertex."""
+        degrees = self.degrees
+        if isinstance(degrees, Counter):
+            labels = sorted(degrees)
+            counts = np.fromiter(map(degrees.__getitem__, labels), np.int64, len(labels))
+            return np.array(labels, dtype=object), counts
+        labels, counts = degrees
         seen = np.flatnonzero(counts)
-        return labels[seen].tolist(), counts[seen].tolist()
+        dense = not len(labels) or (labels[0], labels[-1]) == (0, len(labels) - 1)
+        return seen if dense else labels[seen], counts[seen]
 
-    def n_of(self, labels) -> int:
-        """Vertex count by vertex_count over labels, the list
-        vertex_degrees gives (or, in the pair form, the same labels as
-        an object array), so a label outside [0, n) fails here, at
-        finalize, not per edge.  In the pair form the labels are sorted,
-        so their extremes are their ends."""
-        if not len(labels):
-            return vertex_count(0, -1, self.n_hint)
-        if isinstance(self.degrees, Counter):
-            return vertex_count(min(labels), max(labels), self.n_hint)
-        return vertex_count(labels[0], labels[-1], self.n_hint)
-
-    def degree_column(self) -> tuple[int, np.ndarray]:
-        """(n, column): the vertex count, by n_of, and a float array of
-        every vertex's exact degree, indexed by label over [0, n).  The
-        pair form fills it from counts at the seen indices, which are the
-        labels when the labels are 0 to len - 1, as a preprocessed
-        stream's are, with no Python int per vertex."""
-        if isinstance(self.degrees, Counter):
-            labels, degrees = self.vertex_degrees()
-            n = self.n_of(labels)
-            column = np.zeros(n)
-            k = len(labels)
-            column[np.fromiter(labels, int, k)] = np.fromiter(degrees, float, k)
-        else:
-            labels, counts = self.degrees
-            seen = np.flatnonzero(counts)
-            n = self.n_of(labels[seen])
-            column = np.zeros(n)
-            dense = not len(labels) or (labels[0], labels[-1]) == (0, len(labels) - 1)
-            column[seen if dense else labels[seen].astype(np.int64)] = counts[seen]
-        return n, column
-
-    @property
-    def n(self) -> int:
-        """The vertex count, by n_of over vertex_degrees' labels."""
-        return self.n_of(self.vertex_degrees()[0])
+    def finalize(self) -> Descriptor:
+        """The descriptor of the stream so far, with m = t: n by
+        vertex_count over the extreme seen labels and n_hint, so a label
+        outside [0, n) fails here, not per edge, and the values of the
+        subclass's _values(n, labels, counts) over _seen_degrees."""
+        labels, counts = self._seen_degrees()
+        low, high = labels[[0, -1]].tolist() if len(labels) else (0, -1)
+        n = vertex_count(low, high, self.n_hint)
+        return Descriptor(
+            graph_id=0, method=self.METHOD, b=self.budget, seed=self.seed,
+            n=n, m=self.t, values=self._values(n, labels, counts))
 
 
 def _adjacency(edges: list[Edge]) -> dict[int, set[int]]:

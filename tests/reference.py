@@ -13,20 +13,23 @@ filled its result a block of rows at a time, preprocess as the list
 of tuples it built before a stream was held as columns, and the two
 synthetic graph generators as the plain loops they were before G(n, p)
 drew its pairs in numpy and preferential attachment its endpoints
-inline.
+inline, and the exact degrees and vertex count of a state, read from
+either form of its degrees as the state's own readers did before
+finalize took one reader of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from math import comb, sqrt
 
 import numpy as np
 
 from streamdesc.errors import BudgetTooSmallError
 from streamdesc.gabe import GabeState
-from streamdesc.graph import Graph
+from streamdesc.graph import Graph, vertex_count
 from streamdesc.maeve import MaeveState, _moment_vector
 from streamdesc.oracle import phi_from_induced
 from streamdesc.patterns import (
@@ -122,22 +125,41 @@ def subgraph_to_induced(counts: np.ndarray) -> np.ndarray:
     return x
 
 
+def vertex_degrees(state: StreamState) -> tuple[list[int], list[int]]:
+    """(labels, degrees): the label and exact degree of every vertex the
+    state has seen, as Python ints, in one order: a Counter's items, or
+    the shared pair (labels, counts) at its nonzero counts."""
+    if isinstance(state.degrees, Counter):
+        return list(state.degrees), list(state.degrees.values())
+    labels, counts = state.degrees
+    seen = np.flatnonzero(counts)
+    return labels[seen].tolist(), counts[seen].tolist()
+
+
+def vertex_count_of(state: StreamState) -> int:
+    """The state's vertex count by vertex_count over the labels
+    vertex_degrees gives and its n_hint."""
+    labels = vertex_degrees(state)[0]
+    return vertex_count(min(labels, default=0), max(labels, default=-1), state.n_hint)
+
+
 def gabe_finalize_values(state: GabeState) -> np.ndarray:
     """GabeState.finalize's values, solved by subgraph_to_induced above."""
+    n = vertex_count_of(state)
     counts = np.array(plain_counts(
-        state.n, state.t, state.vertex_degrees()[1],
+        n, state.t, vertex_degrees(state)[1],
         [state.est[pid] for pid in STREAM_ESTIMATED]), dtype=float)
-    return phi_from_induced(subgraph_to_induced(counts), state.n)
+    return phi_from_induced(subgraph_to_induced(counts), n)
 
 
 def maeve_finalize_values(state: MaeveState) -> np.ndarray:
     """MaeveState.finalize's values from three dense columns, the five
     features as separate arrays, and a stacked copy of them."""
-    n = state.n
+    n = vertex_count_of(state)
     if n == 0:
         return np.zeros(20)
     columns = []
-    for labels, counts in (state.vertex_degrees(), (state.tri, state.tri.values()),
+    for labels, counts in (vertex_degrees(state), (state.tri, state.tri.values()),
                            (state.path, state.path.values())):
         column = np.zeros(n)
         k = len(counts)
@@ -173,7 +195,7 @@ def closed_form_counts(state: GabeState) -> dict[PatternId, float]:
 
     Triangle-plus-isolated is the one entry built on an estimate.
     """
-    counts = plain_counts(state.n, state.t, state.vertex_degrees()[1],
+    counts = plain_counts(vertex_count_of(state), state.t, vertex_degrees(state)[1],
                           [state.est[pid] for pid in STREAM_ESTIMATED])
     return {pid: float(counts[pid - 1])
             for pid in PatternId if pid not in STREAM_ESTIMATED}

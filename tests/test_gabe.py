@@ -78,9 +78,9 @@ def test_estimates_exact_when_budget_covers_stream(small_corpus):
 def test_state_bookkeeping():
     state = run_state(K4_EDGES, budget=6)
     assert state.t == 6
-    assert state.n == 4
+    assert state.finalize().n == 4
     assert sum(state.degrees.values()) == 12
-    assert run_state([], budget=5, n_hint=9).n == 9
+    assert run_state([], budget=5, n_hint=9).finalize().n == 9
 
 
 def test_closed_form_counts_k3():

@@ -44,7 +44,7 @@ from streamdesc.harness import _run_seeds, graph_budgets
 from streamdesc.patterns import NUMPY_PREFIX_EDGES, STREAM_ESTIMATED, PatternId
 
 from conftest import random_stream
-from reference import ORACLE_LIMIT, gabe_finalize_values, maeve_finalize_values
+from reference import ORACLE_LIMIT, gabe_finalize_values, maeve_finalize_values, vertex_degrees
 
 FINALIZE_REFERENCE = {"gabe": gabe_finalize_values, "maeve": maeve_finalize_values}
 
@@ -195,7 +195,7 @@ def test_stepping_a_fork_leaves_the_parent_unchanged(method):
     parent = METHODS[method].from_prefix(stream, b, 1)
     fields = ("edges", "adj", *RUN_FIELDS[method])
     before = copy.deepcopy({name: getattr(parent, name) for name in fields})
-    degrees = parent.vertex_degrees()
+    degrees = vertex_degrees(parent)
     twin = parent.fork(2)
     rest = stream.pairs(b, len(stream))
     twin.step_ends([u for u, _ in rest], [v for _, v in rest])
@@ -204,7 +204,7 @@ def test_stepping_a_fork_leaves_the_parent_unchanged(method):
         assert getattr(parent, name) == before[name], name
         assert getattr(twin, name) != before[name], name
     # the whole stream's degrees, which the pair shares, stay as they were
-    assert twin.degrees is parent.degrees and parent.vertex_degrees() == degrees
+    assert twin.degrees is parent.degrees and vertex_degrees(parent) == degrees
 
 
 def run_fields(state, method):
@@ -212,7 +212,7 @@ def run_fields(state, method):
     def hexed(counts):
         return {k: x.hex() if isinstance(x, float) else x for k, x in counts.items()}
     return (state.t, state.peak_stored, state.edges, state.adj,
-            dict(zip(*state.vertex_degrees())),
+            dict(zip(*vertex_degrees(state))),
             state.rng.getstate(), *(hexed(getattr(state, name)) for name in RUN_FIELDS[method]))
 
 
@@ -436,6 +436,27 @@ def test_estimators_refuse_labels_outside_range(method):
             replicated(negative, method, b, 1, 0)
 
 
+@pytest.mark.parametrize("method", ["gabe", "maeve"])
+def test_negative_n_hint_is_refused_by_name(method):
+    # vertex_count refuses it before it compares any label with it, for
+    # build_graph, EdgeStream.n and the finalize of either degree form
+    message = "n_hint must be non-negative, got -1"
+    cls = METHODS[method]
+    for edges in ([], [(0, 1), (1, 2)]):
+        stream = EdgeStream(edges, n_hint=-1)
+        with pytest.raises(ValueError, match=message):
+            build_graph(stream)
+        with pytest.raises(ValueError, match=message):
+            stream.n
+        bare = cls(cls.MIN_BUDGET, 0, -1)
+        bare.step(edges)
+        shared = cls.from_prefix(stream, cls.MIN_BUDGET)
+        assert isinstance(bare.degrees, Counter) and isinstance(shared.degrees, tuple)
+        for state in (bare, shared):
+            with pytest.raises(ValueError, match=message):
+                state.finalize()
+
+
 def shared_degree_streams():
     """A preprocessed PA stream, whose labels index themselves, and the
     same edges with every label x written as 100 x, which EdgeStream
@@ -469,10 +490,9 @@ def test_shared_degrees_finalize_as_edge_steps(method, monkeypatch):
                 for replicas in (1, 2, 3):
                     states = _run_seeds(stream, cls, b, seeds[:replicas])
                     for state, want in zip(states, wants):
-                        labels, degrees = state.vertex_degrees()
-                        assert len(labels) == len(counted)
-                        for label, degree in zip(labels, degrees):
-                            assert type(degree) is int and degree == counted[label]
+                        labels, degrees = state._seen_degrees()
+                        assert degrees.dtype == np.int64
+                        assert dict(zip(labels.tolist(), degrees.tolist())) == counted
                         got = state.finalize()
                         assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
                         assert (got.n, got.m, got.b) == (want.n, want.m, want.b)

@@ -291,12 +291,20 @@ def test_finalize_peak_memory_not_above_the_stacked_form():
     state.degrees.update(dict(enumerate(rng.integers(1, 50, n).tolist())))
     state.tri.update(enumerate(rng.uniform(0, 100, n).tolist()))
     state.path.update(enumerate(rng.uniform(0, 1000, n).tolist()))
-    peaks = []
-    for finalize in (MaeveState.finalize, maeve_finalize_values):
-        tracemalloc.start()
-        try:
-            finalize(state)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1], peaks
+    # and a from_prefix state, which reads the shared pair of a stream
+    # whose last 100 vertices are known only through n_hint
+    ring = n - 100
+    edges = [(x, (x + k) % ring) for k in (1, 2) for x in range(ring)]
+    shared = MaeveState.from_prefix(EdgeStream(edges, n_hint=n), 2)
+    shared.tri.update(enumerate(rng.uniform(0, 100, ring).tolist()))
+    shared.path.update(enumerate(rng.uniform(0, 1000, ring).tolist()))
+    for form in (state, shared):
+        peaks = []
+        for finalize in (MaeveState.finalize, maeve_finalize_values):
+            tracemalloc.start()
+            try:
+                finalize(form)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks

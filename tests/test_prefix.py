@@ -22,6 +22,7 @@ from streamdesc.reservoir import StreamState
 
 from conftest import (
     brute_force_counts, random_stream, triangles_per_edge, triangles_per_vertex)
+from reference import vertex_count_of, vertex_degrees
 
 
 def stepped(method, edges, budget, seed, n_hint):
@@ -39,7 +40,7 @@ def nonzero(counts, form=lambda x: x):
 
 def degrees(state):
     """{label: degree} of every vertex the state has seen."""
-    return dict(zip(*state.vertex_degrees()))
+    return dict(zip(*vertex_degrees(state)))
 
 
 def fields(state, method):
@@ -133,7 +134,7 @@ def test_batch_memory_follows_the_prefix_not_n(method, edges):
         tracemalloc.stop()
     assert peak < 1_000_000
     assert state.t == state.peak_stored == m
-    assert state.n == TOP + 1
+    assert vertex_count_of(state) == TOP + 1
 
 
 def adjacency(edges):
@@ -163,10 +164,18 @@ def labelled(stream, labels, seed):
             for u, v in stream.edges]
 
 
+def ranked(u, v, labels):
+    """patterns.ranked_keys over dense_degrees of the index columns (u,
+    v): its keys, the label of each rank and that vertex's degree."""
+    index, a, b, deg = patterns.dense_degrees(u, v)
+    keys, order = patterns.ranked_keys(a, b, deg)
+    return keys, labels[index[order]], deg[order]
+
+
 def ranked_keys(edges):
-    """patterns.ranked_keys over the index columns of EdgeStream(edges)."""
+    """ranked over the index columns of EdgeStream(edges)."""
     stream = EdgeStream(edges)
-    return patterns.ranked_keys(stream.u, stream.v, stream.labels)
+    return ranked(stream.u, stream.v, stream.labels)
 
 
 def label_pairs(keys, labels):
@@ -244,17 +253,17 @@ def test_ranked_keys_indexes_dense_labels_as_np_unique_would(n, p, seed, labels)
     stream = EdgeStream(labelled(random_stream(n, p, seed), labels, seed))
     for k in (len(stream), len(stream) // 4):
         columns = stream.u[:k], stream.v[:k], stream.labels
-        got = wedge_counts(*patterns.ranked_keys(*columns))
+        got = wedge_counts(*ranked(*columns))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(patterns, "dense_ends", lambda flat: np.unique(flat, return_inverse=True))
-            assert wedge_counts(*patterns.ranked_keys(*columns)) == got
+            assert wedge_counts(*ranked(*columns)) == got
 
 
 def test_triangle_pass_memory_follows_m_and_the_chunk_not_the_wedges():
     # a dense graph, with dozens of wedges per edge: one int64 array over
     # all of them would pass the bound below on its own
     stream = random_stream(240, 0.7, seed=91)
-    keys, names, _ = patterns.ranked_keys(stream.u, stream.v, stream.labels)
+    keys, names, _ = ranked(stream.u, stream.v, stream.labels)
     n = len(names)
     row, nbr = np.divmod(keys, n)
     up = np.bincount(row[nbr > row], minlength=n)  # higher-ranked neighbours
@@ -327,9 +336,28 @@ def test_from_prefix_takes_numpy_from_the_cutoff(offset, monkeypatch):
                 stepped(method, prefix, m, 3, None), method), (method, labels)
             assert degrees(batch) == Counter(itertools.chain.from_iterable(stream.edges))
         # and gabe's 4-cycles against the other passes
-        keys, names, _ = patterns.ranked_keys(stream.u[:m], stream.v[:m], stream.labels)
+        keys, names, _ = ranked(stream.u[:m], stream.v[:m], stream.labels)
         assert batches["gabe"].est[PatternId.CYCLE_4] == patterns.cycles4_wedges(
             keys, len(names)) == cycles4(adjacency(prefix))
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_numpy_prefix_compacts_its_ends_once(method, monkeypatch):
+    # _count_prefix compacts the prefix's ends and counts its degrees
+    # with one dense_degrees call, which ranked_keys reads, whether it
+    # is called through patterns or through the method's module
+    calls = []
+    real = patterns.dense_degrees
+    def spy(u, v):
+        calls.append(len(u))
+        return real(u, v)
+    for owner in (patterns, NUMPY_PASSES[method][0]):
+        monkeypatch.setattr(owner, "dense_degrees", spy)
+    stream = random_stream(100, 0.12, seed=71)
+    for m in (patterns.NUMPY_PREFIX_EDGES, len(stream)):
+        del calls[:]
+        METHODS[method].from_prefix(stream, m, 0)
+        assert calls == [m]
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 511])
