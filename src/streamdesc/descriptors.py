@@ -52,6 +52,14 @@ class Descriptor:
         return self.n < MIN_ORDER[self.method]
 
 
+def _canberra_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| / (|x| + |y|) elementwise, broadcast, and 0 where both
+    entries are 0."""
+    num = np.abs(x - y)
+    den = np.abs(x) + np.abs(y)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
 def canberra(x, y) -> float:
     """Sum over coordinates of |x_i - y_i| / (|x_i| + |y_i|).
 
@@ -62,10 +70,7 @@ def canberra(x, y) -> float:
     ay = np.asarray(y, dtype=float)
     if ax.shape != ay.shape:
         raise ValueError(f"length mismatch: {ax.shape} vs {ay.shape}")
-    num = np.abs(ax - ay)
-    den = np.abs(ax) + np.abs(ay)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(terms.sum())
+    return float(_canberra_terms(ax, ay).sum())
 
 
 def canberra_matrix(xs, ys) -> np.ndarray:
@@ -73,26 +78,22 @@ def canberra_matrix(xs, ys) -> np.ndarray:
 
     The result is filled a block of rows of xs at a time, so the
     temporaries hold about CANBERRA_BLOCK_TERMS terms, or one row's
-    len(ys) * dim when that is more.  Each entry is the same sum over
-    its dim terms that canberra takes, whatever the block.
+    len(ys) * dim when that is more.  Each entry sums _canberra_terms
+    as canberra does, so it has canberra's bits whatever the block.
     """
     a = np.asarray(xs, dtype=float)
     b = np.asarray(ys, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible shapes: {a.shape} vs {b.shape}")
     out = np.empty((len(a), len(b)))
-    abs_b = np.abs(b)
     step = max(1, CANBERRA_BLOCK_TERMS // max(1, b.size))
     for i in range(0, len(a), step):
-        block = a[i:i + step, None, :]
-        num = np.abs(block - b)
-        den = np.abs(block) + abs_b
-        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        out[i:i + step] = terms.sum(axis=2)
+        out[i:i + step] = _canberra_terms(a[i:i + step, None, :], b).sum(axis=2)
     return out
 
 
-def _check_single_method(descriptors) -> None:
+def check_single_method(descriptors) -> None:
+    """Refuse a collection whose descriptors come from more than one method."""
     methods = {d.method for d in descriptors}
     if len(methods) > 1:
         raise ValueError(f"mixed methods in one collection: {sorted(methods)}")
@@ -111,7 +112,7 @@ def write_descriptors(descriptors, fh, format: str = "csv") -> None:
     """
     _check_format(format)
     descriptors = sorted(descriptors, key=lambda d: d.graph_id)
-    _check_single_method(descriptors)
+    check_single_method(descriptors)
     if format == "csv":
         writer = csv.writer(fh)
         dim = len(descriptors[0].values) if descriptors else 0
@@ -131,7 +132,7 @@ def save_descriptors(descriptors, path, format: str = "csv") -> None:
     a refused call leaves an existing file as it was."""
     descriptors = list(descriptors)
     _check_format(format)
-    _check_single_method(descriptors)
+    check_single_method(descriptors)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_descriptors(descriptors, fh, format)
 

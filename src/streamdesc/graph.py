@@ -73,10 +73,7 @@ class EdgeStream:
     __slots__ = ("labels", "_u", "_v", "_seed", "n_hint")
 
     def __init__(self, pairs, n_hint: int | None = None):
-        pairs = np.asarray(pairs)
-        if len(pairs) and pairs.shape != (len(pairs), 2):
-            raise ValueError(f"expected (u, v) pairs, got an array of shape {pairs.shape}")
-        labels, ends = dense_ends(pairs.reshape(-1))
+        labels, ends = dense_ends(_pair_array(pairs).reshape(-1))
         self.labels = np.array(labels.tolist(), dtype=object)
         self._u, self._v = ends[0::2].copy(), ends[1::2].copy()
         self._seed = None
@@ -162,11 +159,21 @@ def edge_tuples(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Edge]:
     return list(zip(labels[u].tolist(), labels[v].tolist()))
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """pairs as an array; one that is neither empty nor of shape (m, 2)
+    raises ValueError."""
+    pairs = np.asarray(pairs)
+    if len(pairs) and pairs.shape != (len(pairs), 2):
+        raise ValueError(f"expected (u, v) pairs, got an array of shape {pairs.shape}")
+    return pairs
+
+
 def _label_pairs(raw_edges) -> np.ndarray:
-    """raw_edges as an (m, 2) int64 array.  The first pair holding a
-    label that is not an integer in [0, 2**63) raises ValueError, named
-    as given: numpy would truncate a float and wrap a uint64."""
-    pairs = np.asarray(raw_edges)
+    """raw_edges as an (m, 2) int64 array, checked by _pair_array.  The
+    first pair holding a label that is not an integer in [0, 2**63)
+    raises ValueError, named as given: numpy would truncate a float and
+    wrap a uint64."""
+    pairs = _pair_array(raw_edges)
     if pairs.dtype.kind in "iu" and not ((pairs < 0) | (pairs > 2 ** 63 - 1)).any():
         return pairs.astype(np.int64, copy=False).reshape(len(raw_edges), 2)
     for a, b in raw_edges:
@@ -250,9 +257,9 @@ def preprocess(raw_edges, seed: int) -> EdgeStream:
     in order of first appearance (see _simple_edges), and the stream's
     order is a seeded permutation of the result, which the stream draws
     on its first ordered read (see EdgeStream), not here.  An input that
-    is empty after cleaning yields an empty stream, not an error.  A
-    label that is not an integer in [0, 2**63) raises ValueError naming
-    its pair as given.
+    is empty after cleaning yields an empty stream, not an error.  Input
+    that is not (u, v) pairs raises ValueError naming its shape, and a
+    label that is not an integer in [0, 2**63) one naming its pair.
     """
     lo, hi, n = _simple_edges(raw_edges)
     # One shared int object per vertex, as a relabelling dict would give.

@@ -45,7 +45,7 @@ from math import ceil, inf
 import numpy as np
 
 from .datasets import Dataset
-from .descriptors import Descriptor, canberra, canberra_matrix
+from .descriptors import Descriptor, canberra, canberra_matrix, check_single_method
 from .errors import BudgetTooSmallError
 from .gabe import GabeState
 from .graph import EdgeStream, build_graph, derive_seed
@@ -108,18 +108,20 @@ def _run_seeds(stream: EdgeStream, cls: type[StreamState], b: int,
     first seed's state is built from them (from_prefix, which also
     counts the stream's degrees into the pair every state shares).  At
     b >= m no edge is left and no seed draws, so that one state is every
-    seed's, returned once per seed, with no fork and no sample built;
-    merging it with itself sums the same floats, left to right, as
-    merging identical forks would.  Otherwise it is forked for the other
-    seeds, and the rest of the stream is sliced from the ordered
-    columns, read once, BLOCK_EDGES edges at a time into a list of u
-    labels and one of v labels, and each block is handed to every
-    state's step_ends in turn, which steps it with its own random
-    numbers and counts no degree.  So at b >= m nothing reads the
-    stream's order, and a stream from preprocess never draws its
-    permutation (see EdgeStream).  Any other
-    iterable of pairs, a plain list among them, is read once into an
-    EdgeStream, with its n_hint if it has one."""
+    seed's, returned once per seed, with no fork and no sample built.
+    Callers keep no b >= m rule of their own: error_vs_budget scores
+    each distinct state once, and replicated's merge of the one state
+    with itself gives back its bits: every merged value is a whole
+    number x, and W * x / W is exact below 2**53.  Otherwise it is
+    forked for the other seeds, and the rest of the stream is sliced
+    from the ordered columns, read once, BLOCK_EDGES edges at a time
+    into a list of u labels and one of v labels, and each block is
+    handed to every state's step_ends in turn, which steps it with its
+    own random numbers and counts no degree.  So at b >= m nothing
+    reads the stream's order, and a stream from preprocess never draws
+    its permutation (see EdgeStream).  Any other iterable of pairs, a
+    plain list among them, is read once into an EdgeStream, with its
+    n_hint if it has one."""
     if not isinstance(stream, EdgeStream):
         stream = EdgeStream(list(stream), getattr(stream, "n_hint", None))
     first = cls.from_prefix(stream, b, seeds[0])
@@ -223,7 +225,6 @@ class ClassificationReport:
     fold_accuracies: list[float]
     mean_accuracy: float
     std_accuracy: float
-    config: dict
 
 
 def cross_validate(
@@ -253,9 +254,7 @@ def cross_validate(
         raise ValueError(f"cannot split {n} items into {folds} folds")
     if len(set(labels)) < 2:
         raise ValueError("need at least 2 classes")
-    methods = {d.method for d in descriptors}
-    if len(methods) > 1:
-        raise ValueError(f"mixed descriptor methods: {sorted(methods)}")
+    check_single_method(descriptors)
 
     vectors = np.array([d.values for d in descriptors])
     dist = canberra_matrix(vectors, vectors)
@@ -279,12 +278,6 @@ def cross_validate(
         fold_accuracies=accuracies,
         mean_accuracy=float(np.mean(accuracies)),
         std_accuracy=float(np.std(accuracies)),
-        config={
-            "method": next(iter(methods)),
-            "folds": folds,
-            "repeats": repeats,
-            "seed": seed,
-        },
     )
 
 
@@ -302,11 +295,11 @@ def error_vs_budget(
     estimated descriptor is computed: a row's mean is over the trials of
     the graphs it keeps, and a fraction that keeps none raises.  The
     trials of one graph and budget run as the replicas of replicated do,
-    from one pass and one shared prefix, but are scored one by one.  At
-    b >= m no arrival draws a random number (StreamState._draw draws
-    only for t > b), so every trial is the same run: it is finalized and
-    scored once, and its error added `trials` times, in trial order, so
-    the row's sum has the bits of scoring each trial.
+    from one pass and one shared prefix (_run_seeds), but are scored one
+    by one.  Each distinct state _run_seeds returns is finalized and
+    scored once, and its error added once per trial that holds it, in
+    trial order: at b >= m, where _run_seeds returns one state for every
+    trial, the row's sum has the bits of scoring each trial.
     """
     cls = _method(method)
     if trials < 1:
@@ -325,13 +318,13 @@ def error_vs_budget(
         for gi, (stream, b) in enumerate(zip(ds.graphs, sizes)):
             if b is None:
                 continue
-            shared = b >= len(stream)
             seeds = [derive_seed(seed, "evb", method, fraction, gi, trial)
-                     for trial in range(1 if shared else trials)]
+                     for trial in range(trials)]
+            errors: dict[int, float] = {}  # by id(state), while the states live
             for state in _run_seeds(stream, cls, b, seeds):
-                error = canberra(state.finalize().values, exact_vectors[gi])
-                for _ in range(trials if shared else 1):
-                    total += error
+                if id(state) not in errors:
+                    errors[id(state)] = canberra(state.finalize().values, exact_vectors[gi])
+                total += errors[id(state)]
             runs += trials
         rows.append((fraction, total / runs))
     return rows

@@ -195,9 +195,9 @@ def cycles4_wedges(keys: np.ndarray, n: int) -> int:
 
     For each edge from u down to mid, the wedges u-mid-w with w below u
     are the start of mid's row in the CSR.  These edges come in order
-    of u, and a chunk takes whole rows of u, so the count c of each
-    (u, w) is complete in one chunk.  Beyond the keys, the pass holds
-    O(len(keys)) int64 arrays and one chunk of wedges.
+    of u, and _item_chunks cuts only after each u's last edge, so the
+    count c of each (u, w) is complete in one chunk.  Beyond the keys,
+    the pass holds O(len(keys)) int64 arrays and one chunk of wedges.
     """
     row, nbr = np.divmod(keys, n)
     down = nbr < row
@@ -206,37 +206,37 @@ def cycles4_wedges(keys: np.ndarray, n: int) -> int:
     if not len(u):
         return 0
     start = np.searchsorted(keys, np.arange(n) * n)
-    count = np.searchsorted(keys, mid * n + u) - start[mid]
-    end = np.cumsum(count)
-    shift = start[mid] - end + count  # wedge g of an edge is nbr[shift + g]
+    first = start[mid]
+    count = np.searchsorted(keys, mid * n + u) - first
     del mid
     last = np.flatnonzero(np.diff(u, append=-1))  # each u's last edge
-    cuts = last[np.searchsorted(end[last], np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))]
-    pairs = i = 0
-    for j in [*(cuts + 1).tolist(), len(u)]:
-        if j > i:  # a u with over WEDGE_CHUNK wedges ends several cuts
-            c = count[i:j]
-            w = nbr[np.repeat(shift[i:j], c) + np.arange(end[i] - c[0], end[j - 1])]
-            k = np.unique(np.repeat(u[i:j], c) * n + w, return_counts=True)[1]
-            pairs += int((k * (k - 1)).sum())
-            i = j
+    pairs = 0
+    for wedge, at in _item_chunks(u, first, count, last):
+        wedge *= n  # in place: each chunk's arrays are new
+        wedge += nbr[at]
+        k = np.unique(wedge, return_counts=True)[1]
+        pairs += int((k * (k - 1)).sum())
     return pairs // 2
 
 
-def _pair_chunks(base: np.ndarray, count: np.ndarray):
-    """Yield (first, second), two int64 arrays: for each i, the pairs
-    (base[i], base[i] + 1 + g) for g < count[i], in chunks of about
-    WEDGE_CHUNK pairs, each the pairs of whole i's (an i with over
-    WEDGE_CHUNK pairs ends several cuts and is a chunk of its own)."""
+def _item_chunks(tag: np.ndarray, first: np.ndarray, count: np.ndarray,
+                 ends: np.ndarray):
+    """Yield (tags, positions) in chunks: for each item i in order,
+    count[i] copies of tag[i] and the positions first[i] + g, g < count[i].
+    A chunk ends right after an item of ends (sorted, holding the last
+    item), the first at which the running count reaches each multiple of
+    WEDGE_CHUNK.  So a chunk holds fewer than WEDGE_CHUNK positions
+    before its last group, the items after the previous entry of ends."""
     end = np.cumsum(count)
-    shift = base + 1 - end + count  # pair p of i is (base[i], shift[i] + p)
-    cuts = np.searchsorted(end, np.arange(WEDGE_CHUNK, end[-1], WEDGE_CHUNK))
+    shift = first - end + count  # item i's positions are shift[i] + its running indices
+    cuts = ends[np.searchsorted(end[ends], np.arange(WEDGE_CHUNK, end[-1] + 1, WEDGE_CHUNK))]
     i = 0
-    for j in [*(cuts + 1).tolist(), len(base)]:
+    for j in [*(cuts + 1).tolist(), len(count)]:
         if j > i:
             k = count[i:j]
-            yield (np.repeat(base[i:j], k),
-                   np.repeat(shift[i:j], k) + np.arange(end[i] - k[0], end[j - 1]))
+            at = np.repeat(shift[i:j], k)
+            at += np.arange(end[i] - k[0], end[j - 1])
+            yield np.repeat(tag[i:j], k), at
             i = j
 
 
@@ -254,16 +254,16 @@ def triangle_wedges(keys: np.ndarray, n: int,
     leaves O(sqrt(m)) up keys in a row, so there are O(m^1.5) pairs.
     Most close no triangle, so a 64-bit mask per rank, with bit z % 64
     of y's set for each up key y -> z, drops most of them before the
-    lookup.  The pairs go in chunks of about WEDGE_CHUNK (_pair_chunks),
-    each the pairs of whole up keys; a chunk adds into tri and c only at
-    the ranks and keys it found.
+    lookup.  _item_chunks cuts the pairs after any up key, so a chunk
+    holds the pairs of whole up keys; it adds into tri and c only at the
+    ranks and keys it found.
 
     A K4 a < b < c < d is exactly one pair of triangles that share
     their lowest edge a -> b and whose third vertices c < d are joined
     by a key.  A chunk holds every triangle on its up keys, grouped by
     that edge with the third vertices ascending, so with k4 it pairs
-    each triangle with the later ones of its group, again by
-    _pair_chunks, and looks the pairs up as it does the wedges.
+    each triangle with the later ones of its group, cut again after any
+    triangle, and looks the pairs up as it does the wedges.
     Beyond the keys, the pass holds O(len(keys)) int64 arrays and one
     chunk of pairs.
     """
@@ -292,14 +292,15 @@ def triangle_wedges(keys: np.ndarray, n: int,
 
     # row x ends where (x + 1) * n sorts; its up keys are its tail
     count = np.searchsorted(keys, row[up] * n + n) - up - 1
-    for first, second in _pair_chunks(up, count):
+    for first, second in _item_chunks(up, up + 1, count, np.arange(len(up))):
         first, second, at = closed(first, second)
         np.add.at(c, np.concatenate([first, second, at]), 1)
         np.add.at(tri, np.concatenate([row[first], nbr[first], nbr[second]]), 1)
         if k4 and len(first) > 1:
             # the later triangles on the same lowest edge, by position
             later = np.searchsorted(first, first, "right") - np.arange(1, len(first) + 1)
-            for p, q in _pair_chunks(np.arange(len(first)), later):
+            each = np.arange(len(first))
+            for p, q in _item_chunks(each, each + 1, later, each):
                 k4s += len(closed(second[p], second[q])[0])
     return tri, c, k4s
 

@@ -145,10 +145,14 @@ def test_edge_stream_keeps_labels_outside_int64_indices():
 
 @pytest.mark.parametrize("pairs", [
     [(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [0, 1], [(0,)], [[]], np.zeros((3, 2, 1), int),
-], ids=["triple", "two-triples", "flat", "single", "empty-row", "3-d"])
+    [1, 2, 3], np.zeros((3, 3)), np.zeros((3, 3), int),
+], ids=["triple", "two-triples", "flat", "single", "empty-row", "3-d",
+        "flat-triple", "float-3x3", "int-3x3"])
 def test_edge_stream_refuses_what_is_not_pairs(pairs):
-    with pytest.raises(ValueError, match="expected \\(u, v\\) pairs"):
-        EdgeStream(pairs)
+    # preprocess applies the same check before it reads a label
+    for build in (EdgeStream, lambda raw: preprocess(raw, seed=0)):
+        with pytest.raises(ValueError, match="expected \\(u, v\\) pairs"):
+            build(pairs)
 
 
 def test_preprocess_keeps_the_stream_as_columns():

@@ -799,9 +799,6 @@ def test_cross_validate_separates_clean_classes():
     assert report.mean_accuracy == 1.0
     assert report.std_accuracy == 0.0
     assert len(report.fold_accuracies) == 15
-    assert report.config["folds"] == 5
-    assert report.config["repeats"] == 3
-    assert report.config["method"] == "gabe"
 
 
 def test_cross_validate_is_seed_deterministic():

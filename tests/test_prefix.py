@@ -187,6 +187,47 @@ def label_pairs(keys, labels):
 CHUNKS = [1, 2, 3, 7, patterns.WEDGE_CHUNK]
 
 
+@st.composite
+def chunk_items(draw):
+    """(tag, first, count, ends) for _item_chunks: counts with zeros and
+    runs past every patched chunk size, and ends a sorted subset of the
+    items that holds the last."""
+    n = draw(st.integers(1, 25))
+    ints = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n)
+    count = draw(st.lists(st.integers(0, 4) | st.integers(5, 20), min_size=n, max_size=n))
+    ends = draw(st.sets(st.integers(0, n - 2), max_size=n)) if n > 1 else set()
+    return (np.array(draw(ints)), np.array(draw(ints)), np.array(count),
+            np.array(sorted(ends | {n - 1})))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS[:4])
+@settings(max_examples=150)
+@given(items=chunk_items())
+@example(items=(np.zeros(3, int), np.zeros(3, int), np.array([1, 1, 0]), np.array([0, 1, 2])))
+def test_item_chunks_cut_after_ends_only(chunk, items):
+    tag, first, count, ends = items
+    n = len(count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "WEDGE_CHUNK", chunk)
+        chunks = list(patterns._item_chunks(tag, first, count, ends))
+        # the chunks hang on count and ends alone: tagged by item index,
+        # the same chunks show where each one ends
+        seen = [t for t, _ in patterns._item_chunks(np.arange(n), first, count, ends)]
+    assert [len(t) for t, _ in chunks] == [len(p) for _, p in chunks] == list(map(len, seen))
+    assert np.concatenate([t for t, _ in chunks]).tolist() == np.repeat(tag, count).tolist()
+    assert np.concatenate([p for _, p in chunks]).tolist() == [
+        f + g for f, k in zip(first.tolist(), count.tolist()) for g in range(k)]
+    group = np.searchsorted(ends, np.arange(n))  # items after the previous entry of ends
+    for k, items_k in enumerate(seen):
+        later = np.concatenate(seen[k + 1:] + [np.array([n], int)])
+        if k == len(seen) - 1:
+            end = n - 1
+        else:  # the first entry of ends from the last item seen so far on
+            end = ends[np.searchsorted(ends, max([-1, *np.concatenate(seen[:k + 1])]))]
+        assert end < later.min()
+        assert np.count_nonzero(group[items_k] < group[end]) < chunk
+
+
 @settings(max_examples=150)
 @given(n=st.integers(0, 11), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
        seed=st.integers(0, 2 ** 16), labels=st.sampled_from(sorted(LABELS)),
@@ -428,7 +469,7 @@ def test_numpy_prefix_leaves_the_sample_unbuilt(method, monkeypatch):
         for state in states:
             assert [x.hex() for x in state.finalize().values] == want, b
             assert state.t == state.peak_stored == m
-        for replicas in (2, 3, 4):
+        for replicas in range(2, 8):
             got = replicated(stream, method, b, replicas, 4)
             assert [x.hex() for x in got.values] == want, (b, replicas)
     assert built == []
